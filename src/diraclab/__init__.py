@@ -13,7 +13,8 @@ from .charges import (ChargeDistribution, PointCharge, RadialLayer, atom,
                       scale_strengths, shell)
 from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      IllConditionedBasisError, MergedAtomTooHeavyError,
-                     NoGapEigenvalueError, SingularLocationError)
+                     NoGapEigenvalueError, SingularLocationError,
+                     UncertifiedEigenvalueError)
 from .radial import (RadialGapResult, RadialGrid, RadialSolveConfig,
                      channel_sweep, lambda_of_trial,
                      lowest_gap_eigenvalue_radial, min_over_channels,

@@ -14,16 +14,14 @@ import sys
 from . import charges
 from .configio import ConfigDoc, doc_from_charge, emit_config, load_config
 from .errors import (BelowGapError, ChargeModelError, ConfigError,
-                     IllConditionedBasisError, NoGapEigenvalueError)
-from .experiments import (EXIT_SOLVER, EXIT_USAGE, config_from_doc,
+                     IllConditionedBasisError, NoGapEigenvalueError,
+                     UncertifiedEigenvalueError)
+from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
                           run_experiment)
 from .gaussian import default_spinor_basis, grid_for_basis
 from .multicenter import GapSolveConfig, solve_gap
 from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
-
-EXPERIMENT_COMMANDS = ("conjecture-sweep", "pes-scan", "contraction-check",
-                       "schrodinger", "hardy-sweep")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("multicenter", parents=[common],
                    help="single 3D gap solve for an atomic charge")
 
-    for name, blurb in (
-            ("conjecture-sweep", "gap margins vs the merged-charge bound"),
-            ("pes-scan", "lambda1 plus nuclear repulsion vs separation"),
-            ("contraction-check", "lambda1 along uniform contractions"),
-            ("schrodinger", "nonrelativistic energies vs -nu^2/2"),
-            ("hardy-sweep", "quotient constants c(mu) over a family")):
-        sub.add_parser(name, parents=[common], help=blurb)
+    blurbs = {
+        "conjecture-sweep": "gap margins vs the merged-charge bound",
+        "pes-scan": "lambda1 plus nuclear repulsion vs separation",
+        "contraction-check": "lambda1 along uniform contractions",
+        "schrodinger": "nonrelativistic energies vs -nu^2/2",
+        "hardy-sweep": "quotient constants c(mu) over a family"}
+    for name in KINDS:
+        sub.add_parser(name, parents=[common], help=blurbs[name])
     return parser
 
 
@@ -96,10 +95,13 @@ def _cmd_radial(args) -> int:
     grid = RadialGrid(float(doc.get("grid", "r_min", 1e-6)),
                       float(doc.get("grid", "r_max", 100.0)),
                       int(doc.get("grid", "n", 4000)))
+    base = RadialSolveConfig()
     rcfg = RadialSolveConfig(
-        lam_tol=float(doc.get("solver", "lam_tol", 1e-10)),
-        residual_tol=float(doc.get("solver", "residual_tol", 1e-12)),
-        max_iterations=int(doc.get("solver", "max_iterations", 80)))
+        lam_tol=float(doc.get("solver", "lam_tol", base.lam_tol)),
+        residual_tol=float(doc.get("solver", "residual_tol",
+                                   base.residual_tol)),
+        max_iterations=int(doc.get("solver", "max_iterations",
+                                   base.max_iterations)))
     res = lowest_gap_eigenvalue_radial(mu, args.kappa, grid, rcfg)
     if args.verbose:
         print(f"kappa={args.kappa} lambda1={res.lambda1:.12g} "
@@ -124,7 +126,7 @@ def _cmd_multicenter(args) -> int:
         max_iterations=int(doc.get("solver", "max_iterations", 60)),
         n_radial=int(doc.get("grid", "n_radial", 96)),
         angular_order=int(doc.get("grid", "angular_order", 29)),
-        crosscheck=bool(doc.get("solver", "crosscheck", 0)),
+        crosscheck=doc.get_bool("solver", "crosscheck", False),
         crosscheck_tol=float(doc.get("solver", "crosscheck_tol", 1e-3)))
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)
@@ -168,8 +170,8 @@ def main(argv=None) -> int:
     except (ConfigError, ChargeModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoGapEigenvalueError, BelowGapError,
-            IllConditionedBasisError) as exc:
+    except (NoGapEigenvalueError, BelowGapError, IllConditionedBasisError,
+            UncertifiedEigenvalueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

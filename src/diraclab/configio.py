@@ -79,6 +79,18 @@ class ConfigDoc:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
+    def get_bool(self, section: str, key: str, default: bool) -> bool:
+        """A boolean key: 0, 1, true or false, anything else is an error."""
+        value = self.get(section, key, default)
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, int) and value in (0, 1):
+            return bool(value)
+        if value in ("true", "false"):
+            return value == "true"
+        raise ConfigError(f"[{section}] {key} must be 0, 1, true or false, "
+                          f"got {value!r}")
+
     def require(self, section: str, key: str):
         try:
             return self.sections[section][key]

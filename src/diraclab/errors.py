@@ -21,6 +21,10 @@ class NoGapEigenvalueError(RuntimeError):
     """No eigenvalue inside the gap for the requested problem."""
 
 
+class UncertifiedEigenvalueError(RuntimeError):
+    """The inertia test does not confirm an eigenvalue as the lowest."""
+
+
 class IllConditionedBasisError(RuntimeError):
     """Metric factorization failed or condition cap exceeded after filtering."""
 

@@ -166,7 +166,7 @@ def config_from_doc(doc: ConfigDoc, kind: str | None = None,
         lam_tol=float(doc.get("solver", "lam_tol", 1e-8)),
         residual_tol=float(doc.get("solver", "residual_tol", 1e-8)),
         max_iterations=int(doc.get("solver", "max_iterations", 60)),
-        crosscheck=bool(doc.get("solver", "crosscheck", 0)),
+        crosscheck=doc.get_bool("solver", "crosscheck", False),
         crosscheck_tol=float(doc.get("solver", "crosscheck_tol", 1e-3)),
         margin_budget=float(exp.get("margin_budget", 5e-3)),
         workers=resolve_workers(workers, exp.get("workers")),

@@ -582,18 +582,3 @@ class GridEvaluation:
         dot = 0.5 * (dot + dot.T)
         return dot, cross
 
-
-def dump_matrix(mat: np.ndarray, fh) -> None:
-    """Row-major text dump: header line, then one row per line.
-
-    Complex matrices emit real and imaginary parts as adjacent columns.
-    """
-    mat = np.asarray(mat)
-    kind = "complex" if np.iscomplexobj(mat) else "real"
-    fh.write(f"{mat.shape[0]} {mat.shape[1]} {kind}\n")
-    for row in mat:
-        if kind == "complex":
-            cells = [f"{v.real:.17g} {v.imag:.17g}" for v in row]
-        else:
-            cells = [f"{v:.17g}" for v in row]
-        fh.write(" ".join(cells) + "\n")

@@ -12,6 +12,14 @@ of h(lam) = mu_min(B(lam)) - lam, where B(lam) is the matrix of the
 lam-frozen part of Q on a log-uniform grid and mu_min its smallest
 eigenvalue against the radial mass matrix.
 
+mu_min comes from spectrum slicing: by Sylvester's law of inertia the
+banded Cholesky factorisation of B - sigma*M succeeds exactly when sigma
+lies below the whole spectrum.  Bisection on that test brackets mu_min,
+inverse iteration with the factor at the bracket's lower end supplies the
+last digits, and one more successful factorisation just below the result
+certifies that no lower eigenvalue exists.  No random start vector and
+no dense or banded eigensolver is involved.
+
 Near the origin the eigenfunction behaves like r^gamma with
 gamma = sqrt(kappa^2 - nu_pt^2), which a truncated grid cannot represent
 when the point strength nu_pt is large.  The first degree of freedom is
@@ -33,15 +41,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused here; perfbench/spans.py wraps it
 from scipy.optimize import brentq
 
 from . import _rootfind
 from .charges import ChargeDistribution, radial_profile
-from .errors import BelowGapError, ConfigError, NoGapEigenvalueError
+from .errors import (BelowGapError, ConfigError, NoGapEigenvalueError,
+                     UncertifiedEigenvalueError)
 
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
-_POLISH_SEED = 1234
+# A returned mu_min is certified by a successful Cholesky factorisation of
+# B - (mu - delta) M with delta = _CERT_REL * max(1, |mu|): no eigenvalue of
+# the pencil lies below mu - delta.  Bisection narrows the bracket to
+# _BISECT_REL in the same scale before inverse iteration takes over.
+_CERT_REL = 1e-9
+_BISECT_REL = 1e-8
+# Inverse iteration stops once the Rayleigh quotient moves less than this,
+# relative: the roundoff level of the quotient on the graded pencil.
+_RQ_STALL = 1e-14
 
 
 @dataclass
@@ -71,16 +88,17 @@ class RadialGrid:
 
 def derivative_matrix(n: int, h: float) -> sp.csr_matrix:
     """d/dt on a uniform grid: 4th order inside, one-sided at the ends."""
-    D = sp.lil_matrix((n, n))
-    D[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / h
+    interior = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     skew = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / h
-    D[1, 0:5] = skew
-    interior = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    for k in range(2, n - 2):
-        D[k, k - 2:k + 3] = interior
-    D[n - 2, n - 5:n] = -skew[::-1]
-    D[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / h
-    return D.tocsr()
+    ends = np.zeros((4, n))
+    ends[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / h
+    ends[1, 0:5] = skew
+    ends[2, n - 5:n] = -skew[::-1]
+    ends[3, n - 3:n] = np.array([0.5, -2.0, 1.5]) / h
+    ends = sp.csr_matrix(ends)
+    # row k of the middle block is grid row k + 2, stencil on k .. k + 4
+    middle = sp.diags(list(interior), [0, 1, 3, 4], shape=(n - 4, n))
+    return sp.vstack([ends[:2], middle, ends[2:]], format="csr")
 
 
 def radial_potential(mu: ChargeDistribution, r):
@@ -156,55 +174,86 @@ class _ChannelProblem:
         mdiag[0] += m_stub
         return (K + sp.diags(bdiag)).tocsr(), mdiag
 
-    def mu_min(self, lam: float, polish: int = 2) -> float:
+    def mu_min(self, lam: float) -> float:
+        """Lowest eigenvalue of the pencil (B(lam), M) by spectrum slicing.
+
+        Raises UncertifiedEigenvalueError when the inertia test does not
+        confirm the result as the lowest eigenvalue.
+        """
         B, mdiag = self.pencil(lam)
-        s = 1.0 / np.sqrt(mdiag)
-        Bt = (sp.diags(s) @ B @ sp.diags(s)).tocsr()
-        bw = 4
-        m = Bt.shape[0]
-        ab = np.zeros((bw + 1, m))
-        for k in range(bw + 1):
-            ab[bw - k, k:] = Bt.diagonal(k)
-        mu = float(sla.eigvals_banded(ab, lower=False, select="i",
-                                      select_range=(0, 0))[0])
-        # Rayleigh polish: the banded solve on the strongly graded matrix
-        # carries norm-scaled roundoff; inverse iteration on the pencil
-        # restores full accuracy.
-        v = np.random.default_rng(_POLISH_SEED).standard_normal(m)
-        M = sp.diags(mdiag).tocsc()
-        for _ in range(polish):
+        ab = np.zeros((5, B.shape[0]))  # upper band storage, bandwidth 4
+        for k in range(5):
+            ab[4 - k, k:] = B.diagonal(k)
+
+        def factor(sigma: float):
+            shifted = ab.copy()
+            shifted[4] -= sigma * mdiag
             try:
-                lu = spla.splu((B - mu * M).tocsc())
-            except RuntimeError:
+                return sla.cholesky_banded(shifted)
+            except sla.LinAlgError:
+                return None
+
+        # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
+        # step down from it in doubling steps until a factorisation holds
+        hi = float(np.min(ab[4] / mdiag))
+        step = max(1.0, abs(hi))
+        for _ in range(64):
+            lo = hi - step
+            chol = factor(lo)
+            if chol is not None:
                 break
-            y = lu.solve(mdiag * v)
-            nrm = math.sqrt(abs(y @ (mdiag * y)))
-            if not math.isfinite(nrm) or nrm == 0.0:
+            hi, step = lo, 2.0 * step
+        else:
+            raise UncertifiedEigenvalueError(
+                f"no positive definite shift of B({lam}) below {hi}")
+        while hi - lo > _BISECT_REL * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            trial = factor(mid)
+            if trial is None:
+                hi = mid
+            else:
+                lo, chol = mid, trial
+        # lo sits within the bracket width of the lowest eigenvalue, far
+        # closer than to the next, so each inverse step gains many digits
+        v = np.ones(len(mdiag))
+        mu = hi
+        for _ in range(8):
+            y = sla.cho_solve_banded((chol, False), mdiag * v)
+            v = y / math.sqrt(y @ (mdiag * y))
+            prev, mu = mu, float((v @ (B @ v)) / (v @ (mdiag * v)))
+            if abs(prev - mu) <= _RQ_STALL * max(1.0, abs(mu)):
                 break
-            v = y / nrm
-            cand = (v @ (B @ v)) / (v @ (mdiag * v))
-            if math.isfinite(cand):
-                mu = float(cand)
+        if factor(mu - _CERT_REL * max(1.0, abs(mu))) is None:
+            raise UncertifiedEigenvalueError(
+                f"inertia test finds an eigenvalue of B({lam}) below {mu}")
         return mu
 
 
-def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
-                  grid: RadialGrid) -> float:
-    """The eliminated quadratic form at fixed lam for a grid trial g."""
-    if lam <= -1.0:
-        raise ValueError(f"q_form_radial needs lam > -1, got {lam}")
+def _trial_terms(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid):
+    """A checked trial g with its lam-independent parts D g + kappa g and v."""
     kappa = _check_channel(kappa)
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n,):
         raise ValueError(f"trial must have {grid.n} nodal values")
     if not np.any(g):
         raise ValueError("trial is identically zero")
-    vpot = radial_profile(mu, grid.r)
-    D = derivative_matrix(grid.n, grid.h)
-    a = D @ g + kappa * g
+    a = derivative_matrix(grid.n, grid.h) @ g + kappa * g
+    return g, a, radial_profile(mu, grid.r)
+
+
+def _q_form(lam: float, g: np.ndarray, a: np.ndarray, vpot: np.ndarray,
+            grid: RadialGrid) -> float:
+    if lam <= -1.0:
+        raise ValueError(f"q_form_radial needs lam > -1, got {lam}")
     kinetic = float(np.sum(grid.w * a * a / (grid.r * (1.0 + lam + vpot))))
     rest = float(np.sum(grid.w * grid.r * (1.0 - vpot - lam) * g * g))
     return kinetic + rest
+
+
+def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
+                  grid: RadialGrid) -> float:
+    """The eliminated quadratic form at fixed lam for a grid trial g."""
+    return _q_form(lam, *_trial_terms(g, kappa, mu, grid), grid)
 
 
 def lambda_of_trial(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid,
@@ -217,12 +266,12 @@ def lambda_of_trial(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid,
     nrm = math.sqrt(float(np.sum(grid.w * grid.r * g * g)))
     if nrm == 0.0:
         raise ValueError("trial is identically zero")
-    g = g / nrm
+    terms = _trial_terms(g / nrm, kappa, mu, grid)
     delta = 1e-9
     lo = -1.0 + delta
 
     def f(lam: float) -> float:
-        return q_form_radial(lam, g, kappa, mu, grid)
+        return _q_form(lam, *terms, grid)
 
     f_lo = f(lo)
     if f_lo <= 0.0:
@@ -253,7 +302,6 @@ class RadialSolveConfig:
     bracket_lo: float = -1.0 + 1e-9
     bracket_hi: float = 1.0
     max_iterations: int = 60
-    polish_steps: int = 2
 
     def __post_init__(self):
         if not (-1.0 < self.bracket_lo < self.bracket_hi <= 1.0):
@@ -292,7 +340,7 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
     config = config or RadialSolveConfig()
     prob = _ChannelProblem(mu, kappa, grid)
     rs = _rootfind.solve_monotone_gap(
-        lambda lam: prob.mu_min(lam, polish=config.polish_steps),
+        prob.mu_min,
         config.bracket_lo, config.bracket_hi,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
         max_iter=config.max_iterations)

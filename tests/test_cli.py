@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diraclab import cli
+from diraclab import cli, radial
 
 FAST_SWEEP = """
 [experiment]
@@ -92,6 +92,26 @@ def test_multicenter_solve_json(tmp_path, capsys):
     assert set(out) == {"lambda1", "residual", "iterations", "below_gap",
                         "crosscheck_lambda1", "flags"}
     assert out["lambda1"] == pytest.approx(math.sqrt(0.75), abs=5e-3)
+
+
+def test_multicenter_rejects_non_boolean_crosscheck(tmp_path, capsys):
+    cfg = write(tmp_path, "multi.cfg",
+                MULTI + "\n[solver]\ncrosscheck = false-ish\n")
+    assert cli.main(["multicenter", "--config", cfg]) == 1
+    assert "crosscheck" in capsys.readouterr().err
+
+
+def test_radial_defaults_come_from_solve_config(monkeypatch, capsys):
+    seen = []
+
+    def fake_solve(mu, kappa, grid, config):
+        seen.append(config)
+        return radial.RadialGapResult(0.5, 0.0, 1, False, kappa, True,
+                                      (0.5, 0.5), [])
+
+    monkeypatch.setattr(cli, "lowest_gap_eigenvalue_radial", fake_solve)
+    assert cli.main(["radial", "--nu", "0.5"]) == 0
+    assert seen == [radial.RadialSolveConfig()]
 
 
 def test_print_config_is_fixed_point(tmp_path, capsys):

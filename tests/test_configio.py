@@ -95,3 +95,15 @@ def test_format_float_17g():
     assert configio.format_float(1.0) == "1"
     assert configio.format_float(float("nan")) == "nan"
     assert math.isinf(float(configio.format_float(float("inf"))))
+
+
+def test_get_bool_accepts_only_0_1_true_false():
+    doc = configio.parse_config(
+        "[solver]\na = 0\nb = 1\nc = true\nd = false\ne = yes\nf = 2\n"
+        "g = 1.0\nh = False\n")
+    assert [doc.get_bool("solver", k, True) for k in "abcd"] == [
+        False, True, True, False]
+    assert doc.get_bool("solver", "missing", False) is False
+    for key in "efgh":
+        with pytest.raises(ConfigError):
+            doc.get_bool("solver", key, False)

@@ -64,6 +64,17 @@ def test_config_validation_failures():
         experiments.run_experiment(fast_config(thetas=(), separations=()))
 
 
+def test_crosscheck_false_means_off():
+    for text, want in (("false", False), ("0", False), ("true", True),
+                       ("1", True)):
+        doc = configio.parse_config(
+            FAST + f"\n[solver]\ncrosscheck = {text}\n")
+        assert experiments.config_from_doc(doc).crosscheck is want
+    doc = configio.parse_config(FAST + "\n[solver]\ncrosscheck = off\n")
+    with pytest.raises(ConfigError):
+        experiments.config_from_doc(doc)
+
+
 def test_triangle_is_default_for_three_thetas():
     doc = configio.parse_config(FAST.replace("0.2 0.2", "0.1 0.1 0.1"))
     assert experiments.config_from_doc(doc).arrangement == "triangle"

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import oracles
 from diraclab import charges, radial
-from diraclab.errors import ConfigError
+from diraclab.errors import ConfigError, UncertifiedEigenvalueError
 
 SQ75 = math.sqrt(0.75)
 
@@ -36,6 +37,42 @@ def test_point_charge_critical_needs_finer_grid():
     grid = radial.RadialGrid(1e-8, 100.0, 8000)
     res = radial.lowest_gap_eigenvalue_radial(point(1.0), grid=grid)
     assert res.lambda1 == pytest.approx(0.0, abs=2e-3)
+    assert res.converged and not res.below_gap
+
+
+# small, mildly graded grid on which a dense generalized eigensolve is
+# accurate to roundoff
+SMALL = radial.RadialGrid(1e-3, 50.0, 200)
+SLICE_CHARGES = {"free": charges.ChargeDistribution(), "nu=0.5": point(0.5),
+                 "nu=0.99": point(0.99), "shell": charges.shell(0.5, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_CHARGES))
+@pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+def test_mu_min_is_lowest_dense_eigenvalue(name, kappa):
+    prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
+    for lam in (-1.0 + 1e-9, 0.0, 0.9, 1.0):
+        B, mdiag = prob.pencil(lam)
+        dense = sla.eigh(B.toarray(), np.diag(mdiag), eigvals_only=True)
+        assert prob.mu_min(lam) == pytest.approx(
+            dense[0], rel=1e-11, abs=1e-11)
+
+
+def test_mu_min_is_deterministic():
+    prob = radial._ChannelProblem(point(0.5), -1, SMALL)
+    first = [prob.mu_min(lam) for lam in (0.0, 0.9)]
+    assert [prob.mu_min(lam) for lam in (0.0, 0.9)] == first
+    again = radial._ChannelProblem(point(0.5), -1, SMALL)
+    assert [again.mu_min(lam) for lam in (0.0, 0.9)] == first
+
+
+def test_mu_min_refuses_an_uncertified_value(monkeypatch):
+    # a negative margin asks the inertia test to confirm that nothing lies
+    # below mu + 1e-6, which the lowest eigenvalue mu itself contradicts
+    monkeypatch.setattr(radial, "_CERT_REL", -1e-6)
+    prob = radial._ChannelProblem(point(0.5), -1, SMALL)
+    with pytest.raises(UncertifiedEigenvalueError):
+        prob.mu_min(0.9)
 
 
 def test_trace_h_values_strictly_decrease():
@@ -78,6 +115,22 @@ def test_channel_sweep_ground_channel_wins():
     best = radial.min_over_channels(results)
     assert best.kappa == -1
     assert best.lambda1 == pytest.approx(math.sqrt(1 - 0.36), abs=1e-6)
+
+
+def test_derivative_matrix_matches_stencil_loop():
+    for n, h in ((16, 0.3), (41, 0.01)):
+        ref = np.zeros((n, n))
+        ref[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / h
+        skew = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / h
+        ref[1, 0:5] = skew
+        interior = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+        for k in range(2, n - 2):
+            ref[k, k - 2:k + 3] = interior
+        ref[n - 2, n - 5:n] = -skew[::-1]
+        ref[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / h
+        D = radial.derivative_matrix(n, h)
+        assert np.array_equal(D.toarray(), ref)
+        assert D.nnz == np.count_nonzero(ref)
 
 
 def test_channel_validation():
