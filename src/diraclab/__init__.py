@@ -25,9 +25,9 @@ from .configio import (ConfigDoc, charge_descriptor, doc_from_charge,
                        parse_config)
 from .gaussian import (QuadratureGrid, ScalarBasis, SpinorBasis, becke_weights,
                        boys, build_grid, default_spinor_basis, grid_for_basis)
-from .multicenter import (GapResult, GapSolveConfig, StaticMatrices,
-                          assemble_W, build_static, rkb_cross_check,
-                          schrodinger_ground_gaussian, solve_gap)
+from .multicenter import (GapResult, GapSolveConfig, assemble_W,
+                          rkb_cross_check, schrodinger_ground_gaussian,
+                          solve_gap)
 from .hardy import (HardyResult, HardyScanRow, hardy_quotient_min, nu1_scan,
                     scan_minimum)
 from .experiments import (ExperimentConfig, ExperimentReport, config_from_doc,

@@ -17,9 +17,9 @@ from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      IllConditionedBasisError, NoGapEigenvalueError,
                      UncertifiedEigenvalueError)
 from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
-                          run_experiment)
+                          gap_config_from_doc, run_experiment)
 from .gaussian import default_spinor_basis, grid_for_basis
-from .multicenter import GapSolveConfig, solve_gap
+from .multicenter import solve_gap
 from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
 
@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_doc(args) -> ConfigDoc:
     if args.config is None:
         raise ConfigError(f"{args.command} needs --config")
-    return load_config(args.config)
+    doc = load_config(args.config)
+    doc.check_keys()
+    return doc
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -120,14 +122,7 @@ def _cmd_multicenter(args) -> int:
         mu, n_s=int(doc.get("basis", "n_s", 16)),
         alpha0=float(doc.get("basis", "alpha0", 0.02)),
         beta=float(doc.get("basis", "beta", 2.8)))
-    gcfg = GapSolveConfig(
-        lam_tol=float(doc.get("solver", "lam_tol", 1e-8)),
-        residual_tol=float(doc.get("solver", "residual_tol", 1e-8)),
-        max_iterations=int(doc.get("solver", "max_iterations", 60)),
-        n_radial=int(doc.get("grid", "n_radial", 96)),
-        angular_order=int(doc.get("grid", "angular_order", 29)),
-        crosscheck=doc.get_bool("solver", "crosscheck", False),
-        crosscheck_tol=float(doc.get("solver", "crosscheck_tol", 1e-3)))
+    gcfg = gap_config_from_doc(doc)
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)
     if args.verbose:

@@ -16,6 +16,17 @@ from .errors import ConfigError
 
 CHARGE_SECTIONS = ("charge.point", "charge.layer")
 
+# every scalar section and key any command reads
+SECTION_KEYS = {
+    "experiment": ("kind", "thetas", "separations", "scales", "direction",
+                   "arrangement", "margin_budget", "workers"),
+    "basis": ("n_s", "alpha0", "beta"),
+    "grid": ("n_radial", "angular_order", "r_min", "r_max", "n"),
+    "solver": ("lam_tol", "residual_tol", "max_iterations", "crosscheck",
+               "crosscheck_tol"),
+    "output": ("csv", "manifest"),
+}
+
 
 def format_float(v: float) -> str:
     return f"{float(v):.17g}"
@@ -90,6 +101,18 @@ class ConfigDoc:
             return value == "true"
         raise ConfigError(f"[{section}] {key} must be 0, 1, true or false, "
                           f"got {value!r}")
+
+    def check_keys(self) -> None:
+        """Raise ConfigError on any section or key outside SECTION_KEYS."""
+        for section, body in self.sections.items():
+            if section not in SECTION_KEYS:
+                raise ConfigError(f"unknown section [{section}]; expected one "
+                                  f"of {', '.join(SECTION_KEYS)}")
+            for key in body:
+                if key not in SECTION_KEYS[section]:
+                    raise ConfigError(
+                        f"unknown key {key!r} in [{section}]; expected one "
+                        f"of {', '.join(SECTION_KEYS[section])}")
 
     def require(self, section: str, key: str):
         try:

@@ -50,6 +50,8 @@ EXIT_MARGIN = 3
 NU1_KNOWN_FLOOR = 2.0 / (math.pi / 2.0 + 2.0 / math.pi)
 CONDITIONAL_ABOVE = 0.9
 
+_GAP_DEFAULTS = GapSolveConfig()
+
 
 def _add_flag(flags: str, word: str) -> str:
     if flags == "ok":
@@ -86,13 +88,13 @@ class ExperimentConfig:
     n_s: int = 16
     alpha0: float = 0.02
     beta: float = 2.8
-    n_radial: int = 96
-    angular_order: int = 29
-    lam_tol: float = 1e-8
-    residual_tol: float = 1e-8
-    max_iterations: int = 60
-    crosscheck: bool = False
-    crosscheck_tol: float = 1e-3
+    n_radial: int = _GAP_DEFAULTS.n_radial
+    angular_order: int = _GAP_DEFAULTS.angular_order
+    lam_tol: float = _GAP_DEFAULTS.lam_tol
+    residual_tol: float = _GAP_DEFAULTS.residual_tol
+    max_iterations: int = _GAP_DEFAULTS.max_iterations
+    crosscheck: bool = _GAP_DEFAULTS.crosscheck
+    crosscheck_tol: float = _GAP_DEFAULTS.crosscheck_tol
     margin_budget: float = 5e-3
     workers: int = 1
     radial_r_min: float = 1e-6
@@ -133,10 +135,28 @@ def _floats(value, what: str) -> tuple[float, ...]:
     raise ConfigError(f"{what} must be a number or a list of numbers")
 
 
+def gap_config_from_doc(doc: ConfigDoc) -> GapSolveConfig:
+    """GapSolveConfig from [solver] and [grid], defaults for unset keys."""
+    base = GapSolveConfig()
+    return GapSolveConfig(
+        lam_tol=float(doc.get("solver", "lam_tol", base.lam_tol)),
+        residual_tol=float(doc.get("solver", "residual_tol",
+                                   base.residual_tol)),
+        max_iterations=int(doc.get("solver", "max_iterations",
+                                   base.max_iterations)),
+        n_radial=int(doc.get("grid", "n_radial", base.n_radial)),
+        angular_order=int(doc.get("grid", "angular_order",
+                                  base.angular_order)),
+        crosscheck=doc.get_bool("solver", "crosscheck", base.crosscheck),
+        crosscheck_tol=float(doc.get("solver", "crosscheck_tol",
+                                     base.crosscheck_tol)))
+
+
 def config_from_doc(doc: ConfigDoc, kind: str | None = None,
                     workers: int | None = None,
                     out_csv: str | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config document."""
+    doc.check_keys()
     kind = kind or str(doc.get("experiment", "kind", ""))
     if not kind:
         raise ConfigError("no experiment kind given")
@@ -150,6 +170,7 @@ def config_from_doc(doc: ConfigDoc, kind: str | None = None,
     else:
         raise ConfigError("direction must be three reals")
     charge = doc.charge() if doc.has_charge() else None
+    gap = gap_config_from_doc(doc)
     cfg = ExperimentConfig(
         kind=kind,
         charge=charge,
@@ -161,13 +182,10 @@ def config_from_doc(doc: ConfigDoc, kind: str | None = None,
         n_s=int(doc.get("basis", "n_s", 16)),
         alpha0=float(doc.get("basis", "alpha0", 0.02)),
         beta=float(doc.get("basis", "beta", 2.8)),
-        n_radial=int(doc.get("grid", "n_radial", 96)),
-        angular_order=int(doc.get("grid", "angular_order", 29)),
-        lam_tol=float(doc.get("solver", "lam_tol", 1e-8)),
-        residual_tol=float(doc.get("solver", "residual_tol", 1e-8)),
-        max_iterations=int(doc.get("solver", "max_iterations", 60)),
-        crosscheck=doc.get_bool("solver", "crosscheck", False),
-        crosscheck_tol=float(doc.get("solver", "crosscheck_tol", 1e-3)),
+        n_radial=gap.n_radial, angular_order=gap.angular_order,
+        lam_tol=gap.lam_tol, residual_tol=gap.residual_tol,
+        max_iterations=gap.max_iterations, crosscheck=gap.crosscheck,
+        crosscheck_tol=gap.crosscheck_tol,
         margin_budget=float(exp.get("margin_budget", 5e-3)),
         workers=resolve_workers(workers, exp.get("workers")),
         radial_r_min=float(doc.get("grid", "r_min", 1e-6)),

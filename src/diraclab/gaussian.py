@@ -1,11 +1,12 @@
-"""Even-tempered Gaussian spinor basis with analytic integrals and grids.
+"""Even-tempered s-type Gaussian spinor basis, analytic integrals and grids.
 
-Scalar primitives are s and p Gaussians.  Overlap, nuclear attraction, and
-gradient Gram matrices come from Hermite-Gaussian (McMurchie-Davidson)
-recurrences with the Boys function kernel; only lam-dependent weighted
-integrals need the multi-center quadrature grid built here (per-center log
-radial shells times Gauss-Legendre-by-azimuth spheres, glued by smoothed
-Voronoi-style partition weights).
+Scalar primitives are s Gaussians exp(-a |x - A|^2).  Their overlap,
+gradient Gram and nuclear attraction matrices have closed forms (the
+attraction through the Boys function F_0) and are evaluated for all pairs
+at once as array expressions; see ScalarBasis.  Only the lam-dependent
+weighted integrals need the multi-center quadrature grid built here
+(per-center log radial shells times Gauss-Legendre-by-azimuth spheres,
+glued by smoothed Voronoi-style partition weights).
 """
 from __future__ import annotations
 
@@ -20,9 +21,6 @@ from .errors import ConfigError, IllConditionedBasisError
 PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex))
-
-PTYPES = ("s", "px", "py", "pz")
-_ANG = {"s": (0, 0, 0), "px": (1, 0, 0), "py": (0, 1, 0), "pz": (0, 0, 1)}
 
 EXPONENT_RANGE = (1e-8, 1e12)
 
@@ -72,9 +70,10 @@ def boys(m: int, t):
 
 @dataclass(frozen=True)
 class GaussianPrimitive:
+    """Unnormalized s Gaussian exp(-exponent |x - center|^2)."""
+
     center: tuple[float, float, float]
     exponent: float
-    ptype: str = "s"
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -82,164 +81,26 @@ class GaussianPrimitive:
         if not (lo <= self.exponent <= hi):
             raise ConfigError(
                 f"exponent {self.exponent} outside [{lo}, {hi}]")
-        if self.ptype not in PTYPES:
-            raise ConfigError(f"primitive type must be one of {PTYPES}")
-
-    @property
-    def ang(self) -> tuple[int, int, int]:
-        return _ANG[self.ptype]
 
     @property
     def norm(self) -> float:
-        a = self.exponent
-        n = (2.0 * a / np.pi) ** 0.75
-        if self.ptype != "s":
-            n *= 2.0 * math.sqrt(a)
-        return n
-
-
-def _overlap_1d(i: int, j: int, p: float, xpa: float, xpb: float) -> float:
-    """1-D unnormalized overlap with Gaussian prefactor handled by caller."""
-    if i < 0 or j < 0:
-        return 0.0
-    if i == 0 and j == 0:
-        return math.sqrt(math.pi / p)
-    if i > 0:
-        return (xpa * _overlap_1d(i - 1, j, p, xpa, xpb)
-                + ((i - 1) * _overlap_1d(i - 2, j, p, xpa, xpb)
-                   + j * _overlap_1d(i - 1, j - 1, p, xpa, xpb)) / (2.0 * p))
-    return (xpb * _overlap_1d(i, j - 1, p, xpa, xpb)
-            + (i * _overlap_1d(i - 1, j - 1, p, xpa, xpb)
-               + (j - 1) * _overlap_1d(i, j - 2, p, xpa, xpb)) / (2.0 * p))
-
-
-class _Pair:
-    """Geometry of one primitive pair for the 1-D recurrences."""
-
-    def __init__(self, gi: GaussianPrimitive, gj: GaussianPrimitive):
-        a, b = gi.exponent, gj.exponent
-        self.a, self.b = a, b
-        self.p = a + b
-        self.q = a * b / self.p
-        A = np.array(gi.center)
-        B = np.array(gj.center)
-        self.d = A - B
-        self.P = (a * A + b * B) / self.p
-        self.xpa = self.P - A
-        self.xpb = self.P - B
-        self.pref = math.exp(-self.q * float(self.d @ self.d))
-        self.li = gi.ang
-        self.lj = gj.ang
-
-    def overlap_1d(self, dim: int, di: int = 0, dj: int = 0) -> float:
-        return _overlap_1d(self.li[dim] + di, self.lj[dim] + dj,
-                           self.p, self.xpa[dim], self.xpb[dim])
-
-    def overlap(self) -> float:
-        s = self.pref
-        for dim in range(3):
-            s *= self.overlap_1d(dim)
-        return s
-
-    def grad_dot(self) -> float:
-        """int grad(gi) . grad(gj), unnormalized."""
-        svals = [self.overlap_1d(dim) for dim in range(3)]
-        total = 0.0
-        for dim in range(3):
-            i, j = self.li[dim], self.lj[dim]
-            a, b = self.a, self.b
-            d = (i * j * self.overlap_1d(dim, -1, -1)
-                 - 2.0 * b * i * self.overlap_1d(dim, -1, +1)
-                 - 2.0 * a * j * self.overlap_1d(dim, +1, -1)
-                 + 4.0 * a * b * self.overlap_1d(dim, +1, +1))
-            total += d * svals[(dim + 1) % 3] * svals[(dim + 2) % 3]
-        return total * self.pref
-
-    def _e_table(self, dim: int) -> list[float]:
-        """E^{ij}_t for t = 0..i+j in this dimension (prefactor excluded)."""
-        i, j = self.li[dim], self.lj[dim]
-        p = self.p
-        xpa, xpb = self.xpa[dim], self.xpb[dim]
-        # E[i][j] is a list over t
-        E = {(0, 0): [1.0]}
-
-        def build(ii, jj):
-            if (ii, jj) in E:
-                return E[(ii, jj)]
-            if ii > 0:
-                low = build(ii - 1, jj)
-                nt = len(low) + 1
-                out = [0.0] * nt
-                for t in range(nt):
-                    val = 0.0
-                    if t - 1 >= 0 and t - 1 < len(low):
-                        val += low[t - 1] / (2.0 * p)
-                    if t < len(low):
-                        val += xpa * low[t]
-                    if t + 1 < len(low):
-                        val += (t + 1) * low[t + 1]
-                    out[t] = val
-            else:
-                low = build(ii, jj - 1)
-                nt = len(low) + 1
-                out = [0.0] * nt
-                for t in range(nt):
-                    val = 0.0
-                    if t - 1 >= 0 and t - 1 < len(low):
-                        val += low[t - 1] / (2.0 * p)
-                    if t < len(low):
-                        val += xpb * low[t]
-                    if t + 1 < len(low):
-                        val += (t + 1) * low[t + 1]
-                    out[t] = val
-            E[(ii, jj)] = out
-            return out
-
-        return build(i, j)
-
-    def attraction(self, C) -> float:
-        """int gi gj / |x - C|, unnormalized, always >= 0 for s pairs."""
-        C = np.asarray(C, dtype=float)
-        pc = self.P - C
-        t_arg = self.p * float(pc @ pc)
-        ex = self._e_table(0)
-        ey = self._e_table(1)
-        ez = self._e_table(2)
-        nmax = len(ex) + len(ey) + len(ez) - 3
-        fm = [boys(n, t_arg) for n in range(nmax + 1)]
-
-        memo: dict[tuple[int, int, int, int], float] = {}
-
-        def rtuv(n, t, u, v):
-            if t < 0 or u < 0 or v < 0:
-                return 0.0
-            key = (n, t, u, v)
-            if key in memo:
-                return memo[key]
-            if t == u == v == 0:
-                val = (-2.0 * self.p) ** n * fm[n]
-            elif t > 0:
-                val = (t - 1) * rtuv(n + 1, t - 2, u, v) \
-                    + pc[0] * rtuv(n + 1, t - 1, u, v)
-            elif u > 0:
-                val = (u - 1) * rtuv(n + 1, t, u - 2, v) \
-                    + pc[1] * rtuv(n + 1, t, u - 1, v)
-            else:
-                val = (v - 1) * rtuv(n + 1, t, u, v - 2) \
-                    + pc[2] * rtuv(n + 1, t, u, v - 1)
-            memo[key] = val
-            return val
-
-        total = 0.0
-        for t, et in enumerate(ex):
-            for u, eu in enumerate(ey):
-                for v, ev in enumerate(ez):
-                    total += et * eu * ev * rtuv(0, t, u, v)
-        return (2.0 * math.pi / self.p) * self.pref * total
+        return (2.0 * self.exponent / np.pi) ** 0.75
 
 
 class ScalarBasis:
-    """An ordered set of Gaussian primitives with analytic matrices."""
+    """An ordered set of s Gaussians with closed-form all-pairs matrices.
+
+    For a pair with exponents a, b and centers A, B let p = a + b,
+    q = ab/p and d = A - B.  Then
+
+        S = N_i N_j (pi/p)^(3/2) exp(-q d^2)
+        T = int grad g_i . grad g_j = 2q (3 - 2q d^2) S
+        V_C = N_i N_j (2 pi/p) exp(-q d^2) F_0(p |P - C|^2)
+
+    with P = (aA + bB)/p and F_0 the Boys function (Boys 1950).  Every
+    expression is symmetric in (i, j) operation by operation, so the
+    matrices are exactly symmetric.
+    """
 
     def __init__(self, primitives):
         self.primitives = tuple(primitives)
@@ -250,34 +111,31 @@ class ScalarBasis:
         self.centers = np.array([g.center for g in self.primitives])
         self.alphas = np.array([g.exponent for g in self.primitives])
 
-    def _pair(self, i: int, j: int) -> _Pair:
-        return _Pair(self.primitives[i], self.primitives[j])
-
-    def overlap(self, i: int, j: int) -> float:
-        return self.norms[i] * self.norms[j] * self._pair(i, j).overlap()
-
-    def grad_dot(self, i: int, j: int) -> float:
-        return self.norms[i] * self.norms[j] * self._pair(i, j).grad_dot()
-
-    def attraction(self, i: int, j: int, R, theta: float = 1.0) -> float:
-        """Positive integral int gi gj theta/|x-R|; caller applies the sign."""
-        return theta * self.norms[i] * self.norms[j] * self._pair(i, j).attraction(R)
-
-    def _symmetric(self, entry) -> np.ndarray:
-        out = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                out[i, j] = out[j, i] = entry(i, j)
-        return out
+    def _pairs(self):
+        """p = a + b, q = ab/p, d^2 and N_i N_j exp(-q d^2), each (n, n)."""
+        a = self.alphas
+        p = a[:, None] + a[None, :]
+        q = a[:, None] * a[None, :] / p
+        d = self.centers[:, None, :] - self.centers[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", d, d)
+        return p, q, d2, np.outer(self.norms, self.norms) * np.exp(-q * d2)
 
     def overlap_matrix(self) -> np.ndarray:
-        return self._symmetric(self.overlap)
+        p, _, _, pref = self._pairs()
+        return pref * (np.pi / p) ** 1.5
 
     def grad_dot_matrix(self) -> np.ndarray:
-        return self._symmetric(self.grad_dot)
+        p, q, d2, pref = self._pairs()
+        return 2.0 * q * (3.0 - 2.0 * q * d2) * (pref * (np.pi / p) ** 1.5)
 
     def attraction_matrix(self, R, theta: float = 1.0) -> np.ndarray:
-        return self._symmetric(lambda i, j: self.attraction(i, j, R, theta))
+        """Positive integrals int g_i g_j theta/|x-R|; caller applies the sign."""
+        p, _, _, pref = self._pairs()
+        wa = self.alphas[:, None] * self.centers
+        P = (wa[:, None, :] + wa[None, :, :]) / p[:, :, None]
+        pc = P - np.asarray(R, dtype=float)
+        t = p * np.einsum("ijk,ijk->ij", pc, pc)
+        return theta * pref * (2.0 * np.pi / p) * boys(0, t)
 
     def potential_matrix(self, mu: ChargeDistribution) -> np.ndarray:
         """M_V = -sum_atoms theta * attraction; negative semidefinite."""
@@ -289,7 +147,11 @@ class ScalarBasis:
         return out
 
     def values_and_gradients(self, pts: np.ndarray):
-        """Values (m,n) and three contiguous gradient component arrays."""
+        """Values (m,n) and three contiguous gradient component arrays.
+
+        Filled one primitive column at a time, so no (m, n) temporary
+        beyond the four outputs is allocated.
+        """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
         vals = np.empty((m, self.n))
@@ -298,17 +160,9 @@ class ScalarBasis:
             dx = pts - np.asarray(g.center)[None, :]
             r2 = np.einsum("ij,ij->i", dx, dx)
             e = g.norm * np.exp(-g.exponent * r2)
-            ia = g.ang
-            if g.ptype == "s":
-                vals[:, k] = e
-                for d in range(3):
-                    grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * e
-            else:
-                axis = ia.index(1)
-                vals[:, k] = dx[:, axis] * e
-                for d in range(3):
-                    grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * dx[:, axis] * e
-                grads[axis][:, k] += e
+            vals[:, k] = e
+            for d in range(3):
+                grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * e
         return vals, grads
 
 
@@ -330,7 +184,6 @@ class SpinorBasis:
 
     scalar: ScalarBasis
     cond_cap: float = 1e10
-    _s_scalar: np.ndarray = field(init=False, repr=False)
     _x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -342,7 +195,6 @@ class SpinorBasis:
         keep = evals > top / self.cond_cap
         if not np.any(keep):
             raise IllConditionedBasisError("no basis direction survives filtering")
-        self._s_scalar = S
         self._x = vecs[:, keep] / np.sqrt(evals[keep])[None, :]
 
     @property
@@ -354,24 +206,6 @@ class SpinorBasis:
         """X with X^T S X = I on the retained scalar subspace."""
         return self._x
 
-    def overlap(self) -> np.ndarray:
-        return spinor_matrix(self._s_scalar)
-
-    def grad_gram(self) -> np.ndarray:
-        """T = int (sigma.grad chi_i)^dag (sigma.grad chi_j).
-
-        The cross piece int grad(g_i) x grad(g_j) vanishes identically
-        (it is the integral of a curl), so T is the scalar gradient Gram
-        tensored with the spin identity.
-        """
-        return spinor_matrix(self.scalar.grad_dot_matrix())
-
-    def potential(self, mu: ChargeDistribution) -> np.ndarray:
-        return spinor_matrix(self.scalar.potential_matrix(mu))
-
-    def project_scalar(self, A: np.ndarray) -> np.ndarray:
-        return self._x.T @ A @ self._x
-
     def expand_scalar_spinor(self, v: np.ndarray) -> np.ndarray:
         """Map projected spinor coefficients back to the primitive basis."""
         k = self._x.shape[1]
@@ -380,7 +214,7 @@ class SpinorBasis:
 
 def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
                          alpha0: float = 0.02, beta: float = 2.8,
-                         n_p: int = 0, cond_cap: float = 1e10) -> SpinorBasis:
+                         cond_cap: float = 1e10) -> SpinorBasis:
     """Even-tempered shells on every atom of an atomic charge."""
     if mu.layers:
         raise ConfigError("3D basis construction needs an atomic charge")
@@ -393,11 +227,7 @@ def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
             continue
         seen.add(p.position)
         for a in even_tempered(alpha0, beta, n_s):
-            prims.append(GaussianPrimitive(p.position, float(a), "s"))
-        if n_p > 0:
-            for a in even_tempered(alpha0, beta, n_p):
-                for pt in ("px", "py", "pz"):
-                    prims.append(GaussianPrimitive(p.position, float(a), pt))
+            prims.append(GaussianPrimitive(p.position, float(a)))
     return SpinorBasis(ScalarBasis(prims), cond_cap=cond_cap)
 
 

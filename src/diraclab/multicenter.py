@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
@@ -32,50 +31,10 @@ ACCURACY_FLAG = "accuracy-unverified"
 POLLUTION_FLAG = "pollution-warning"
 
 
-def generalized_hermitian_eigen(a: np.ndarray, m: np.ndarray):
-    """Ascending eigenpairs of a v = eta m v, vectors m-orthonormal.
-
-    Each vector's largest-magnitude component is rotated onto the positive
-    real axis, which pins the output down to machine determinism outside
-    of exact degeneracies.
-    """
-    try:
-        evals, vecs = sla.eigh(a, m)
-    except sla.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            f"generalized eigensolve failed: {exc}") from exc
-    for k in range(vecs.shape[1]):
-        piv = vecs[np.argmax(np.abs(vecs[:, k])), k]
-        mag = abs(piv)
-        if mag > 0.0:
-            vecs[:, k] = vecs[:, k] * (np.conj(piv) / mag)
-    return evals, vecs
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     piv = vec[np.argmax(np.abs(vec))]
     mag = abs(piv)
     return vec if mag == 0.0 else vec * (np.conj(piv) / mag)
-
-
-@dataclass(frozen=True)
-class StaticMatrices:
-    """Spinor-level Hermitian blocks that do not depend on the trial energy.
-
-    s: overlap; m_v: potential (negative semidefinite); m1: mass term,
-    identical to the overlap; t: Gram matrix of the sigma.grad images.
-    """
-
-    s: np.ndarray
-    m_v: np.ndarray
-    m1: np.ndarray
-    t: np.ndarray
-
-
-def build_static(basis: SpinorBasis, mu: ChargeDistribution) -> StaticMatrices:
-    s = basis.overlap()
-    return StaticMatrices(s=s, m_v=basis.potential(mu), m1=s,
-                          t=basis.grad_gram())
 
 
 @dataclass(frozen=True)

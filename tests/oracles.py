@@ -70,6 +70,33 @@ def gaussian_overlap_reference(a, A, b, B) -> float:
     return total
 
 
+def gaussian_grad_dot_reference(a, A, b, B) -> float:
+    """int grad exp(-a|x-A|^2) . grad exp(-b|x-B|^2) dx by 1D quadratures.
+
+    The integrand separates by axis: the k-th gradient product is the 1D
+    integral of the two x_k-derivatives times the plain 1D overlaps along
+    the other two axes.
+    """
+    def quad(f):
+        val, _ = integrate.quad(f, -np.inf, np.inf, epsabs=1e-15,
+                                epsrel=1e-13)
+        return val
+
+    plain, deriv = [], []
+    for Ai, Bi in zip(A, B):
+        def ga(x, Ai=Ai):
+            return np.exp(-a * (x - Ai) ** 2)
+
+        def gb(x, Bi=Bi):
+            return np.exp(-b * (x - Bi) ** 2)
+
+        plain.append(quad(lambda x: ga(x) * gb(x)))
+        deriv.append(quad(lambda x, Ai=Ai, Bi=Bi: 4.0 * a * b * (x - Ai)
+                          * (x - Bi) * ga(x) * gb(x)))
+    return sum(deriv[k] * plain[(k + 1) % 3] * plain[(k + 2) % 3]
+               for k in range(3))
+
+
 def gaussian_attraction_reference(a, A, b, B, C) -> float:
     """int exp(-a|x-A|^2) exp(-b|x-B|^2) / |x-C| dx.
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diraclab import cli, radial
+from diraclab import cli, multicenter, radial
 
 FAST_SWEEP = """
 [experiment]
@@ -112,6 +112,37 @@ def test_radial_defaults_come_from_solve_config(monkeypatch, capsys):
     monkeypatch.setattr(cli, "lowest_gap_eigenvalue_radial", fake_solve)
     assert cli.main(["radial", "--nu", "0.5"]) == 0
     assert seen == [radial.RadialSolveConfig()]
+
+
+def test_multicenter_defaults_come_from_gap_config(tmp_path, monkeypatch,
+                                                  capsys):
+    seen = []
+
+    def fake_solve(basis, mu, grid, config):
+        seen.append(config)
+        return multicenter.GapResult(0.5, None, 0.0, 1, False, True,
+                                     (0.5, 0.5), 0.0, 0.0, (), ())
+
+    monkeypatch.setattr(cli, "solve_gap", fake_solve)
+    monkeypatch.setattr(cli, "grid_for_basis", lambda *args: None)
+    no_grid = MULTI.replace("[grid]\nn_radial = 64\nangular_order = 17\n",
+                            "")
+    assert "[grid]" not in no_grid and "[solver]" not in no_grid
+    cfg = write(tmp_path, "multi.cfg", no_grid)
+    assert cli.main(["multicenter", "--config", cfg]) == 0
+    assert seen == [multicenter.GapSolveConfig()]
+
+
+@pytest.mark.parametrize("command,text", [
+    ("multicenter", MULTI.replace("n_radial", "n_radail")),
+    ("multicenter", MULTI + "\n[solvers]\nlam_tol = 1e-9\n"),
+    ("radial", RADIAL_SHELL.replace("r_max", "rmax")),
+    ("conjecture-sweep", FAST_SWEEP.replace("angular_order", "angular"))],
+    ids=["multicenter-key", "multicenter-section", "radial-key", "sweep-key"])
+def test_unknown_config_keys_exit_1(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "typo.cfg", text)
+    assert cli.main([command, "--config", cfg]) == 1
+    assert "unknown" in capsys.readouterr().err
 
 
 def test_print_config_is_fixed_point(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config parsing, canonical emission, and float formatting."""
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from diraclab import charges, configio
 from diraclab.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SAMPLE = """
 # two centers plus solver overrides
@@ -107,3 +110,19 @@ def test_get_bool_accepts_only_0_1_true_false():
     for key in "efgh":
         with pytest.raises(ConfigError):
             doc.get_bool("solver", key, False)
+
+
+def test_check_keys_rejects_unknown_sections_and_keys():
+    configio.parse_config(SAMPLE).check_keys()
+    for text in ("[grid]\nn_radail = 12\n", "[solver]\nlamtol = 1e-9\n",
+                 "[grids]\nn_radial = 12\n"):
+        doc = configio.parse_config(text)  # parsing itself stays generic
+        with pytest.raises(ConfigError, match="unknown"):
+            doc.check_keys()
+
+
+def test_shipped_configs_use_declared_keys():
+    shipped = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert len(shipped) == 8
+    for path in shipped:
+        configio.load_config(str(path)).check_keys()

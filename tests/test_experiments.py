@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from diraclab import charges, configio, experiments
+from diraclab import charges, configio, experiments, multicenter
 from diraclab.errors import ConfigError
 
 FAST = """
@@ -73,6 +73,24 @@ def test_crosscheck_false_means_off():
     doc = configio.parse_config(FAST + "\n[solver]\ncrosscheck = off\n")
     with pytest.raises(ConfigError):
         experiments.config_from_doc(doc)
+
+
+def test_config_from_doc_rejects_unknown_keys():
+    # a misspelt grid key used to be ignored and the default grid used
+    doc = configio.parse_config(FAST.replace("n_radial", "n_radail"))
+    with pytest.raises(ConfigError, match="n_radail"):
+        experiments.config_from_doc(doc)
+    doc = configio.parse_config(FAST + "\n[solvers]\nlam_tol = 1e-9\n")
+    with pytest.raises(ConfigError, match="solvers"):
+        experiments.config_from_doc(doc)
+
+
+def test_solver_defaults_come_from_gap_config():
+    doc = configio.parse_config("[experiment]\nkind = pes-scan\n")
+    cfg = experiments.config_from_doc(doc)
+    assert cfg.gap_config() == multicenter.GapSolveConfig()
+    assert experiments.ExperimentConfig(kind="pes-scan").gap_config() \
+        == multicenter.GapSolveConfig()
 
 
 def test_triangle_is_default_for_three_thetas():

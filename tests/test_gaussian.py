@@ -56,7 +56,24 @@ def test_overlap_against_1d_quadrature():
             gi, gj = prims[i], prims[j]
             want = gi.norm * gj.norm * oracles.gaussian_overlap_reference(
                 gi.exponent, gi.center, gj.exponent, gj.center)
-            assert sb.overlap(i, j) == pytest.approx(want, rel=1e-12)
+            assert sb.overlap_matrix()[i, j] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("centers", [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.9, -0.4, 0.3)),
+    ((0.2, 0.1, -0.5), (-1.3, 0.6, 0.8))])
+def test_grad_dot_against_1d_quadrature(centers):
+    prims = [gaussian.GaussianPrimitive(centers[0], 0.6),
+             gaussian.GaussianPrimitive(centers[1], 1.9)]
+    sb = gaussian.ScalarBasis(prims)
+    t = sb.grad_dot_matrix()
+    for i in range(2):
+        for j in range(2):
+            gi, gj = prims[i], prims[j]
+            want = gi.norm * gj.norm * oracles.gaussian_grad_dot_reference(
+                gi.exponent, gi.center, gj.exponent, gj.center)
+            assert t[i, j] == pytest.approx(want, rel=1e-11)
 
 
 def test_attraction_against_erf_oracle():
@@ -70,8 +87,17 @@ def test_attraction_against_erf_oracle():
                 want = gi.norm * gj.norm * \
                     oracles.gaussian_attraction_reference(
                         gi.exponent, gi.center, gj.exponent, gj.center, R)
-                assert sb.attraction(i, j, R) == pytest.approx(
+                assert sb.attraction_matrix(R)[i, j] == pytest.approx(
                     want, rel=1e-11)
+
+
+def test_integral_matrices_are_exactly_symmetric():
+    mu = charges.atoms([(0, 0, 0), (1.3, 0.2, 0), (0.4, 1.1, -0.7)],
+                       [0.2, 0.2, 0.2])
+    sc = gaussian.default_spinor_basis(mu, n_s=7).scalar
+    for mat in (sc.overlap_matrix(), sc.grad_dot_matrix(),
+                sc.potential_matrix(mu)):
+        assert np.array_equal(mat, mat.T)
 
 
 def test_potential_matrix_is_negative_definite_sum():
@@ -88,8 +114,9 @@ def test_potential_matrix_is_negative_definite_sum():
 
 
 def test_values_and_gradients_match_finite_differences():
-    prims = [gaussian.GaussianPrimitive((0.2, -0.1, 0.5), 1.3, "s"),
-             gaussian.GaussianPrimitive((0.0, 0.4, 0.0), 0.8, "py")]
+    prims = [gaussian.GaussianPrimitive((0.2, -0.1, 0.5), 1.3),
+             gaussian.GaussianPrimitive((0.0, 0.4, 0.0), 0.8),
+             gaussian.GaussianPrimitive((-0.6, 0.9, 0.3), 2.2)]
     sb = gaussian.ScalarBasis(prims)
     pts = np.array([[0.3, 0.2, 0.1], [-0.5, 1.0, 0.4]])
     vals, grads = sb.values_and_gradients(pts)
@@ -107,8 +134,6 @@ def test_primitive_validation():
         gaussian.GaussianPrimitive((0, 0, 0), 0.0)
     with pytest.raises(ConfigError):
         gaussian.GaussianPrimitive((0, 0, 0), 1e13)
-    with pytest.raises(ConfigError):
-        gaussian.GaussianPrimitive((0, 0, 0), 1.0, "dxy")
 
 
 # --- spinor layer ----------------------------------------------------------
@@ -139,7 +164,7 @@ def test_spinor_matrix_structure():
 
 def test_grad_gram_is_spin_diagonal_and_psd():
     basis = two_center_basis(n_s=4)
-    t = basis.grad_gram()
+    t = gaussian.spinor_matrix(basis.scalar.grad_dot_matrix())
     assert np.allclose(t, t.conj().T, atol=1e-13)
     assert np.allclose(t.imag, 0.0, atol=1e-13)
     assert np.min(np.linalg.eigvalsh(t)) > 0.0

@@ -13,37 +13,6 @@ def basis_for(mu, **kw):
     return gaussian.default_spinor_basis(mu, **kw)
 
 
-def test_generalized_eigen_solves_random_pencil():
-    rng = np.random.default_rng(11)
-    n = 6
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = a + a.conj().T
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    m = b @ b.conj().T + n * np.eye(n)
-    evals, vecs = multicenter.generalized_hermitian_eigen(a, m)
-    assert np.all(np.diff(evals) >= 0.0)
-    for k in range(n):
-        r = a @ vecs[:, k] - evals[k] * (m @ vecs[:, k])
-        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(m)
-        piv = vecs[np.argmax(np.abs(vecs[:, k])), k]
-        assert abs(piv.imag) <= 1e-14 and piv.real > 0.0
-    # vectors are metric-orthonormal
-    g = vecs.conj().T @ m @ vecs
-    assert np.allclose(g, np.eye(n), atol=1e-12)
-
-
-def test_static_matrices_shapes_and_sign():
-    mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.2])
-    basis = basis_for(mu, n_s=5)
-    stat = multicenter.build_static(basis, mu)
-    n = basis.size
-    for mat in (stat.s, stat.m_v, stat.m1, stat.t):
-        assert mat.shape == (n, n)
-        assert np.allclose(mat, mat.conj().T, atol=1e-12)
-    assert np.all(np.linalg.eigvalsh(stat.m_v) < 0.0)
-    assert np.shares_memory(stat.s, stat.m1) or np.allclose(stat.s, stat.m1)
-
-
 def test_assemble_w_free_case_scales_like_grad_gram():
     # with no potential the weight is constant 1/(1+lam)
     mu = charges.atom((0, 0, 0), 0.5)
@@ -52,7 +21,8 @@ def test_assemble_w_free_case_scales_like_grad_gram():
     zero_v = charges.ChargeDistribution()  # no charge at all
     for lam in (-0.5, 0.0, 0.7):
         w = multicenter.assemble_W(lam, basis, zero_v, grid)
-        want = basis.grad_gram() / (1.0 + lam)
+        want = (gaussian.spinor_matrix(basis.scalar.grad_dot_matrix())
+                / (1.0 + lam))
         assert np.max(np.abs(w - want)) <= 1e-6 * np.max(np.abs(want))
 
 
@@ -116,13 +86,13 @@ def test_eigenvector_satisfies_pencil_equation():
     basis = basis_for(mu)
     grid = gaussian.grid_for_basis(basis)
     res = multicenter.solve_gap(basis, mu, grid)
-    stat = multicenter.build_static(basis, mu)
-    a = (multicenter.assemble_W(res.lambda1, basis, mu, grid)
-         + stat.m1 + stat.m_v)
+    s = gaussian.spinor_matrix(basis.scalar.overlap_matrix())
+    m_v = gaussian.spinor_matrix(basis.scalar.potential_matrix(mu))
+    a = multicenter.assemble_W(res.lambda1, basis, mu, grid) + s + m_v
     c = res.coefficients
-    r = a @ c - res.lambda1 * (stat.s @ c)
+    r = a @ c - res.lambda1 * (s @ c)
     # the Rayleigh residual inherits the root residual, not machine eps
-    denom = float(np.real(c.conj() @ stat.s @ c))
+    denom = float(np.real(c.conj() @ s @ c))
     assert np.linalg.norm(r) / denom <= 1e-6
 
 
