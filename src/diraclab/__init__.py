@@ -31,8 +31,6 @@ from .multicenter import (GapResult, GapSolveConfig, assemble_W,
 from .hardy import (HardyResult, HardyScanRow, hardy_quotient_min, nu1_scan,
                     scan_minimum)
 from .experiments import (ExperimentConfig, ExperimentReport, config_from_doc,
-                          run_conjecture_sweep, run_contraction_check,
-                          run_experiment, run_hardy_sweep, run_pes_scan,
-                          run_schrodinger_compare)
+                          run_experiment)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,9 +17,9 @@ from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      IllConditionedBasisError, NoGapEigenvalueError,
                      UncertifiedEigenvalueError)
 from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
-                          gap_config_from_doc, run_experiment)
+                          run_experiment)
 from .gaussian import default_spinor_basis, grid_for_basis
-from .multicenter import solve_gap
+from .multicenter import GapSolveConfig, solve_gap
 from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
 
@@ -94,17 +94,9 @@ def _cmd_radial(args) -> int:
     if not mu.radially_symmetric:
         raise ConfigError("charge is not radially symmetric; "
                           "use the multicenter subcommand")
-    grid = RadialGrid(float(doc.get("grid", "r_min", 1e-6)),
-                      float(doc.get("grid", "r_max", 100.0)),
-                      int(doc.get("grid", "n", 4000)))
-    base = RadialSolveConfig()
-    rcfg = RadialSolveConfig(
-        lam_tol=float(doc.get("solver", "lam_tol", base.lam_tol)),
-        residual_tol=float(doc.get("solver", "residual_tol",
-                                   base.residual_tol)),
-        max_iterations=int(doc.get("solver", "max_iterations",
-                                   base.max_iterations)))
-    res = lowest_gap_eigenvalue_radial(mu, args.kappa, grid, rcfg)
+    res = lowest_gap_eigenvalue_radial(mu, args.kappa,
+                                       doc.build(RadialGrid, "grid"),
+                                       doc.build(RadialSolveConfig, "solver"))
     if args.verbose:
         print(f"kappa={args.kappa} lambda1={res.lambda1:.12g} "
               f"iterations={res.iterations}", file=sys.stderr)
@@ -118,11 +110,8 @@ def _cmd_multicenter(args) -> int:
         _write_text(emit_config(doc), args.out)
         return 0
     mu = doc.charge()
-    basis = default_spinor_basis(
-        mu, n_s=int(doc.get("basis", "n_s", 16)),
-        alpha0=float(doc.get("basis", "alpha0", 0.02)),
-        beta=float(doc.get("basis", "beta", 2.8)))
-    gcfg = gap_config_from_doc(doc)
+    basis = default_spinor_basis(mu, **doc.typed("basis"))
+    gcfg = doc.build(GapSolveConfig, "solver", "grid")
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)
     if args.verbose:

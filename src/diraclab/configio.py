@@ -8,7 +8,7 @@ digits, so write -> parse round-trips bit-exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .charges import (LAYER_KINDS, ChargeDistribution, PointCharge,
                       RadialLayer, sorted_canonical)
@@ -16,15 +16,20 @@ from .errors import ConfigError
 
 CHARGE_SECTIONS = ("charge.point", "charge.layer")
 
-# every scalar section and key any command reads
+# value types of the scalar keys
+INT, REAL, BOOL, NAME, REALS = "int", "real", "bool", "name", "reals"
+
+# every scalar section and key any command reads, with its type
 SECTION_KEYS = {
-    "experiment": ("kind", "thetas", "separations", "scales", "direction",
-                   "arrangement", "margin_budget", "workers"),
-    "basis": ("n_s", "alpha0", "beta"),
-    "grid": ("n_radial", "angular_order", "r_min", "r_max", "n"),
-    "solver": ("lam_tol", "residual_tol", "max_iterations", "crosscheck",
-               "crosscheck_tol"),
-    "output": ("csv", "manifest"),
+    "experiment": {"kind": NAME, "thetas": REALS, "separations": REALS,
+                   "scales": REALS, "direction": REALS, "arrangement": NAME,
+                   "margin_budget": REAL, "workers": INT},
+    "basis": {"n_s": INT, "alpha0": REAL, "beta": REAL},
+    "grid": {"n_radial": INT, "angular_order": INT, "r_min": REAL,
+             "r_max": REAL, "n": INT},
+    "solver": {"lam_tol": REAL, "residual_tol": REAL, "max_iterations": INT,
+               "crosscheck": BOOL, "crosscheck_tol": REAL},
+    "output": {"csv": NAME, "manifest": NAME},
 }
 
 
@@ -50,6 +55,27 @@ def _parse_value(raw: str):
     if len(parts) > 1:
         return tuple(_parse_scalar(p) for p in parts)
     return _parse_scalar(raw)
+
+
+def _convert(kind: str, value, what: str):
+    """A parsed value as `kind`; ConfigError if it is not one."""
+    if kind == INT and isinstance(value, int):
+        return value
+    if kind == REAL and isinstance(value, (int, float)):
+        return float(value)
+    if kind == BOOL and (value in ("true", "false") or (
+            isinstance(value, int) and value in (0, 1))):
+        return value in ("true", 1)
+    if kind == NAME and isinstance(value, str):
+        return value
+    if kind == REALS:
+        items = value if isinstance(value, tuple) else (value,)
+        if all(isinstance(v, (int, float)) for v in items):
+            return tuple(float(v) for v in items)
+    expected = {INT: "an integer", REAL: "a real number",
+                BOOL: "0, 1, true or false", NAME: "a name",
+                REALS: "a list of real numbers"}[kind]
+    raise ConfigError(f"{what} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -90,29 +116,39 @@ class ConfigDoc:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        """A boolean key: 0, 1, true or false, anything else is an error."""
-        value = self.get(section, key, default)
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int) and value in (0, 1):
-            return bool(value)
-        if value in ("true", "false"):
-            return value == "true"
-        raise ConfigError(f"[{section}] {key} must be 0, 1, true or false, "
-                          f"got {value!r}")
+    def typed(self, section: str) -> dict[str, object]:
+        """The keys set in a scalar section, each converted to its type.
+
+        Raises ConfigError on an undeclared section or key and on a value
+        that is not of its key's type.
+        """
+        if section not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; expected one "
+                              f"of {', '.join(SECTION_KEYS)}")
+        declared = SECTION_KEYS[section]
+        out = {}
+        for key, value in self.sections.get(section, {}).items():
+            if key not in declared:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]; expected one "
+                    f"of {', '.join(declared)}")
+            out[key] = _convert(declared[key], value, f"[{section}] {key}")
+        return out
+
+    def build(self, cls, *sections: str):
+        """`cls(**keys)` from the keys set in `sections` that name its
+        fields; every other field keeps the default `cls` declares."""
+        keys = {}
+        for section in sections:
+            keys.update(self.typed(section))
+        names = {f.name for f in fields(cls) if f.init}
+        return cls(**{k: v for k, v in keys.items() if k in names})
 
     def check_keys(self) -> None:
-        """Raise ConfigError on any section or key outside SECTION_KEYS."""
-        for section, body in self.sections.items():
-            if section not in SECTION_KEYS:
-                raise ConfigError(f"unknown section [{section}]; expected one "
-                                  f"of {', '.join(SECTION_KEYS)}")
-            for key in body:
-                if key not in SECTION_KEYS[section]:
-                    raise ConfigError(
-                        f"unknown key {key!r} in [{section}]; expected one "
-                        f"of {', '.join(SECTION_KEYS[section])}")
+        """Raise ConfigError on an undeclared section or key, or a value
+        of the wrong type, anywhere in the scalar sections."""
+        for section in self.sections:
+            self.typed(section)
 
     def require(self, section: str, key: str):
         try:

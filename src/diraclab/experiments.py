@@ -1,10 +1,11 @@
 """Experiment drivers: geometry scans over charge families.
 
-Each runner builds a family of charge distributions from an
+Each experiment kind builds a family of charge distributions from an
 ExperimentConfig, solves the scan points (concurrently up to a worker
-count), and returns an ExperimentReport whose CSV body is deterministic:
-rows ordered by scan index, floats at 17 significant digits, flags as
-lowercase words.  Wall-clock timestamps live only in the JSON manifest.
+count), and returns its columns, rows and summary; run_experiment wraps
+them in an ExperimentReport whose CSV body is deterministic: rows ordered
+by scan index, floats at 17 significant digits, flags as lowercase
+words.  Wall-clock timestamps live only in the JSON manifest.
 
 Evidence semantics: reports carry margins against the relevant closed
 forms with explicit budgets; a converged row violating its budget drives
@@ -19,15 +20,15 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import charges
 from .charges import ChargeDistribution
 from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
-from .errors import (BelowGapError, ChargeModelError, ConfigError,
-                     IllConditionedBasisError, NoGapEigenvalueError)
+from .errors import (BelowGapError, ConfigError, IllConditionedBasisError,
+                     NoGapEigenvalueError)
 from .gaussian import default_spinor_basis, grid_for_basis
 from .hardy import hardy_quotient_min
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
@@ -50,25 +51,18 @@ EXIT_MARGIN = 3
 NU1_KNOWN_FLOOR = 2.0 / (math.pi / 2.0 + 2.0 / math.pi)
 CONDITIONAL_ABOVE = 0.9
 
-_GAP_DEFAULTS = GapSolveConfig()
-
-
-def _add_flag(flags: str, word: str) -> str:
-    if flags == "ok":
-        return word
-    return f"{flags} {word}"
-
 
 def resolve_workers(cli_value=None, config_value=None) -> int:
     """Worker count precedence: CLI flag, then environment, then config."""
-    if cli_value is not None:
-        n = int(cli_value)
-    elif os.environ.get(WORKERS_ENV):
-        n = int(os.environ[WORKERS_ENV])
-    elif config_value is not None:
-        n = int(config_value)
-    else:
-        n = 1
+    n = cli_value
+    if n is None and os.environ.get(WORKERS_ENV):
+        try:
+            n = int(os.environ[WORKERS_ENV])
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got "
+                              f"{os.environ[WORKERS_ENV]!r}") from None
+    if n is None:
+        n = 1 if config_value is None else config_value
     if n < 1:
         raise ConfigError("worker count must be at least 1")
     return n
@@ -76,30 +70,26 @@ def resolve_workers(cli_value=None, config_value=None) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment inputs: kind, geometry scan, solver knobs."""
+    """Validated experiment inputs: kind, geometry scan, solver configs.
+
+    `basis` holds the [basis] keys that are set, as keyword arguments of
+    default_spinor_basis; `gap` and `radial_grid` are built from the set
+    [solver] and [grid] keys, so every unset value keeps the default its
+    own class declares.
+    """
 
     kind: str
     charge: ChargeDistribution | None = None
     thetas: tuple[float, ...] = ()
     separations: tuple[float, ...] = ()
     scales: tuple[float, ...] = ()
-    direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    direction: tuple[float, ...] = (1.0, 0.0, 0.0)
     arrangement: str = "line"
-    n_s: int = 16
-    alpha0: float = 0.02
-    beta: float = 2.8
-    n_radial: int = _GAP_DEFAULTS.n_radial
-    angular_order: int = _GAP_DEFAULTS.angular_order
-    lam_tol: float = _GAP_DEFAULTS.lam_tol
-    residual_tol: float = _GAP_DEFAULTS.residual_tol
-    max_iterations: int = _GAP_DEFAULTS.max_iterations
-    crosscheck: bool = _GAP_DEFAULTS.crosscheck
-    crosscheck_tol: float = _GAP_DEFAULTS.crosscheck_tol
+    basis: dict = field(default_factory=dict)
+    gap: GapSolveConfig = GapSolveConfig()
+    radial_grid: RadialGrid = field(default_factory=RadialGrid)
     margin_budget: float = 5e-3
     workers: int = 1
-    radial_r_min: float = 1e-6
-    radial_r_max: float = 100.0
-    radial_n: int = 4000
     out_csv: str | None = None
     out_manifest: str | None = None
     config_echo: str = ""
@@ -114,42 +104,10 @@ class ExperimentConfig:
             raise ConfigError("triangle arrangement needs exactly 3 thetas")
         if self.margin_budget <= 0.0:
             raise ConfigError("margin budget must be positive")
+        if len(self.direction) != 3:
+            raise ConfigError("direction must be three reals")
         if np.linalg.norm(self.direction) == 0.0:
             raise ConfigError("scan direction must be nonzero")
-
-    def gap_config(self) -> GapSolveConfig:
-        return GapSolveConfig(
-            lam_tol=self.lam_tol, residual_tol=self.residual_tol,
-            max_iterations=self.max_iterations,
-            n_radial=self.n_radial, angular_order=self.angular_order,
-            crosscheck=self.crosscheck, crosscheck_tol=self.crosscheck_tol)
-
-
-def _floats(value, what: str) -> tuple[float, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, tuple):
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"{what} must be a number or a list of numbers")
-
-
-def gap_config_from_doc(doc: ConfigDoc) -> GapSolveConfig:
-    """GapSolveConfig from [solver] and [grid], defaults for unset keys."""
-    base = GapSolveConfig()
-    return GapSolveConfig(
-        lam_tol=float(doc.get("solver", "lam_tol", base.lam_tol)),
-        residual_tol=float(doc.get("solver", "residual_tol",
-                                   base.residual_tol)),
-        max_iterations=int(doc.get("solver", "max_iterations",
-                                   base.max_iterations)),
-        n_radial=int(doc.get("grid", "n_radial", base.n_radial)),
-        angular_order=int(doc.get("grid", "angular_order",
-                                  base.angular_order)),
-        crosscheck=doc.get_bool("solver", "crosscheck", base.crosscheck),
-        crosscheck_tol=float(doc.get("solver", "crosscheck_tol",
-                                     base.crosscheck_tol)))
 
 
 def config_from_doc(doc: ConfigDoc, kind: str | None = None,
@@ -157,45 +115,23 @@ def config_from_doc(doc: ConfigDoc, kind: str | None = None,
                     out_csv: str | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config document."""
     doc.check_keys()
-    kind = kind or str(doc.get("experiment", "kind", ""))
-    if not kind:
+    exp = doc.typed("experiment")
+    exp["kind"] = kind or exp.get("kind")
+    if not exp["kind"]:
         raise ConfigError("no experiment kind given")
-    exp = doc.sections.get("experiment", {})
-    thetas = _floats(exp.get("thetas"), "thetas")
-    arrangement = str(exp.get("arrangement",
-                              "triangle" if len(thetas) == 3 else "line"))
-    direction = exp.get("direction", (1.0, 0.0, 0.0))
-    if isinstance(direction, tuple) and len(direction) == 3:
-        direction = tuple(float(c) for c in direction)
-    else:
-        raise ConfigError("direction must be three reals")
-    charge = doc.charge() if doc.has_charge() else None
-    gap = gap_config_from_doc(doc)
-    cfg = ExperimentConfig(
-        kind=kind,
-        charge=charge,
-        thetas=thetas,
-        separations=_floats(exp.get("separations"), "separations"),
-        scales=_floats(exp.get("scales"), "scales"),
-        direction=direction,
-        arrangement=arrangement,
-        n_s=int(doc.get("basis", "n_s", 16)),
-        alpha0=float(doc.get("basis", "alpha0", 0.02)),
-        beta=float(doc.get("basis", "beta", 2.8)),
-        n_radial=gap.n_radial, angular_order=gap.angular_order,
-        lam_tol=gap.lam_tol, residual_tol=gap.residual_tol,
-        max_iterations=gap.max_iterations, crosscheck=gap.crosscheck,
-        crosscheck_tol=gap.crosscheck_tol,
-        margin_budget=float(exp.get("margin_budget", 5e-3)),
-        workers=resolve_workers(workers, exp.get("workers")),
-        radial_r_min=float(doc.get("grid", "r_min", 1e-6)),
-        radial_r_max=float(doc.get("grid", "r_max", 100.0)),
-        radial_n=int(doc.get("grid", "n", 4000)),
-        out_csv=out_csv or doc.get("output", "csv"),
-        out_manifest=doc.get("output", "manifest"),
+    exp.setdefault("arrangement",
+                   "triangle" if len(exp.get("thetas", ())) == 3 else "line")
+    exp["workers"] = resolve_workers(workers, exp.get("workers"))
+    output = doc.typed("output")
+    return ExperimentConfig(
+        charge=doc.charge() if doc.has_charge() else None,
+        basis=doc.typed("basis"),
+        gap=doc.build(GapSolveConfig, "solver", "grid"),
+        radial_grid=doc.build(RadialGrid, "grid"),
+        out_csv=out_csv or output.get("csv"),
+        out_manifest=output.get("manifest"),
         config_echo=emit_config(doc),
-    )
-    return cfg
+        **exp)
 
 
 @dataclass
@@ -296,14 +232,17 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
 
 
 def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
-    """One gap solve; solver failures are recorded, not raised."""
+    """One gap solve; solver failures are recorded, not raised.
+
+    The atoms are put in canonical order first: the basis follows the atom
+    order, and a permuted atom list would otherwise move lambda1 in its
+    last digits and so change the CSV bytes.
+    """
+    mu = charges.sorted_canonical(mu)
     try:
-        basis = default_spinor_basis(mu, n_s=cfg.n_s, alpha0=cfg.alpha0,
-                                     beta=cfg.beta)
-        grid = grid_for_basis(basis, cfg.n_radial, cfg.angular_order)
-        res = solve_gap(basis, mu, grid, cfg.gap_config())
-    except (ConfigError, ChargeModelError):
-        raise
+        basis = default_spinor_basis(mu, **cfg.basis)
+        grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
+        res = solve_gap(basis, mu, grid, cfg.gap)
     except (NoGapEigenvalueError, IllConditionedBasisError,
             BelowGapError) as exc:
         return {"lambda1": float("nan"), "converged": False,
@@ -320,6 +259,28 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
             "flags": " ".join(words), "error": None}
 
 
+def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
+    return _run_ordered(lambda item: _solve_point(item[1], cfg),
+                        family, cfg.workers)
+
+
+def _against_merged(total: float, solved: list[dict]):
+    """Bound sqrt(1 - nu^2) of the merged charge, whether the rows are
+    conditional on the critical charge, and per-row bound cells."""
+    bound = math.sqrt(max(0.0, 1.0 - total * total))
+    conditional = total > CONDITIONAL_ABOVE
+    cells = []
+    for sol in solved:
+        flags = sol["flags"]
+        if conditional:
+            flags = ("conditional-on-nu1" if flags == "ok"
+                     else f"{flags} conditional-on-nu1")
+        cells.append({"lambda1": sol["lambda1"], "bound": bound,
+                      "margin": sol["lambda1"] - bound,
+                      "converged": sol["converged"], "flags": flags})
+    return bound, conditional, cells
+
+
 def _aggregate_exit(rows, margin_key: str | None, budget: float) -> int:
     if any(r["flags"].startswith("solver-error") for r in rows):
         return EXIT_SOLVER
@@ -332,83 +293,65 @@ def _aggregate_exit(rows, margin_key: str | None, budget: float) -> int:
     return EXIT_OK
 
 
-def run_conjecture_sweep(cfg: ExperimentConfig) -> ExperimentReport:
+def _conjecture_sweep(cfg: ExperimentConfig):
     """Gap eigenvalues across geometries vs the merged-charge closed form.
 
     The margin column is lambda1 - sqrt(1 - (total charge)^2); the
     conjectured lower bound makes every converged margin nonnegative up
     to solver and basis budgets.
     """
-    report = ExperimentReport(
-        kind=cfg.kind, config_echo=cfg.config_echo,
-        columns=("scan_index", "separation", "geometry", "nu_total",
-                 "lambda1", "bound", "margin", "flags"))
-    report.started_utc = _utcnow()
     family = _scan_family(cfg)
     total = family[0][1].total_charge
     if total > 1.0 + 1e-12:
         raise ConfigError("conjecture sweep needs total charge <= 1")
-    bound = math.sqrt(max(0.0, 1.0 - total * total))
-    conditional = total > CONDITIONAL_ABOVE
-    solved = _run_ordered(lambda item: _solve_point(item[1], cfg),
-                          family, cfg.workers)
-    for idx, ((sep, mu), sol) in enumerate(zip(family, solved)):
-        margin = sol["lambda1"] - bound
-        flags = sol["flags"]
-        if conditional:
-            flags = _add_flag(flags, "conditional-on-nu1")
-        report.rows.append({
-            "scan_index": idx, "separation": sep,
-            "geometry": charge_descriptor(mu), "nu_total": mu.total_charge,
-            "lambda1": sol["lambda1"], "bound": bound, "margin": margin,
-            "converged": sol["converged"], "flags": flags})
-    margins = [r["margin"] for r in report.rows
+    bound, conditional, cells = _against_merged(
+        total, _solve_family(family, cfg))
+    rows = [{"scan_index": idx, "separation": sep,
+             "geometry": charge_descriptor(mu), "nu_total": mu.total_charge,
+             **cell}
+            for idx, ((sep, mu), cell) in enumerate(zip(family, cells))]
+    margins = [r["margin"] for r in rows
                if r["converged"] and not math.isnan(r["margin"])]
-    report.summary = {
+    summary = {
         "bound": bound,
         "conditional_on_nu1": conditional,
         "margin_min": min(margins) if margins else None,
         "margin_budget": cfg.margin_budget,
-        "unconverged_rows": sum(not r["converged"] for r in report.rows),
-        "exit_code": _aggregate_exit(report.rows, "margin",
-                                     cfg.margin_budget),
+        "unconverged_rows": sum(not r["converged"] for r in rows),
+        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
     }
-    report.finished_utc = _utcnow()
-    return report
+    columns = ("scan_index", "separation", "geometry", "nu_total",
+               "lambda1", "bound", "margin", "flags")
+    return columns, rows, summary
 
 
-def run_pes_scan(cfg: ExperimentConfig) -> ExperimentReport:
+def _pes_scan(cfg: ExperimentConfig):
     """lambda1 plus exact nuclear repulsion along a separation scan."""
-    report = ExperimentReport(
-        kind=cfg.kind, config_echo=cfg.config_echo,
-        columns=("scan_index", "separation", "geometry", "lambda1",
-                 "repulsion", "pes", "flags"))
-    report.started_utc = _utcnow()
     if len(cfg.thetas) < 2:
         raise ConfigError("PES scan needs at least two centers")
     if not cfg.separations:
         raise ConfigError("PES scan needs a separation list")
     family = _scan_family(cfg)
-    solved = _run_ordered(lambda item: _solve_point(item[1], cfg),
-                          family, cfg.workers)
-    for idx, ((sep, mu), sol) in enumerate(zip(family, solved)):
+    rows = []
+    for idx, ((sep, mu), sol) in enumerate(
+            zip(family, _solve_family(family, cfg))):
         rep = _repulsion(mu)
-        report.rows.append({
+        rows.append({
             "scan_index": idx, "separation": sep,
             "geometry": charge_descriptor(mu),
             "lambda1": sol["lambda1"], "repulsion": rep,
             "pes": sol["lambda1"] + rep,
             "converged": sol["converged"], "flags": sol["flags"]})
-    jumps = [abs(b["pes"] - a["pes"])
-             for a, b in zip(report.rows, report.rows[1:])
+    jumps = [abs(b["pes"] - a["pes"]) for a, b in zip(rows, rows[1:])
              if a["converged"] and b["converged"]]
-    report.summary = {
+    summary = {
         "continuity_max_jump": max(jumps) if jumps else None,
-        "unconverged_rows": sum(not r["converged"] for r in report.rows),
-        "exit_code": _aggregate_exit(report.rows, None, cfg.margin_budget),
+        "unconverged_rows": sum(not r["converged"] for r in rows),
+        "exit_code": _aggregate_exit(rows, None, cfg.margin_budget),
     }
-    report.finished_utc = _utcnow()
-    return report
+    columns = ("scan_index", "separation", "geometry", "lambda1",
+               "repulsion", "pes", "flags")
+    return columns, rows, summary
 
 
 def _repulsion(mu: ChargeDistribution) -> float:
@@ -421,18 +364,13 @@ def _repulsion(mu: ChargeDistribution) -> float:
     return total
 
 
-def run_contraction_check(cfg: ExperimentConfig) -> ExperimentReport:
+def _contraction_check(cfg: ExperimentConfig):
     """lambda1 along a family of uniform contractions x -> s x.
 
     Rows run in the given (descending) scale order; the monotonicity
     diagnostic counts adjacent increases beyond the budget.  The fully
     merged s=0 row is compared to the closed-form sqrt(1 - nu^2).
     """
-    report = ExperimentReport(
-        kind=cfg.kind, config_echo=cfg.config_echo,
-        columns=("scan_index", "scale", "geometry", "lambda1", "bound",
-                 "margin", "flags"))
-    report.started_utc = _utcnow()
     if cfg.charge is None or not cfg.charge.points:
         raise ConfigError("contraction check needs an atomic charge block")
     scales = cfg.scales or (1.0, 0.5, 0.25, 0.0)
@@ -442,72 +380,50 @@ def run_contraction_check(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("scales must be strictly descending")
     eye = np.eye(3)
     family = [(s, charges.pushforward(cfg.charge, eye, s)) for s in scales]
-    total = cfg.charge.total_charge
-    bound = math.sqrt(max(0.0, 1.0 - total * total))
-    conditional = total > CONDITIONAL_ABOVE
-    solved = _run_ordered(lambda item: _solve_point(item[1], cfg),
-                          family, cfg.workers)
-    for idx, ((s, mu), sol) in enumerate(zip(family, solved)):
-        flags = sol["flags"]
-        if conditional:
-            flags = _add_flag(flags, "conditional-on-nu1")
-        report.rows.append({
-            "scan_index": idx, "scale": s, "geometry": charge_descriptor(mu),
-            "lambda1": sol["lambda1"], "bound": bound,
-            "margin": sol["lambda1"] - bound,
-            "converged": sol["converged"], "flags": flags})
-    violations = []
-    for a, b in zip(report.rows, report.rows[1:]):
-        if a["converged"] and b["converged"] \
-                and b["lambda1"] > a["lambda1"] + cfg.margin_budget:
-            violations.append(b["scan_index"])
-    report.summary = {
+    bound, conditional, cells = _against_merged(
+        cfg.charge.total_charge, _solve_family(family, cfg))
+    rows = [{"scan_index": idx, "scale": s, "geometry": charge_descriptor(mu),
+             **cell}
+            for idx, ((s, mu), cell) in enumerate(zip(family, cells))]
+    violations = [b["scan_index"] for a, b in zip(rows, rows[1:])
+                  if a["converged"] and b["converged"]
+                  and b["lambda1"] > a["lambda1"] + cfg.margin_budget]
+    summary = {
         "bound": bound,
         "conditional_on_nu1": conditional,
         "monotonicity_violations": violations,
-        "unconverged_rows": sum(not r["converged"] for r in report.rows),
-        "exit_code": _aggregate_exit(report.rows, "margin",
-                                     cfg.margin_budget),
+        "unconverged_rows": sum(not r["converged"] for r in rows),
+        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
     }
-    report.finished_utc = _utcnow()
-    return report
+    columns = ("scan_index", "scale", "geometry", "lambda1", "bound",
+               "margin", "flags")
+    return columns, rows, summary
 
 
 def _schrodinger_energy(mu: ChargeDistribution,
                         cfg: ExperimentConfig) -> tuple[float, bool]:
     if mu.radially_symmetric:
-        grid = RadialGrid(cfg.radial_r_min, cfg.radial_r_max, cfg.radial_n)
-        res = schrodinger_ground_radial(mu, grid)
+        res = schrodinger_ground_radial(mu, cfg.radial_grid)
         return res.energy, res.bound
-    basis = default_spinor_basis(mu, n_s=cfg.n_s, alpha0=cfg.alpha0,
-                                 beta=cfg.beta)
-    return schrodinger_ground_gaussian(basis, mu)
+    return schrodinger_ground_gaussian(default_spinor_basis(mu, **cfg.basis),
+                                       mu)
 
 
-def run_schrodinger_compare(cfg: ExperimentConfig) -> ExperimentReport:
+def _schrodinger_compare(cfg: ExperimentConfig):
     """Nonrelativistic ground energies vs the -nu^2/2 concavity bound.
 
     Radially symmetric charges use the radial integrator; atomic ones the
     Gaussian solver.  For adjacent scan pairs the midpoint mixture is also
     solved and the concavity slack recorded in the summary.
     """
-    report = ExperimentReport(
-        kind=cfg.kind, config_echo=cfg.config_echo,
-        columns=("scan_index", "separation", "geometry", "nu_total",
-                 "energy", "bound", "margin", "flags"))
-    report.started_utc = _utcnow()
     family = _scan_family(cfg)
-
-    def solve_one(item):
-        _, mu = item
-        energy, is_bound = _schrodinger_energy(mu, cfg)
-        return energy, is_bound
-
-    solved = _run_ordered(solve_one, family, cfg.workers)
+    solved = _run_ordered(lambda item: _schrodinger_energy(item[1], cfg),
+                          family, cfg.workers)
+    rows = []
     for idx, ((sep, mu), (energy, is_bound)) in enumerate(zip(family, solved)):
         nu = mu.total_charge
         bound_val = -0.5 * nu * nu
-        report.rows.append({
+        rows.append({
             "scan_index": idx, "separation": sep,
             "geometry": charge_descriptor(mu), "nu_total": nu,
             "energy": energy, "bound": bound_val,
@@ -517,66 +433,64 @@ def run_schrodinger_compare(cfg: ExperimentConfig) -> ExperimentReport:
     if len(family) >= 2:
         slacks = []
         for (_, mu_a), (_, mu_b), row_a, row_b in zip(
-                family, family[1:], report.rows, report.rows[1:]):
+                family, family[1:], rows, rows[1:]):
             mixed, _ = _schrodinger_energy(charges.mix(mu_a, mu_b, 0.5), cfg)
             slacks.append(mixed - 0.5 * (row_a["energy"] + row_b["energy"]))
         concavity = min(slacks)
-    margins = [r["margin"] for r in report.rows]
-    report.summary = {
+    margins = [r["margin"] for r in rows]
+    summary = {
         "margin_min": min(margins) if margins else None,
         "concavity_min_slack": concavity,
         "margin_budget": cfg.margin_budget,
-        "exit_code": _aggregate_exit(report.rows, "margin",
-                                     cfg.margin_budget),
+        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
     }
-    report.finished_utc = _utcnow()
-    return report
+    columns = ("scan_index", "separation", "geometry", "nu_total",
+               "energy", "bound", "margin", "flags")
+    return columns, rows, summary
 
 
-def run_hardy_sweep(cfg: ExperimentConfig) -> ExperimentReport:
+def _hardy_sweep(cfg: ExperimentConfig):
     """Per-charge quotient constants c(mu) with the published floor."""
-    report = ExperimentReport(
-        kind=cfg.kind, config_echo=cfg.config_echo,
-        columns=("family_index", "nu_total", "geometry_descriptor",
-                 "eta_min", "c_mu", "basis_size"))
-    report.started_utc = _utcnow()
     family = _scan_family(cfg)
 
     def solve_one(item):
         _, mu = item
-        basis = default_spinor_basis(mu, n_s=cfg.n_s, alpha0=cfg.alpha0,
-                                     beta=cfg.beta)
-        return hardy_quotient_min(basis, mu,
-                                  grid_for_basis(basis, cfg.n_radial,
-                                                 cfg.angular_order))
+        basis = default_spinor_basis(mu, **cfg.basis)
+        return hardy_quotient_min(basis, mu, grid_for_basis(
+            basis, cfg.gap.n_radial, cfg.gap.angular_order))
     solved = _run_ordered(solve_one, family, cfg.workers)
-    for idx, ((_, mu), res) in enumerate(zip(family, solved)):
-        report.rows.append({
-            "family_index": idx, "nu_total": mu.total_charge,
-            "geometry_descriptor": charge_descriptor(mu),
-            "eta_min": res.eta_min, "c_mu": res.c_mu,
-            "basis_size": res.basis_size,
-            "converged": True, "flags": "ok"})
-    c_min = min(r["c_mu"] for r in report.rows)
+    rows = [{"family_index": idx, "nu_total": mu.total_charge,
+             "geometry_descriptor": charge_descriptor(mu),
+             "eta_min": res.eta_min, "c_mu": res.c_mu,
+             "basis_size": res.basis_size, "converged": True, "flags": "ok"}
+            for idx, ((_, mu), res) in enumerate(zip(family, solved))]
+    c_min = min(r["c_mu"] for r in rows)
     floor = 0.90033 - 1e-6
-    report.summary = {
+    summary = {
         "c_min": c_min,
         "published_bracket": [0.90033, 1.0],
         "floor": floor,
         "exit_code": EXIT_MARGIN if c_min < floor else EXIT_OK,
     }
-    report.finished_utc = _utcnow()
-    return report
+    columns = ("family_index", "nu_total", "geometry_descriptor",
+               "eta_min", "c_mu", "basis_size")
+    return columns, rows, summary
 
 
-RUNNERS = {
-    "conjecture-sweep": run_conjecture_sweep,
-    "pes-scan": run_pes_scan,
-    "contraction-check": run_contraction_check,
-    "schrodinger": run_schrodinger_compare,
-    "hardy-sweep": run_hardy_sweep,
+# each kind returns (columns, rows, summary)
+_RUNNERS = {
+    "conjecture-sweep": _conjecture_sweep,
+    "pes-scan": _pes_scan,
+    "contraction-check": _contraction_check,
+    "schrodinger": _schrodinger_compare,
+    "hardy-sweep": _hardy_sweep,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    return RUNNERS[cfg.kind](cfg)
+    """Run one experiment and stamp its report with start/finish times."""
+    started = _utcnow()
+    columns, rows, summary = _RUNNERS[cfg.kind](cfg)
+    return ExperimentReport(kind=cfg.kind, columns=columns, rows=rows,
+                            summary=summary, config_echo=cfg.config_echo,
+                            started_utc=started, finished_utc=_utcnow())

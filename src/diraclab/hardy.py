@@ -98,21 +98,19 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
                        angular_order=grid.angular_order)
 
 
-def nu1_scan(family, basis_rule=None, grid_rule=None) -> list[HardyScanRow]:
+def nu1_scan(family, basis_rule=None) -> list[HardyScanRow]:
     """Per-member constants c(mu) for a family of charges.
 
     basis_rule maps a charge to a SpinorBasis (default even-tempered
-    shells on its atoms); grid_rule maps a basis to a QuadratureGrid.
+    shells on its atoms); each basis gets its default grid_for_basis grid.
     The family minimum min(row.c_mu) is the scan's headline value.
     """
     if basis_rule is None:
         basis_rule = default_spinor_basis
-    if grid_rule is None:
-        grid_rule = grid_for_basis
     rows = []
     for idx, mu in enumerate(family):
         basis = basis_rule(mu)
-        res = hardy_quotient_min(basis, mu, grid_rule(basis))
+        res = hardy_quotient_min(basis, mu, grid_for_basis(basis))
         rows.append(HardyScanRow(
             family_index=idx, nu_total=mu.total_charge,
             geometry_descriptor=charge_descriptor(mu),

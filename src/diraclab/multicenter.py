@@ -193,7 +193,7 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
         widths=tuple(root.widths), flags=tuple(flags))
 
     if config.crosscheck:
-        gap_evs = rkb_cross_check(basis, mu, grid)
+        gap_evs = rkb_cross_check(basis, mu, grid, engine.evaluation)
         if len(gap_evs):
             result.crosscheck_lambda1 = float(gap_evs[0])
             result.crosscheck_gap = abs(result.crosscheck_lambda1
@@ -226,7 +226,8 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
 
 
 def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
-                    grid: QuadratureGrid | None = None) -> np.ndarray:
+                    grid: QuadratureGrid | None = None,
+                    evaluation: GridEvaluation | None = None) -> np.ndarray:
     """Gap eigenvalues of the kinetically balanced 4-spinor discretization.
 
     Large components span the spinor basis, small components the sigma.grad
@@ -238,7 +239,8 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     with P the small-side potential matrix by quadrature.  Returns the
     eigenvalues strictly inside (-1, 1), ascending.  Diagnostic only: this
     discretization can in principle suffer spectral pollution, so it is
-    restricted to total charge <= 0.9 where the risk is low.
+    restricted to total charge <= 0.9 where the risk is low.  A given
+    `evaluation` (the basis tabulated on `grid`) is reused, not rebuilt.
     """
     _require_atomic(mu, "4-spinor cross-check")
     if mu.total_charge > 0.9 + 1e-12:
@@ -251,7 +253,8 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     mvdot = sc.potential_matrix(mu)
     tdot = sc.grad_dot_matrix()
     vpot = potential_grid(mu, grid.points)
-    evaluation = GridEvaluation(basis, grid)
+    if evaluation is None:
+        evaluation = GridEvaluation(basis, grid)
     pdot, pcross = evaluation.weighted_grad_blocks(-grid.weights * vpot)
 
     x = basis.orthogonalizer

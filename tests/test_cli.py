@@ -105,13 +105,13 @@ def test_radial_defaults_come_from_solve_config(monkeypatch, capsys):
     seen = []
 
     def fake_solve(mu, kappa, grid, config):
-        seen.append(config)
+        seen.append((grid, config))
         return radial.RadialGapResult(0.5, 0.0, 1, False, kappa, True,
                                       (0.5, 0.5), [])
 
     monkeypatch.setattr(cli, "lowest_gap_eigenvalue_radial", fake_solve)
     assert cli.main(["radial", "--nu", "0.5"]) == 0
-    assert seen == [radial.RadialSolveConfig()]
+    assert seen == [(radial.RadialGrid(), radial.RadialSolveConfig())]
 
 
 def test_multicenter_defaults_come_from_gap_config(tmp_path, monkeypatch,
@@ -143,6 +143,33 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys, command, text):
     cfg = write(tmp_path, "typo.cfg", text)
     assert cli.main([command, "--config", cfg]) == 1
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("conjecture-sweep", FAST_SWEEP.replace("n_s = 8", "n_s = abc")),
+    ("multicenter", MULTI.replace("n_s = 8", "n_s = 2.7")),
+    ("conjecture-sweep", FAST_SWEEP.replace(
+        "kind = conjecture-sweep", "kind = conjecture-sweep\nworkers = two")),
+    ("conjecture-sweep", FAST_SWEEP + "\n[output]\ncsv = 5\n"),
+    ("radial", RADIAL_SHELL + "\n[solver]\nlam_tol = 1e-8 1e-9\n"),
+    ("radial", RADIAL_SHELL.replace("n = 3000", "n = 4000.9"))],
+    ids=["n_s-word", "n_s-real", "workers-word", "csv-int", "lam_tol-list",
+         "n-real"])
+def test_wrongly_typed_config_values_exit_1(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_non_integer_workers_env_exits_1(tmp_path, monkeypatch, capsys):
+    from diraclab import experiments
+    monkeypatch.setenv(experiments.WORKERS_ENV, "two")
+    cfg = write(tmp_path, "sweep.cfg", FAST_SWEEP)
+    assert cli.main(["conjecture-sweep", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and experiments.WORKERS_ENV in err
 
 
 def test_print_config_is_fixed_point(tmp_path, capsys):

@@ -100,16 +100,42 @@ def test_format_float_17g():
     assert math.isinf(float(configio.format_float(float("inf"))))
 
 
-def test_get_bool_accepts_only_0_1_true_false():
-    doc = configio.parse_config(
-        "[solver]\na = 0\nb = 1\nc = true\nd = false\ne = yes\nf = 2\n"
-        "g = 1.0\nh = False\n")
-    assert [doc.get_bool("solver", k, True) for k in "abcd"] == [
+def test_bool_keys_accept_only_0_1_true_false():
+    def crosscheck(text):
+        doc = configio.parse_config(f"[solver]\ncrosscheck = {text}\n")
+        return doc.typed("solver")["crosscheck"]
+
+    assert [crosscheck(t) for t in ("0", "1", "true", "false")] == [
         False, True, True, False]
-    assert doc.get_bool("solver", "missing", False) is False
-    for key in "efgh":
-        with pytest.raises(ConfigError):
-            doc.get_bool("solver", key, False)
+    assert configio.parse_config("[solver]\n").typed("solver") == {}
+    for text in ("yes", "2", "1.0", "False"):
+        with pytest.raises(ConfigError, match="crosscheck"):
+            crosscheck(text)
+
+
+def test_typed_reader_converts_each_declared_type():
+    doc = configio.parse_config(
+        "[experiment]\nkind = pes-scan\nthetas = 0.2, 1\nscales = 1\n"
+        "margin_budget = 1\nworkers = 2\n[grid]\nn = 4000\n")
+    assert doc.typed("experiment") == {
+        "kind": "pes-scan", "thetas": (0.2, 1.0), "scales": (1.0,),
+        "margin_budget": 1.0, "workers": 2}
+    assert type(doc.typed("experiment")["margin_budget"]) is float
+    assert doc.typed("grid") == {"n": 4000}
+    assert doc.typed("basis") == {}
+
+
+@pytest.mark.parametrize("section,line", [
+    ("basis", "n_s = abc"), ("basis", "n_s = 2.7"), ("grid", "n = 4000.9"),
+    ("experiment", "workers = two"), ("output", "csv = 5"),
+    ("solver", "lam_tol = 1e-8 1e-9"), ("experiment", "thetas = 0.2 x"),
+    ("experiment", "kind = 1 2")])
+def test_typed_reader_rejects_wrong_types(section, line):
+    doc = configio.parse_config(f"[{section}]\n{line}\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        doc.typed(section)
+    with pytest.raises(ConfigError):
+        doc.check_keys()
 
 
 def test_check_keys_rejects_unknown_sections_and_keys():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from diraclab import charges, configio, experiments, multicenter
+from diraclab import charges, configio, experiments, multicenter, radial
 from diraclab.errors import ConfigError
 
 FAST = """
@@ -38,7 +38,7 @@ def test_config_from_doc_reads_sections():
     assert cfg.kind == "conjecture-sweep"
     assert cfg.thetas == (0.2, 0.2)
     assert cfg.separations == (1.0, 4.0)
-    assert cfg.n_s == 8 and cfg.n_radial == 64
+    assert cfg.basis == {"n_s": 8} and cfg.gap.n_radial == 64
     assert cfg.arrangement == "line"
     assert cfg.workers == 1
     assert "kind = conjecture-sweep" in cfg.config_echo
@@ -69,7 +69,7 @@ def test_crosscheck_false_means_off():
                        ("1", True)):
         doc = configio.parse_config(
             FAST + f"\n[solver]\ncrosscheck = {text}\n")
-        assert experiments.config_from_doc(doc).crosscheck is want
+        assert experiments.config_from_doc(doc).gap.crosscheck is want
     doc = configio.parse_config(FAST + "\n[solver]\ncrosscheck = off\n")
     with pytest.raises(ConfigError):
         experiments.config_from_doc(doc)
@@ -87,10 +87,11 @@ def test_config_from_doc_rejects_unknown_keys():
 
 def test_solver_defaults_come_from_gap_config():
     doc = configio.parse_config("[experiment]\nkind = pes-scan\n")
-    cfg = experiments.config_from_doc(doc)
-    assert cfg.gap_config() == multicenter.GapSolveConfig()
-    assert experiments.ExperimentConfig(kind="pes-scan").gap_config() \
-        == multicenter.GapSolveConfig()
+    for cfg in (experiments.config_from_doc(doc),
+                experiments.ExperimentConfig(kind="pes-scan")):
+        assert cfg.gap == multicenter.GapSolveConfig()
+        assert cfg.radial_grid == radial.RadialGrid()
+        assert cfg.basis == {}
 
 
 def test_triangle_is_default_for_three_thetas():
@@ -313,3 +314,18 @@ def test_cell_formatting():
     assert experiments._cell(False) == "false"
     assert experiments._cell(0.1) == "0.10000000000000001"
     assert experiments._cell(3) == "3"
+
+
+def test_atom_order_does_not_change_csv_bytes():
+    atoms = ["[charge.point]\nposition = 0 0 0\ntheta = 0.15\n",
+             "[charge.point]\nposition = 1 0 0\ntheta = 0.15\n",
+             "[charge.point]\nposition = 0.5 0.86602540378443860 0\n"
+             "theta = 0.15\n"]
+    head = ("[experiment]\nkind = contraction-check\nscales = 1 0.5\n"
+            "[basis]\nn_s = 8\n[grid]\nn_radial = 64\nangular_order = 17\n")
+    bodies = []
+    for order in ((0, 1, 2), (2, 1, 0)):
+        doc = configio.parse_config(head + "".join(atoms[i] for i in order))
+        bodies.append(experiments.run_experiment(
+            experiments.config_from_doc(doc)).csv_body().encode())
+    assert bodies[0] == bodies[1]

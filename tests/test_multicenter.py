@@ -133,6 +133,26 @@ def test_cross_check_agreement_two_center():
     assert res.crosscheck_gap <= 1e-3
 
 
+def test_cross_check_reuses_the_solve_tabulation(monkeypatch):
+    built = []
+
+    class CountingEvaluation(gaussian.GridEvaluation):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(multicenter, "GridEvaluation", CountingEvaluation)
+    mu = charges.atom((0, 0, 0), 0.3)
+    basis = basis_for(mu, n_s=6)
+    grid = gaussian.grid_for_basis(basis, 48, 17)
+    cfg = multicenter.GapSolveConfig(crosscheck=True)
+    res = multicenter.solve_gap(basis, mu, grid, cfg)
+    assert len(built) == 1
+    # a fresh tabulation gives the same cross-check value, bit for bit
+    assert res.crosscheck_lambda1 == float(
+        multicenter.rkb_cross_check(basis, mu, grid)[0])
+
+
 def test_cross_check_rejects_heavy_total():
     mu = charges.atoms([(0, 0, 0), (2, 0, 0)], [0.5, 0.5])
     with pytest.raises(ConfigError):
