@@ -1,18 +1,26 @@
 """Root solve for gap equations h(lam) = mu_min(lam) - lam.
 
 mu_min is nonincreasing in lam, so h is strictly decreasing and has at
-most one root.  Monotonicity buys two accelerations on top of plain
-bisection, both unconditionally safe:
+most one root.  Monotonicity buys three accelerations on top of plain
+bisection, all unconditionally safe:
 
 * clamping: after evaluating mu at lam, the root lies in [lam, mu] when
   h(lam) > 0 and in [mu, lam] when h(lam) < 0, so mu itself tightens the
   bracket (a fixed-point step fused into bisection);
-* secant proposals from the last two samples, accepted anywhere strictly
-  inside the bracket; two consecutive same-side landings force a midpoint
-  step so the worst case stays bisection-like.
+* a one-sample certificate: given a `start` inside (lo, hi), that clamp
+  alone brackets the root whenever mu(start) stays inside (lo, hi), and
+  the ends lo and hi are then never evaluated (an end is sampled only
+  on a side the clamp leaves open, so the below-gap and no-root outcomes
+  are decided exactly as without a start);
+* proposals strictly inside the bracket: Newton steps
+  l - h/(mu'(l) - 1) from the last sample when the caller gives the slope
+  mu', else secant steps through the last two samples.  Two consecutive
+  same-side secant landings force a midpoint step, as regula falsi can
+  creep in from one side; Newton steps on a convex or concave h approach
+  from one side at full speed, so they are not interrupted.
 
 Every main-loop iteration is guaranteed to at least halve the bracket: a
-secant step that fails to do so is followed by one midpoint evaluation,
+proposal that fails to do so is followed by one midpoint evaluation,
 which (with clamping) always does.  The post-iteration widths are recorded
 so callers can assert the contraction.
 """
@@ -28,7 +36,8 @@ NO_ROOT = "no-root"
 
 @dataclass
 class GapRootSolve:
-    """Outcome of one monotone root solve."""
+    """Outcome of one monotone root solve; h_lo and h_hi are nan when
+    that end was not evaluated."""
 
     status: str
     lam: float
@@ -45,9 +54,18 @@ class GapRootSolve:
 def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
                        lo: float, hi: float, *,
                        lam_tol: float, residual_tol: float,
-                       max_iter: int) -> GapRootSolve:
+                       max_iter: int, start: float | None = None,
+                       slope: Callable[[float], float] | None = None
+                       ) -> GapRootSolve:
+    """Root of mu_of_lambda(lam) - lam in [lo, hi]; see the module docstring.
+
+    `start` (ignored unless lo < start < hi) is the first sample.
+    `slope(lam)` returns mu'(lam) at a lam already sampled; with it the
+    proposals are Newton steps instead of secant steps.
+    """
     cache: dict[float, float] = {}
     trace: list[tuple[float, float]] = []
+    a, b = lo, hi
 
     def h(lam: float) -> float:
         if lam not in cache:
@@ -55,48 +73,68 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
             trace.append((lam, cache[lam]))
         return cache[lam]
 
-    h_lo = h(lo)
-    if h_lo < 0.0:
-        return GapRootSolve(BELOW_GAP, lo, abs(h_lo), len(trace), trace,
-                            (lo, hi), h_lo, float("nan"), False)
-    h_hi = h(hi)
-    if h_hi > 0.0:
-        return GapRootSolve(NO_ROOT, hi, abs(h_hi), len(trace), trace,
-                            (lo, hi), h_lo, h_hi, False)
+    def clamp(lam: float, hv: float) -> None:
+        nonlocal a, b
+        mu = hv + lam
+        if hv > 0.0:
+            a, b = max(a, lam), min(b, mu)
+        elif hv < 0.0:
+            a, b = max(a, mu), min(b, lam)
+        else:
+            a = b = lam
 
-    a = max(lo, h_hi + hi)
-    b = min(hi, h_lo + lo)
-    prev, last = (lo, h_lo), (hi, h_hi)
+    nan = float("nan")
+    h_lo = h_hi = nan
+    started = start is not None and lo < start < hi
+    if started:
+        clamp(start, h(start))
+    if a == lo:
+        h_lo = h(lo)
+        if h_lo < 0.0:
+            return GapRootSolve(BELOW_GAP, lo, abs(h_lo), len(trace), trace,
+                                (lo, hi), h_lo, nan, False)
+        clamp(lo, h_lo)
+    if not started or b == hi:
+        h_hi = h(hi)
+        if h_hi > 0.0:
+            return GapRootSolve(NO_ROOT, hi, abs(h_hi), len(trace), trace,
+                                (lo, hi), h_lo, h_hi, False)
+        clamp(hi, h_hi)
+
+    prev = trace[-2] if len(trace) > 1 else None
+    last = trace[-1]
     guard = 1e-3 * lam_tol
     same_side = 0
     widths: list[float] = [b - a]
 
-    def secant() -> float | None:
-        (l1, h1), (l2, h2) = prev, last
-        if h2 == h1:
-            return None
-        cand = l2 - h2 * (l2 - l1) / (h2 - h1)
+    def propose() -> float | None:
+        l2, h2 = last
+        if slope is None:
+            if prev is None or h2 == prev[1]:
+                return None
+            l1, h1 = prev
+            cand = l2 - h2 * (l2 - l1) / (h2 - h1)
+        else:
+            cand = l2 + h2 / (1.0 - slope(l2))
+            # with the exact slope the step lands in the clamp interval of
+            # its own sample; there it is moved off the bracket ends
+            if a <= cand <= b:
+                cand = min(max(cand, a + 2.0 * guard), b - 2.0 * guard)
         if a + guard < cand < b - guard and cand not in cache:
             return cand
         return None
 
     def step(cand: float) -> float:
-        nonlocal a, b, prev, last, same_side
+        nonlocal prev, last, same_side
         hv = h(cand)
-        mu = hv + cand
-        if hv > 0.0:
-            a, b = cand, min(b, mu)
-        elif hv < 0.0:
-            a, b = max(a, mu), cand
-        else:
-            a = b = cand
+        clamp(cand, hv)
         same_side = same_side + 1 if (hv > 0.0) == (last[1] > 0.0) else 0
         prev, last = last, (cand, hv)
         return hv
 
     while b - a > lam_tol and len(trace) < max_iter:
         width = b - a
-        cand = secant() if same_side < 2 else None
+        cand = propose() if slope is not None or same_side < 2 else None
         if cand is None:
             same_side = 0
             cand = 0.5 * (a + b)
@@ -115,7 +153,7 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
     best = min(trace, key=lambda s: abs(s[1]))
     polish = 0
     while abs(best[1]) > residual_tol and polish < 8 and len(trace) < max_iter:
-        cand = secant()
+        cand = propose()
         if cand is None:
             cand = 0.5 * (a + b)
             if cand in cache:

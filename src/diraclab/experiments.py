@@ -167,6 +167,8 @@ class ExperimentReport:
             "row_count": len(self.rows),
             "columns": list(self.columns),
             "summary": self.summary,
+            "row_diagnostics": [row["diagnostics"] for row in self.rows
+                                if "diagnostics" in row],
         }
 
     def write(self, csv_path, manifest_path=None) -> None:
@@ -234,19 +236,19 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
 def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     """One gap solve; solver failures are recorded, not raised.
 
-    The atoms are put in canonical order first: the basis follows the atom
-    order, and a permuted atom list would otherwise move lambda1 in its
-    last digits and so change the CSV bytes.
+    The atoms are put in canonical order first (see _canonical_basis).
+    `diagnostics` goes to the manifest: the root find's iterations,
+    residual and final bracket width, the retained rank of the basis
+    against its size, and the grid size; or the solver's error message.
     """
-    mu = charges.sorted_canonical(mu)
     try:
-        basis = default_spinor_basis(mu, **cfg.basis)
+        mu, basis = _canonical_basis(mu, cfg)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
         res = solve_gap(basis, mu, grid, cfg.gap)
     except (NoGapEigenvalueError, IllConditionedBasisError,
             BelowGapError) as exc:
         return {"lambda1": float("nan"), "converged": False,
-                "flags": "solver-error", "error": str(exc)}
+                "flags": "solver-error", "diagnostics": {"error": str(exc)}}
     words = []
     if res.below_gap:
         words.append("below-gap")
@@ -256,7 +258,23 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     if not words:
         words.append("ok")
     return {"lambda1": res.lambda1, "converged": res.converged,
-            "flags": " ".join(words), "error": None}
+            "flags": " ".join(words),
+            "diagnostics": {
+                "iterations": res.iterations, "residual": res.residual,
+                "bracket_width": res.bracket[1] - res.bracket[0],
+                "retained_rank": basis.orthogonalizer.shape[1],
+                "basis_size": basis.scalar.n, "grid_points": grid.size}}
+
+
+def _canonical_basis(mu: ChargeDistribution, cfg: ExperimentConfig):
+    """The atoms in canonical order and the default basis built on them.
+
+    The basis follows the atom order, and a permuted atom list would
+    otherwise move every 3D result in its last digits and so change the
+    CSV bytes.
+    """
+    mu = charges.sorted_canonical(mu)
+    return mu, default_spinor_basis(mu, **cfg.basis)
 
 
 def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
@@ -275,9 +293,8 @@ def _against_merged(total: float, solved: list[dict]):
         if conditional:
             flags = ("conditional-on-nu1" if flags == "ok"
                      else f"{flags} conditional-on-nu1")
-        cells.append({"lambda1": sol["lambda1"], "bound": bound,
-                      "margin": sol["lambda1"] - bound,
-                      "converged": sol["converged"], "flags": flags})
+        cells.append({**sol, "bound": bound,
+                      "margin": sol["lambda1"] - bound, "flags": flags})
     return bound, conditional, cells
 
 
@@ -338,10 +355,8 @@ def _pes_scan(cfg: ExperimentConfig):
         rep = _repulsion(mu)
         rows.append({
             "scan_index": idx, "separation": sep,
-            "geometry": charge_descriptor(mu),
-            "lambda1": sol["lambda1"], "repulsion": rep,
-            "pes": sol["lambda1"] + rep,
-            "converged": sol["converged"], "flags": sol["flags"]})
+            "geometry": charge_descriptor(mu), **sol, "repulsion": rep,
+            "pes": sol["lambda1"] + rep})
     jumps = [abs(b["pes"] - a["pes"]) for a, b in zip(rows, rows[1:])
              if a["converged"] and b["converged"]]
     summary = {
@@ -405,8 +420,8 @@ def _schrodinger_energy(mu: ChargeDistribution,
     if mu.radially_symmetric:
         res = schrodinger_ground_radial(mu, cfg.radial_grid)
         return res.energy, res.bound
-    return schrodinger_ground_gaussian(default_spinor_basis(mu, **cfg.basis),
-                                       mu)
+    mu, basis = _canonical_basis(mu, cfg)
+    return schrodinger_ground_gaussian(basis, mu)
 
 
 def _schrodinger_compare(cfg: ExperimentConfig):
@@ -454,8 +469,7 @@ def _hardy_sweep(cfg: ExperimentConfig):
     family = _scan_family(cfg)
 
     def solve_one(item):
-        _, mu = item
-        basis = default_spinor_basis(mu, **cfg.basis)
+        mu, basis = _canonical_basis(item[1], cfg)
         return hardy_quotient_min(basis, mu, grid_for_basis(
             basis, cfg.gap.n_radial, cfg.gap.angular_order))
     solved = _run_ordered(solve_one, family, cfg.workers)

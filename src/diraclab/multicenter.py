@@ -8,13 +8,25 @@ lam turns the gap eigenvalue into the unique root of
 where W(lam) is the gradient Gram weighted by 1/(1 + lam + v), v >= 0 is
 the magnitude of the attractive potential, S the spinor overlap and M_V
 the (negative) potential matrix.  mu_min is nonincreasing in lam, so h is
-strictly decreasing and the clamped bisection of _rootfind converges
-unconditionally.  This path cannot produce spurious eigenvalues from
-below; a kinetically balanced 4-spinor discretization of the same
-operator is available as a diagnostic cross-check.
+strictly decreasing and the safeguarded root find of _rootfind converges
+unconditionally.  solve_gap starts it at the merged-charge value
+sqrt(1 - nu^2), whose one sample usually brackets the root on its own,
+and steps by Newton on the Hellmann-Feynman slope
+
+    mu'(lam) = -int w (1 + lam + v)^-2 |sigma.grad psi|^2,
+
+evaluated from the eigenvector psi of that sample on the tabulated basis
+gradients, without another weighted Gram.  The eigenvector returned is
+the one of the sample at the root.  A converged solve typically builds
+two or three weighted Grams, one per sample.
+
+This path cannot produce spurious eigenvalues from below; a kinetically
+balanced 4-spinor discretization of the same operator is available as a
+diagnostic cross-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +83,6 @@ class GapResult:
     below_gap: bool
     converged: bool
     bracket: tuple[float, float]
-    h_lo: float
-    h_hi: float
     trace: tuple[tuple[float, float], ...]
     widths: tuple[float, ...]
     crosscheck_lambda1: float | None = None
@@ -116,7 +126,12 @@ def assemble_W(lam: float, basis: SpinorBasis, mu: ChargeDistribution,
 
 
 class _GapEngine:
-    """Cached static matrices and grid tables for repeated mu_min evals."""
+    """Cached static matrices and grid tables for repeated mu_min evals.
+
+    Each mu_min(lam) keeps the lowest eigenvector of its pencil, so the
+    slope at a sampled lam and the eigenvector of the returned root need
+    no further weighted Gram.
+    """
 
     def __init__(self, basis: SpinorBasis, mu: ChargeDistribution,
                  grid: QuadratureGrid):
@@ -131,6 +146,7 @@ class _GapEngine:
         sc = basis.scalar
         self.bstat = sc.overlap_matrix() + sc.potential_matrix(mu)
         self.x = basis.orthogonalizer
+        self.vectors: dict[float, np.ndarray] = {}
 
     def _projected_pencil(self, lam: float) -> np.ndarray:
         if lam <= -1.0:
@@ -143,12 +159,39 @@ class _GapEngine:
         return spinor_matrix(bdot, bcross)
 
     def mu_min(self, lam: float) -> float:
-        evals = np.linalg.eigvalsh(self._projected_pencil(lam))
+        evals, vecs = np.linalg.eigh(self._projected_pencil(lam))
+        self.vectors[lam] = self.basis.expand_scalar_spinor(
+            _fix_phase(vecs[:, 0]))
         return float(evals[0])
 
     def eigenvector(self, lam: float) -> np.ndarray:
-        _, vecs = np.linalg.eigh(self._projected_pencil(lam))
-        return self.basis.expand_scalar_spinor(_fix_phase(vecs[:, 0]))
+        """S-normalised lowest eigenvector in the primitive spinor basis."""
+        if lam not in self.vectors:
+            self.mu_min(lam)
+        return self.vectors[lam]
+
+    def slope(self, lam: float) -> float:
+        """mu'(lam) = -int w (1+lam+v)^-2 |sigma.grad psi|^2 (Hellmann-Feynman).
+
+        psi is the eigenvector of mu_min(lam).  Its gradient comes from the
+        tabulated basis gradients in grid blocks of the size that
+        weighted_grad_blocks uses, so no (points x n) temporary is made.
+        """
+        coef = self.eigenvector(lam).reshape(-1, 2)
+        parts = np.column_stack([coef.real, coef.imag])  # (n, 4) real
+        weight = self.grid.weights / (1.0 + lam + self.vpot) ** 2
+        total = 0.0
+        for start in range(0, len(weight), 16384):
+            sl = slice(start, start + 16384)
+            # d/dx, d/dy, d/dz of the (up, down) spin components
+            gx, gy, gz = [d[:, :2] + 1j * d[:, 2:] for d in
+                          (g[sl] @ parts for g in self.evaluation.grads)]
+            up = gx[:, 1] - 1j * gy[:, 1] + gz[:, 0]
+            down = gx[:, 0] + 1j * gy[:, 0] - gz[:, 1]
+            dens = up.real ** 2 + up.imag ** 2 + down.real ** 2 \
+                + down.imag ** 2
+            total += float(weight[sl] @ dens)
+        return -total
 
 
 def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
@@ -165,10 +208,13 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     if grid is None:
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
     engine = _GapEngine(basis, mu, grid)
+    nu = mu.total_charge
     root = _rootfind.solve_monotone_gap(
         engine.mu_min, config.bracket_lo, config.bracket_hi,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
-        max_iter=config.max_iterations)
+        max_iter=config.max_iterations,
+        start=math.sqrt(1.0 - nu * nu) if nu < 1.0 else None,
+        slope=engine.slope)
 
     flags = []
     if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):
@@ -182,14 +228,14 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
             lambda1=config.bracket_lo, coefficients=None,
             residual=root.residual, iterations=root.iterations,
             below_gap=True, converged=False, bracket=root.bracket,
-            h_lo=root.h_lo, h_hi=root.h_hi, trace=tuple(root.trace),
+            trace=tuple(root.trace),
             widths=tuple(root.widths), flags=tuple(flags))
 
     result = GapResult(
         lambda1=root.lam, coefficients=engine.eigenvector(root.lam),
         residual=root.residual, iterations=root.iterations,
         below_gap=False, converged=root.converged, bracket=root.bracket,
-        h_lo=root.h_lo, h_hi=root.h_hi, trace=tuple(root.trace),
+        trace=tuple(root.trace),
         widths=tuple(root.widths), flags=tuple(flags))
 
     if config.crosscheck:

@@ -321,11 +321,39 @@ def test_atom_order_does_not_change_csv_bytes():
              "[charge.point]\nposition = 1 0 0\ntheta = 0.15\n",
              "[charge.point]\nposition = 0.5 0.86602540378443860 0\n"
              "theta = 0.15\n"]
-    head = ("[experiment]\nkind = contraction-check\nscales = 1 0.5\n"
-            "[basis]\nn_s = 8\n[grid]\nn_radial = 64\nangular_order = 17\n")
-    bodies = []
-    for order in ((0, 1, 2), (2, 1, 0)):
-        doc = configio.parse_config(head + "".join(atoms[i] for i in order))
-        bodies.append(experiments.run_experiment(
-            experiments.config_from_doc(doc)).csv_body().encode())
-    assert bodies[0] == bodies[1]
+    for kind, extra in (("contraction-check", "scales = 1 0.5\n"),
+                        ("hardy-sweep", ""), ("schrodinger", "")):
+        head = (f"[experiment]\nkind = {kind}\n{extra}[basis]\nn_s = 8\n"
+                "[grid]\nn_radial = 64\nangular_order = 17\n")
+        bodies = []
+        for order in ((0, 1, 2), (2, 1, 0)):
+            doc = configio.parse_config(
+                head + "".join(atoms[i] for i in order))
+            bodies.append(experiments.run_experiment(
+                experiments.config_from_doc(doc)).csv_body().encode())
+        assert bodies[0] == bodies[1], kind
+
+
+def test_manifest_carries_root_find_diagnostics_per_row(tmp_path):
+    doc = configio.parse_config(
+        "[experiment]\nkind = contraction-check\nscales = 1 0\n"
+        "[basis]\nn_s = 8\n[grid]\nn_radial = 64\nangular_order = 17\n"
+        "[charge.point]\nposition = -1 0 0\ntheta = 0.2\n"
+        "[charge.point]\nposition = 1 0 0\ntheta = 0.2\n")
+    cfg = experiments.config_from_doc(doc)
+    report = experiments.run_experiment(cfg)
+    report.write(tmp_path / "c.csv")
+    man = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    diags = man["row_diagnostics"]
+    assert len(diags) == 2
+    for row, diag in zip(report.rows, diags):
+        assert set(diag) == {"iterations", "residual", "bracket_width",
+                             "retained_rank", "basis_size", "grid_points"}
+        assert row["converged"]
+        assert diag["residual"] <= cfg.gap.residual_tol
+        assert 0.0 <= diag["bracket_width"] <= cfg.gap.lam_tol
+        assert 1 <= diag["iterations"] <= cfg.gap.max_iterations
+        assert 0 < diag["retained_rank"] <= diag["basis_size"]
+        assert diag["grid_points"] > 0
+    # the merged s = 0 row has one centre: half the basis of the pair
+    assert diags[1]["basis_size"] == diags[0]["basis_size"] // 2 == 8

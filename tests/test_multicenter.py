@@ -81,6 +81,41 @@ def test_solve_trace_is_monotone_and_short():
         assert w2 <= 0.5 * w1 + 1e-15
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_slope_matches_central_differences(m):
+    # atoms off the coordinate planes: a reflection symmetry through one
+    # would hide a wrong sign in the sigma_y or sigma_x terms
+    mu = charges.atoms([(0, 0, 0), (0.9, 0.3, -0.4), (0.2, 0.7, 0.5)][:m],
+                       [0.45 / m] * m)
+    basis = basis_for(mu, n_s=6)
+    engine = multicenter._GapEngine(basis, mu,
+                                    gaussian.grid_for_basis(basis, 48, 17))
+    eps = 1e-4
+    for lam in (0.3, 0.9):
+        diff = (engine.mu_min(lam + eps) - engine.mu_min(lam - eps)) / (2 * eps)
+        assert engine.slope(lam) == pytest.approx(diff, rel=1e-6)
+        assert engine.slope(lam) < 0.0
+
+
+def test_two_atom_solve_builds_at_most_three_grams(monkeypatch):
+    calls = []
+    gram = gaussian.GridEvaluation.weighted_grad_blocks
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return gram(self, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian.GridEvaluation, "weighted_grad_blocks",
+                        counted)
+    mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.2, 0.2])
+    basis = basis_for(mu, n_s=8)
+    res = multicenter.solve_gap(basis, mu,
+                                gaussian.grid_for_basis(basis, 64, 17))
+    assert res.converged and res.coefficients is not None
+    # one Gram per sample; the eigenvector of lambda1 needs none of its own
+    assert len(calls) == res.iterations <= 3
+
+
 def test_eigenvector_satisfies_pencil_equation():
     mu = charges.atom((0, 0, 0), 0.5)
     basis = basis_for(mu)

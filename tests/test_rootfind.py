@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from diraclab import _rootfind
 
 TOL = dict(lam_tol=1e-10, residual_tol=1e-12, max_iter=60)
+LO, HI = -0.99, 0.999
 
 
 def affine(root, slope):
@@ -50,12 +51,15 @@ def test_stiff_curve():
     # near the root, so the reachable residual scales accordingly
     root = 0.1234567
     mu = lambda lam: root - 0.8 * math.tanh((lam - root) / 1e-4)
-    res = _rootfind.solve_monotone_gap(mu, -0.99, 0.999, lam_tol=1e-10,
-                                       residual_tol=1e-9, max_iter=60)
-    assert res.converged
-    assert res.lam == pytest.approx(root, abs=1e-10)
-    assert res.iterations <= 40
-    check_halving(res.widths)
+    dmu = lambda lam: -8e3 * (1.0 - math.tanh((lam - root) / 1e-4) ** 2)
+    for start in (None, 0.0, 0.1234):
+        res = _rootfind.solve_monotone_gap(
+            mu, -0.99, 0.999, lam_tol=1e-10, residual_tol=1e-9, max_iter=60,
+            start=start, slope=None if start is None else dmu)
+        assert res.converged
+        assert res.lam == pytest.approx(root, abs=1e-10)
+        assert res.iterations <= 40
+        check_halving(res.widths)
 
 
 def test_root_at_bracket_ends():
@@ -69,13 +73,19 @@ def test_root_at_bracket_ends():
 
 
 def test_below_gap_and_no_root_statuses():
-    res = _rootfind.solve_monotone_gap(lambda lam: -2.0, -0.99, 0.999, **TOL)
-    assert res.status == _rootfind.BELOW_GAP
-    assert not res.converged
+    # a start on either side of the gap ends changes neither status
+    for start in (None, -0.5, 0.0, 0.9):
+        res = _rootfind.solve_monotone_gap(
+            lambda lam: -2.0, -0.99, 0.999, start=start,
+            slope=lambda lam: 0.0, **TOL)
+        assert res.status == _rootfind.BELOW_GAP
+        assert not res.converged and res.trace[-1][0] == -0.99
 
-    res = _rootfind.solve_monotone_gap(lambda lam: 2.0, -0.99, 0.999, **TOL)
-    assert res.status == _rootfind.NO_ROOT
-    assert not res.converged
+        res = _rootfind.solve_monotone_gap(
+            lambda lam: 2.0, -0.99, 0.999, start=start,
+            slope=lambda lam: 0.0, **TOL)
+        assert res.status == _rootfind.NO_ROOT
+        assert not res.converged and res.trace[-1][0] == 0.999
 
 
 def test_iteration_budget_is_respected():
@@ -95,14 +105,27 @@ def test_width_count_matches_bisection_bound():
 
 @given(root=st.floats(min_value=-0.9, max_value=0.95),
        slope=st.floats(min_value=-20.0, max_value=0.0),
-       curve=st.floats(min_value=0.0, max_value=5.0))
-@settings(max_examples=60, deadline=None)
-def test_random_monotone_curves(root, slope, curve):
+       curve=st.floats(min_value=0.0, max_value=5.0),
+       start=st.none() | st.floats(min_value=-0.98, max_value=0.998))
+@settings(max_examples=120, deadline=None)
+def test_random_monotone_curves(root, slope, curve, start):
+    # the two call patterns: secant from both ends (radial), and Newton
+    # on the exact slope from a start (3D)
     mu = lambda lam: root + slope * (lam - root) - curve * (lam - root) ** 3
-    res = _rootfind.solve_monotone_gap(mu, -0.99, 0.999, **TOL)
+    dmu = lambda lam: slope - 3.0 * curve * (lam - root) ** 2
+    res = _rootfind.solve_monotone_gap(
+        mu, LO, HI, start=start, slope=None if start is None else dmu, **TOL)
     assert res.status == _rootfind.OK
     assert res.converged
     assert res.lam == pytest.approx(root, abs=2e-10)
     assert res.iterations <= 40
     check_halving(res.widths)
     check_trace_monotone(res.trace)
+    sampled = {lam for lam, _ in res.trace}
+    if start is None:
+        assert {LO, HI} <= sampled
+    else:
+        # one sample certifies each side its clamp closes
+        assert res.trace[0][0] == start
+        assert (LO in sampled) == (mu(start) <= LO)
+        assert (HI in sampled) == (mu(start) >= HI)
