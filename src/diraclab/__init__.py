@@ -8,26 +8,22 @@ distributions, plus Hardy-quotient and Schroedinger comparison tools.
 __version__ = "0.1.0"
 
 from .charges import (ChargeDistribution, PointCharge, RadialLayer, atom,
-                      atomize_radial, atoms, ball, combine, mix, potential_at,
-                      potential_grid, pushforward, radial_profile,
-                      scale_strengths, shell)
+                      atoms, ball, combine, mix, potential_grid, pushforward,
+                      radial_profile, scale_strengths, shell)
 from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      IllConditionedBasisError, MergedAtomTooHeavyError,
                      NoGapEigenvalueError, SingularLocationError,
                      UncertifiedEigenvalueError)
 from .radial import (RadialGapResult, RadialGrid, RadialSolveConfig,
-                     channel_sweep, lambda_of_trial,
-                     lowest_gap_eigenvalue_radial, min_over_channels,
-                     q_form_radial, radial_potential,
-                     schrodinger_ground_radial)
+                     lambda_of_trial, lowest_gap_eigenvalue_radial,
+                     q_form_radial, schrodinger_ground_radial)
 from .configio import (ConfigDoc, charge_descriptor, doc_from_charge,
                        emit_charge, emit_config, format_float, load_config,
                        parse_config)
 from .gaussian import (QuadratureGrid, ScalarBasis, SpinorBasis, becke_weights,
                        boys, build_grid, default_spinor_basis, grid_for_basis)
-from .multicenter import (GapResult, GapSolveConfig, assemble_W,
-                          rkb_cross_check, schrodinger_ground_gaussian,
-                          solve_gap)
+from .multicenter import (GapResult, GapSolveConfig, rkb_cross_check,
+                          schrodinger_ground_gaussian, solve_gap)
 from .hardy import (HardyResult, HardyScanRow, hardy_quotient_min, nu1_scan,
                     scan_minimum)
 from .experiments import (ExperimentConfig, ExperimentReport, config_from_doc,

@@ -19,6 +19,10 @@ bisection, all unconditionally safe:
   creep in from one side; Newton steps on a convex or concave h approach
   from one side at full speed, so they are not interrupted.
 
+There are two call patterns: mu alone (the radial solver; both ends are
+sampled first, then secant steps) and mu with a start and its slope (the
+3D solver; the certificate and Newton steps).
+
 Every main-loop iteration is guaranteed to at least halve the bracket: a
 proposal that fails to do so is followed by one midpoint evaluation,
 which (with clamping) always does.  The post-iteration widths are recorded
@@ -36,8 +40,7 @@ NO_ROOT = "no-root"
 
 @dataclass
 class GapRootSolve:
-    """Outcome of one monotone root solve; h_lo and h_hi are nan when
-    that end was not evaluated."""
+    """Outcome of one monotone root solve."""
 
     status: str
     lam: float
@@ -45,8 +48,6 @@ class GapRootSolve:
     iterations: int
     trace: list[tuple[float, float]] = field(default_factory=list)
     bracket: tuple[float, float] = (0.0, 0.0)
-    h_lo: float = 0.0
-    h_hi: float = 0.0
     converged: bool = False
     widths: list[float] = field(default_factory=list)
 
@@ -59,10 +60,12 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
                        ) -> GapRootSolve:
     """Root of mu_of_lambda(lam) - lam in [lo, hi]; see the module docstring.
 
-    `start` (ignored unless lo < start < hi) is the first sample.
-    `slope(lam)` returns mu'(lam) at a lam already sampled; with it the
-    proposals are Newton steps instead of secant steps.
+    `start` (ignored unless lo < start < hi) is the first sample and
+    `slope(lam)` returns mu'(lam) at a lam already sampled; the two come
+    together or not at all.
     """
+    if (start is None) != (slope is None):
+        raise ValueError("solve_monotone_gap takes start and slope together")
     cache: dict[float, float] = {}
     trace: list[tuple[float, float]] = []
     a, b = lo, hi
@@ -83,8 +86,6 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
         else:
             a = b = lam
 
-    nan = float("nan")
-    h_lo = h_hi = nan
     started = start is not None and lo < start < hi
     if started:
         clamp(start, h(start))
@@ -92,13 +93,13 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
         h_lo = h(lo)
         if h_lo < 0.0:
             return GapRootSolve(BELOW_GAP, lo, abs(h_lo), len(trace), trace,
-                                (lo, hi), h_lo, nan, False)
+                                (lo, hi), False)
         clamp(lo, h_lo)
     if not started or b == hi:
         h_hi = h(hi)
         if h_hi > 0.0:
             return GapRootSolve(NO_ROOT, hi, abs(h_hi), len(trace), trace,
-                                (lo, hi), h_lo, h_hi, False)
+                                (lo, hi), False)
         clamp(hi, h_hi)
 
     prev = trace[-2] if len(trace) > 1 else None
@@ -165,4 +166,4 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
 
     ok = (b - a) <= lam_tol and abs(best[1]) <= residual_tol
     return GapRootSolve(OK, best[0], abs(best[1]), len(trace), trace,
-                        (a, b), h_lo, h_hi, ok, widths)
+                        (a, b), ok, widths)

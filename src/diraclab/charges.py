@@ -8,8 +8,7 @@ not exceed 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ SINGULAR_EPS = 1e-14
 MERGE_TOL = 1e-12
 
 LAYER_KINDS = ("point", "sphere-shell", "uniform-ball")
-
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -188,11 +185,6 @@ def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def potential_at(mu: ChargeDistribution, x) -> float:
-    """Coulomb potential at a single location."""
-    return float(potential_grid(mu, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def pushforward(mu: ChargeDistribution, matrix, scale: float,
                 offset=(0.0, 0.0, 0.0)) -> ChargeDistribution:
     """Image of an atomic distribution under x -> scale * matrix @ x + offset.
@@ -231,68 +223,6 @@ def pushforward(mu: ChargeDistribution, matrix, scale: float,
         pos = np.average([images[i][0] for i in g], axis=0, weights=w)
         merged.append(PointCharge(tuple(pos), strength))
     return ChargeDistribution(points=tuple(merged))
-
-
-def _fibonacci_sphere(k: int, phase: float = 0.0) -> np.ndarray:
-    """k near-equal-area unit vectors; antipodal pairs when k is even."""
-    if k % 2 == 0:
-        half = _fibonacci_sphere_raw(k // 2, phase)
-        return np.concatenate([half, -half])
-    return _fibonacci_sphere_raw(k, phase)
-
-
-def _fibonacci_sphere_raw(k: int, phase: float) -> np.ndarray:
-    i = np.arange(k)
-    z = 1.0 - (2.0 * i + 1.0) / k
-    az = i * _GOLDEN_ANGLE + phase
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([s * np.cos(az), s * np.sin(az), z])
-
-
-def _split_strength(theta: float, k: int) -> np.ndarray:
-    """k pieces summing to theta exactly (telescoping cumulative sums)."""
-    cuts = theta * np.arange(k + 1) / k
-    return np.diff(cuts)
-
-
-def atomize_radial(mu: ChargeDistribution, k: int) -> ChargeDistribution:
-    """Replace each layer of a radially symmetric charge by k point charges.
-
-    Shells become k points on the sphere of the layer radius; balls are cut
-    into equal-mass radial bands first.  Point layers and origin atoms pass
-    through unchanged.  Total charge is preserved exactly.
-    """
-    if not mu.radially_symmetric:
-        raise ChargeModelError("atomize_radial needs a radially symmetric charge")
-    if k < 1:
-        raise ChargeModelError("atomize_radial needs k >= 1")
-    new_points = list(mu.points)
-    for li, layer in enumerate(mu.layers):
-        if layer.kind == "point":
-            new_points.append(PointCharge((0.0, 0.0, 0.0), layer.strength))
-            continue
-        strengths = _split_strength(layer.strength, k)
-        if layer.kind == "sphere-shell":
-            dirs = _fibonacci_sphere(k, phase=li * _GOLDEN_ANGLE)
-            radii = np.full(k, layer.radius)
-        else:
-            n_bands = max(1, round(k ** (1.0 / 3.0)))
-            base, extra = divmod(k, n_bands)
-            sizes = [base + (1 if b < extra else 0) for b in range(n_bands)]
-            dirs_list = []
-            radii_list = []
-            for b, size in enumerate(sizes):
-                if size == 0:
-                    continue
-                # mass-median radius of the b-th equal-mass band
-                r_b = layer.radius * ((b + 0.5) / n_bands) ** (1.0 / 3.0)
-                dirs_list.append(_fibonacci_sphere(size, phase=(li + b) * _GOLDEN_ANGLE))
-                radii_list.append(np.full(size, r_b))
-            dirs = np.concatenate(dirs_list)
-            radii = np.concatenate(radii_list)
-        for d, r, s in zip(dirs, radii, strengths):
-            new_points.append(PointCharge(tuple(r * d), s))
-    return ChargeDistribution(points=tuple(new_points))
 
 
 def scale_strengths(mu: ChargeDistribution, factor: float) -> ChargeDistribution:

@@ -242,7 +242,7 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     against its size, and the grid size; or the solver's error message.
     """
     try:
-        mu, basis = _canonical_basis(mu, cfg)
+        mu, basis = _canonical_basis(mu, cfg.basis)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
         res = solve_gap(basis, mu, grid, cfg.gap)
     except (NoGapEigenvalueError, IllConditionedBasisError,
@@ -266,15 +266,16 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
                 "basis_size": basis.scalar.n, "grid_points": grid.size}}
 
 
-def _canonical_basis(mu: ChargeDistribution, cfg: ExperimentConfig):
-    """The atoms in canonical order and the default basis built on them.
+def _canonical_basis(mu: ChargeDistribution, basis_keys: dict):
+    """The atoms in canonical order and the default basis built on them
+    from the set [basis] keys.
 
     The basis follows the atom order, and a permuted atom list would
     otherwise move every 3D result in its last digits and so change the
-    CSV bytes.
+    CSV and JSON bytes.
     """
     mu = charges.sorted_canonical(mu)
-    return mu, default_spinor_basis(mu, **cfg.basis)
+    return mu, default_spinor_basis(mu, **basis_keys)
 
 
 def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
@@ -420,7 +421,7 @@ def _schrodinger_energy(mu: ChargeDistribution,
     if mu.radially_symmetric:
         res = schrodinger_ground_radial(mu, cfg.radial_grid)
         return res.energy, res.bound
-    mu, basis = _canonical_basis(mu, cfg)
+    mu, basis = _canonical_basis(mu, cfg.basis)
     return schrodinger_ground_gaussian(basis, mu)
 
 
@@ -469,7 +470,7 @@ def _hardy_sweep(cfg: ExperimentConfig):
     family = _scan_family(cfg)
 
     def solve_one(item):
-        mu, basis = _canonical_basis(item[1], cfg)
+        mu, basis = _canonical_basis(item[1], cfg.basis)
         return hardy_quotient_min(basis, mu, grid_for_basis(
             basis, cfg.gap.n_radial, cfg.gap.angular_order))
     solved = _run_ordered(solve_one, family, cfg.workers)

@@ -23,6 +23,9 @@ PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex))
 
 EXPONENT_RANGE = (1e-8, 1e12)
+# Overlap (and small-component metric) eigenvalues below the largest one
+# divided by this are dropped as numerically dependent directions.
+COND_CAP = 1e10
 
 
 def even_tempered(alpha0: float, beta: float, n: int) -> np.ndarray:
@@ -183,7 +186,6 @@ class SpinorBasis:
     """Scalar basis doubled by spin, with condition-filtered orthogonalizer."""
 
     scalar: ScalarBasis
-    cond_cap: float = 1e10
     _x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -192,7 +194,7 @@ class SpinorBasis:
         top = evals[-1]
         if top <= 0.0:
             raise IllConditionedBasisError("overlap matrix is not positive")
-        keep = evals > top / self.cond_cap
+        keep = evals > top / COND_CAP
         if not np.any(keep):
             raise IllConditionedBasisError("no basis direction survives filtering")
         self._x = vecs[:, keep] / np.sqrt(evals[keep])[None, :]
@@ -213,8 +215,8 @@ class SpinorBasis:
 
 
 def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
-                         alpha0: float = 0.02, beta: float = 2.8,
-                         cond_cap: float = 1e10) -> SpinorBasis:
+                         alpha0: float = 0.02, beta: float = 2.8
+                         ) -> SpinorBasis:
     """Even-tempered shells on every atom of an atomic charge."""
     if mu.layers:
         raise ConfigError("3D basis construction needs an atomic charge")
@@ -228,7 +230,7 @@ def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
         seen.add(p.position)
         for a in even_tempered(alpha0, beta, n_s):
             prims.append(GaussianPrimitive(p.position, float(a)))
-    return SpinorBasis(ScalarBasis(prims), cond_cap=cond_cap)
+    return SpinorBasis(ScalarBasis(prims))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +278,7 @@ EXCLUSION_RADIUS = 1e-10
 
 
 def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
-               r_lo: float = 2e-4, r_hi: float = 9.0,
-               becke_order: int = 4) -> QuadratureGrid:
+               r_lo: float = 2e-4, r_hi: float = 9.0) -> QuadratureGrid:
     """Per-center log-radial x spherical product grid with partition weights.
 
     The sphere rule is Gauss-Legendre in cos(theta) crossed with a uniform
@@ -321,7 +322,7 @@ def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
     pts = np.concatenate(pts_parts)
     w = np.concatenate(w_parts)
 
-    cell = becke_weights(pts, centers, becke_order)
+    cell = becke_weights(pts, centers, order=4)
     residual = float(np.max(np.abs(np.sum(cell, axis=1) - 1.0)))
     per_center = np.concatenate([
         w[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs)]
@@ -338,8 +339,7 @@ def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
 
 
 def grid_for_basis(basis: SpinorBasis, n_radial: int = 96,
-                   angular_order: int = 29, becke_order: int = 4
-                   ) -> QuadratureGrid:
+                   angular_order: int = 29) -> QuadratureGrid:
     """Grid sized from the basis: range scales with the exponent extremes.
 
     Radial shells must reach past the most diffuse function (and past the
@@ -359,7 +359,7 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = 96,
     r_hi = 5.5 / math.sqrt(a_min) + d_max
     r_lo = 3e-5 / math.sqrt(a_max)
     return build_grid(centers, n_radial=n_radial, angular_order=angular_order,
-                      r_lo=r_lo, r_hi=r_hi, becke_order=becke_order)
+                      r_lo=r_lo, r_hi=r_hi)
 
 
 class GridEvaluation:
@@ -374,20 +374,6 @@ class GridEvaluation:
 
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         return self.vals.T @ (c[:, None] * self.vals)
-
-    def weighted_grad_dot(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.basis.scalar.n, self.basis.scalar.n))
-        for gd in self.grads:
-            out += gd.T @ (c[:, None] * gd)
-        return out
-
-    def weighted_grad_cross(self, c: np.ndarray) -> list[np.ndarray]:
-        """Antisymmetric cross Grams int c (grad_a g_i grad_b g_j - ...)."""
-        out = []
-        for a, b in ((1, 2), (2, 0), (0, 1)):
-            m1 = self.grads[a].T @ (c[:, None] * self.grads[b])
-            out.append(m1 - m1.T)
-        return out
 
     def weighted_grad_blocks(self, c: np.ndarray, block: int = 16384):
         """Dot and cross gradient Grams accumulated over ordered grid blocks.

@@ -35,10 +35,12 @@ from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
 from .errors import (ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError)
-from .gaussian import (GridEvaluation, QuadratureGrid, SpinorBasis,
-                       grid_for_basis, spinor_matrix)
+from .gaussian import (COND_CAP, GridEvaluation, QuadratureGrid,
+                       SpinorBasis, grid_for_basis, spinor_matrix)
 
 NEAR_CRITICAL_STRENGTH = 0.9
+# Root-find bracket of every 3D solve.
+_BRACKET = (-1.0 + 1e-6, 1.0 - 1e-12)
 ACCURACY_FLAG = "accuracy-unverified"
 POLLUTION_FLAG = "pollution-warning"
 
@@ -54,8 +56,6 @@ class GapSolveConfig:
     lam_tol: float = 1e-8
     residual_tol: float = 1e-8
     max_iterations: int = 60
-    bracket_lo: float = -1.0 + 1e-6
-    bracket_hi: float = 1.0 - 1e-12
     n_radial: int = 96
     angular_order: int = 29
     crosscheck: bool = False
@@ -64,8 +64,6 @@ class GapSolveConfig:
     def __post_init__(self):
         if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
             raise ConfigError("tolerances must be positive")
-        if not -1.0 < self.bracket_lo < self.bracket_hi < 1.0:
-            raise ConfigError("bracket must satisfy -1 < lo < hi < 1")
         if self.max_iterations < 4:
             raise ConfigError("iteration budget too small")
         if self.crosscheck_tol <= 0.0:
@@ -97,32 +95,14 @@ class GapResult:
             "below_gap": self.below_gap,
             "crosscheck_lambda1": self.crosscheck_lambda1,
             "flags": list(self.flags),
+            "converged": self.converged,
         }
 
 
 def _require_atomic(mu: ChargeDistribution, what: str) -> None:
     if mu.layers:
         raise ConfigError(
-            f"{what} needs an atomic charge; atomize layered charges first")
-
-
-def assemble_W(lam: float, basis: SpinorBasis, mu: ChargeDistribution,
-               grid: QuadratureGrid,
-               evaluation: GridEvaluation | None = None) -> np.ndarray:
-    """Weighted spinor-gradient Gram W(lam), Hermitian N x N.
-
-    Entries are int (sigma.grad chi_i)^dag (1+lam+v)^-1 (sigma.grad chi_j)
-    by grid quadrature.  The denominator is >= 1+lam > 0 everywhere, so W
-    is positive definite and decreases (semidefinite order) as lam grows.
-    """
-    if lam <= -1.0:
-        raise ValueError("trial energy must exceed -1")
-    if evaluation is None:
-        evaluation = GridEvaluation(basis, grid)
-    vpot = potential_grid(mu, grid.points)
-    c = grid.weights / (1.0 + lam + vpot)
-    dot, cross = evaluation.weighted_grad_blocks(c)
-    return spinor_matrix(dot, cross)
+            f"{what} needs an atomic charge, got radial layers")
 
 
 class _GapEngine:
@@ -210,11 +190,10 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     engine = _GapEngine(basis, mu, grid)
     nu = mu.total_charge
     root = _rootfind.solve_monotone_gap(
-        engine.mu_min, config.bracket_lo, config.bracket_hi,
+        engine.mu_min, *_BRACKET,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
         max_iter=config.max_iterations,
-        start=math.sqrt(1.0 - nu * nu) if nu < 1.0 else None,
-        slope=engine.slope)
+        start=math.sqrt(max(0.0, 1.0 - nu * nu)), slope=engine.slope)
 
     flags = []
     if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):
@@ -225,7 +204,7 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
             "no eigenvalue has entered the gap for this charge and basis")
     if root.status == _rootfind.BELOW_GAP:
         return GapResult(
-            lambda1=config.bracket_lo, coefficients=None,
+            lambda1=_BRACKET[0], coefficients=None,
             residual=root.residual, iterations=root.iterations,
             below_gap=True, converged=False, bracket=root.bracket,
             trace=tuple(root.trace),
@@ -305,7 +284,7 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
 
     x = basis.orthogonalizer
     tev, tvec = np.linalg.eigh(tdot)
-    keep = tev > tev[-1] / basis.cond_cap
+    keep = tev > tev[-1] / COND_CAP
     if not np.any(keep):
         raise IllConditionedBasisError("small-component metric collapsed")
     y = tvec[:, keep] / np.sqrt(tev[keep])[None, :]

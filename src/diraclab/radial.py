@@ -101,12 +101,6 @@ def derivative_matrix(n: int, h: float) -> sp.csr_matrix:
     return sp.vstack([ends[:2], middle, ends[2:]], format="csr")
 
 
-def radial_potential(mu: ChargeDistribution, r):
-    """Potential of a radially symmetric mu at radius r (scalar or array)."""
-    arr = radial_profile(mu, np.asarray(r, dtype=float))
-    return float(arr) if np.isscalar(r) else arr
-
-
 def _gauss_on(eps: float):
     return 0.5 * eps * (_LEG_X + 1.0), 0.5 * eps * _LEG_W
 
@@ -295,17 +289,17 @@ def lambda_of_trial(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid,
     return lam
 
 
+# Root-find bracket of every radial solve.
+_BRACKET = (-1.0 + 1e-9, 1.0)
+
+
 @dataclass(frozen=True)
 class RadialSolveConfig:
     lam_tol: float = 1e-10
     residual_tol: float = 1e-12
-    bracket_lo: float = -1.0 + 1e-9
-    bracket_hi: float = 1.0
     max_iterations: int = 60
 
     def __post_init__(self):
-        if not (-1.0 < self.bracket_lo < self.bracket_hi <= 1.0):
-            raise ConfigError("radial bracket must satisfy -1 < lo < hi <= 1")
         if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
             raise ConfigError("tolerances must be positive")
 
@@ -328,6 +322,7 @@ class RadialGapResult:
             "iterations": self.iterations,
             "below_gap": self.below_gap,
             "kappa": self.kappa,
+            "converged": self.converged,
         }
 
 
@@ -340,41 +335,19 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
     config = config or RadialSolveConfig()
     prob = _ChannelProblem(mu, kappa, grid)
     rs = _rootfind.solve_monotone_gap(
-        prob.mu_min,
-        config.bracket_lo, config.bracket_hi,
+        prob.mu_min, *_BRACKET,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
         max_iter=config.max_iterations)
     if rs.status == _rootfind.NO_ROOT:
         raise NoGapEigenvalueError(
             f"no gap eigenvalue in channel kappa={prob.kappa}: "
-            f"h({config.bracket_hi}) = {rs.h_hi} > 0")
+            f"h({rs.lam}) = {rs.residual} > 0")
     below = rs.status == _rootfind.BELOW_GAP
     return RadialGapResult(
         lambda1=rs.lam, residual=rs.residual, iterations=rs.iterations,
         below_gap=below, kappa=prob.kappa,
         converged=rs.converged and not below,
         bracket=rs.bracket, trace=rs.trace)
-
-
-def channel_sweep(mu: ChargeDistribution, grid: RadialGrid | None = None,
-                  config: RadialSolveConfig | None = None,
-                  kappa_max: int = 3) -> dict[int, RadialGapResult]:
-    """Solve every channel 1 <= |kappa| <= kappa_max that has a gap state."""
-    out: dict[int, RadialGapResult] = {}
-    for k in range(-kappa_max, kappa_max + 1):
-        if k == 0:
-            continue
-        try:
-            out[k] = lowest_gap_eigenvalue_radial(mu, k, grid, config)
-        except (NoGapEigenvalueError, BelowGapError):
-            continue
-    if not out:
-        raise NoGapEigenvalueError(f"no channel |kappa| <= {kappa_max} binds")
-    return out
-
-
-def min_over_channels(results: dict[int, RadialGapResult]) -> RadialGapResult:
-    return min(results.values(), key=lambda res: res.lambda1)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own formulas and grids:
 scipy.integrate.quad, scipy.special.erf, or plain Gauss-Legendre rules on
-textbook parametrizations.  Accuracy is well past the tolerances asserted
-in the tests that consume these.
+textbook parametrizations.  The weighted gradient Grams take tabulated
+gradients and sum them in one unblocked pass per component.  Accuracy is
+well past the tolerances asserted in the tests that consume these.
 """
 import warnings
 
@@ -114,6 +115,20 @@ def gaussian_attraction_reference(a, A, b, B, C) -> float:
     if d < 1e-14:
         return pref * 2.0 * np.pi / p
     return pref * (np.pi / p) ** 1.5 * float(special.erf(np.sqrt(p) * d)) / d
+
+
+def weighted_grad_dot(grads, c) -> np.ndarray:
+    """sum_k int c d_k g_i d_k g_j from tabulated gradients, in one pass."""
+    return sum(g.T @ (c[:, None] * g) for g in grads)
+
+
+def weighted_grad_cross(grads, c) -> list:
+    """Antisymmetric cross Grams int c (d_a g_i d_b g_j - d_b g_i d_a g_j)."""
+    out = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        m1 = grads[a].T @ (c[:, None] * grads[b])
+        out.append(m1 - m1.T)
+    return out
 
 
 def point_dirac_lambda(nu: float) -> float:

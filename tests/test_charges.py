@@ -48,13 +48,14 @@ def test_point_potential_matches_coulomb_law():
     mu = charges.atoms([(0, 0, 0), (2, 0, 0)], [0.3, 0.5])
     x = (0.5, 0.5, 0.0)
     expect = 0.3 / np.linalg.norm(x) + 0.5 / np.linalg.norm((1.5, -0.5, 0.0))
-    assert charges.potential_at(mu, x) == pytest.approx(expect, rel=1e-14)
+    got = charges.potential_grid(mu, np.array([x]))[0]
+    assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_potential_singular_at_atom():
     mu = charges.atom((1, 0, 0), 0.5)
     with pytest.raises(SingularLocationError):
-        charges.potential_at(mu, (1, 0, 0))
+        charges.potential_grid(mu, np.array([(1.0, 0.0, 0.0)]))
 
 
 def test_shell_potential_against_quadrature_oracle():
@@ -63,7 +64,8 @@ def test_shell_potential_against_quadrature_oracle():
     for r in (0.3, 1.0, 2.5, 40.0):
         ref = oracles.shell_potential_reference(r, rho, 0.5)
         assert charges.radial_profile(mu, r) == pytest.approx(ref, rel=1e-12)
-        got = charges.potential_at(mu, (0, r / math.sqrt(2), r / math.sqrt(2)))
+        got = charges.potential_grid(
+            mu, np.array([(0.0, r / math.sqrt(2), r / math.sqrt(2))]))[0]
         assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -138,20 +140,6 @@ def test_pushforward_preserves_total_charge(scale, theta):
     mu = charges.atoms([(2, 0, 0), (0, 1, 0)], [theta, theta])
     img = charges.pushforward(mu, np.eye(3), scale)
     assert img.total_charge == pytest.approx(mu.total_charge, abs=1e-14)
-
-
-def test_atomize_radial_approaches_layer_potential():
-    mu = charges.shell(0.5, 1.0)
-    probe = (0.9, 1.3, -0.4)  # off the shell, off axis
-    want = charges.potential_at(mu, probe)
-    errs = []
-    for k in (8, 64, 512):
-        got = charges.potential_at(charges.atomize_radial(mu, k), probe)
-        errs.append(abs(got - want))
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 2e-4
-    assert charges.atomize_radial(mu, 64).total_charge == pytest.approx(
-        0.5, abs=1e-15)
 
 
 def test_mix_and_combine():

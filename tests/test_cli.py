@@ -90,8 +90,31 @@ def test_multicenter_solve_json(tmp_path, capsys):
     assert cli.main(["multicenter", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"lambda1", "residual", "iterations", "below_gap",
-                        "crosscheck_lambda1", "flags"}
+                        "crosscheck_lambda1", "flags", "converged"}
     assert out["lambda1"] == pytest.approx(math.sqrt(0.75), abs=5e-3)
+    assert out["converged"] is True
+
+
+def test_multicenter_atom_order_does_not_change_json_bytes(tmp_path):
+    head = "[basis]\nn_s = 8\n\n[grid]\nn_radial = 48\nangular_order = 17\n"
+    blocks = [f"\n[charge.point]\nposition = {pos}\ntheta = 0.15\n"
+              for pos in ("0 0 0", "1.2 0 0", "0.4 0.9 0")]
+    outputs = []
+    for order in (blocks, blocks[::-1]):
+        cfg = write(tmp_path, "three.cfg", head + "".join(order))
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert cli.main(["multicenter", "--config", cfg,
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_radial_json_reports_unconverged_solve(tmp_path, capsys):
+    cfg = write(tmp_path, "shell.cfg",
+                RADIAL_SHELL + "\n[solver]\nmax_iterations = 3\n")
+    assert cli.main(["radial", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is False and out["iterations"] <= 3
 
 
 def test_multicenter_rejects_non_boolean_crosscheck(tmp_path, capsys):

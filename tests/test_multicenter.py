@@ -13,6 +13,13 @@ def basis_for(mu, **kw):
     return gaussian.default_spinor_basis(mu, **kw)
 
 
+def weighted_w(lam, basis, mu, grid):
+    """W(lam): the spinor gradient Gram weighted by 1/(1 + lam + v)."""
+    c = grid.weights / (1.0 + lam + charges.potential_grid(mu, grid.points))
+    dot, cross = gaussian.GridEvaluation(basis, grid).weighted_grad_blocks(c)
+    return gaussian.spinor_matrix(dot, cross)
+
+
 def test_assemble_w_free_case_scales_like_grad_gram():
     # with no potential the weight is constant 1/(1+lam)
     mu = charges.atom((0, 0, 0), 0.5)
@@ -20,7 +27,7 @@ def test_assemble_w_free_case_scales_like_grad_gram():
     grid = gaussian.grid_for_basis(basis)
     zero_v = charges.ChargeDistribution()  # no charge at all
     for lam in (-0.5, 0.0, 0.7):
-        w = multicenter.assemble_W(lam, basis, zero_v, grid)
+        w = weighted_w(lam, basis, zero_v, grid)
         want = (gaussian.spinor_matrix(basis.scalar.grad_dot_matrix())
                 / (1.0 + lam))
         assert np.max(np.abs(w - want)) <= 1e-6 * np.max(np.abs(want))
@@ -34,11 +41,12 @@ def test_assemble_w_decreases_with_lambda():
     g = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     vals = []
     for lam in (-0.9, -0.3, 0.2, 0.8):
-        w = multicenter.assemble_W(lam, basis, mu, grid)
+        w = weighted_w(lam, basis, mu, grid)
         vals.append(float((g.conj() @ w @ g).real))
     assert all(a > b for a, b in zip(vals, vals[1:]))
+    engine = multicenter._GapEngine(basis, mu, grid)
     with pytest.raises(ValueError):
-        multicenter.assemble_W(-1.0, basis, mu, grid)
+        engine.mu_min(-1.0)
 
 
 def test_assemble_w_grid_self_convergence():
@@ -46,8 +54,8 @@ def test_assemble_w_grid_self_convergence():
     basis = basis_for(mu, n_s=8)
     coarse = gaussian.grid_for_basis(basis, n_radial=96, angular_order=29)
     fine = gaussian.grid_for_basis(basis, n_radial=192, angular_order=35)
-    w_c = multicenter.assemble_W(0.3, basis, mu, coarse)
-    w_f = multicenter.assemble_W(0.3, basis, mu, fine)
+    w_c = weighted_w(0.3, basis, mu, coarse)
+    w_f = weighted_w(0.3, basis, mu, fine)
     scale = np.max(np.abs(w_f))
     assert np.max(np.abs(w_c - w_f)) <= 1e-7 * scale
 
@@ -123,7 +131,7 @@ def test_eigenvector_satisfies_pencil_equation():
     res = multicenter.solve_gap(basis, mu, grid)
     s = gaussian.spinor_matrix(basis.scalar.overlap_matrix())
     m_v = gaussian.spinor_matrix(basis.scalar.potential_matrix(mu))
-    a = multicenter.assemble_W(res.lambda1, basis, mu, grid) + s + m_v
+    a = weighted_w(res.lambda1, basis, mu, grid) + s + m_v
     c = res.coefficients
     r = a @ c - res.lambda1 * (s @ c)
     # the Rayleigh residual inherits the root residual, not machine eps
@@ -210,16 +218,17 @@ def test_near_critical_atom_is_flagged():
 
 
 def test_no_root_when_bracket_excludes_eigenvalue():
-    mu = charges.atom((0, 0, 0), 0.3)  # lambda1 ~ 0.954
-    cfg = multicenter.GapSolveConfig(bracket_hi=0.5)
+    # a weak atom in a small, compact basis: mu_min(1 - 1e-12) stays above
+    # 1 - 1e-12, so no eigenvalue has entered the gap
+    mu = charges.atom((0, 0, 0), 0.05)
     with pytest.raises(NoGapEigenvalueError):
-        multicenter.solve_gap(basis_for(mu, n_s=6), mu, config=cfg)
+        multicenter.solve_gap(basis_for(mu, n_s=4, alpha0=2.0), mu)
 
 
 def test_below_gap_status_when_root_under_bracket():
-    mu = charges.atom((0, 0, 0), 0.5)  # lambda1 ~ 0.866
-    cfg = multicenter.GapSolveConfig(bracket_lo=0.99)
-    res = multicenter.solve_gap(basis_for(mu, n_s=6), mu, config=cfg)
+    # two strong atoms almost merged (total 2 > 1) dive below the gap
+    mu = charges.atoms([(0, 0, 0), (0.05, 0, 0)], [1.0, 1.0])
+    res = multicenter.solve_gap(basis_for(mu, n_s=6), mu)
     assert res.below_gap and not res.converged
     assert res.coefficients is None
 
@@ -235,8 +244,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         multicenter.GapSolveConfig(lam_tol=0.0)
     with pytest.raises(ConfigError):
-        multicenter.GapSolveConfig(bracket_lo=0.9, bracket_hi=0.1)
-    with pytest.raises(ConfigError):
         multicenter.GapSolveConfig(max_iterations=2)
 
 
@@ -244,7 +251,8 @@ def test_result_json_fields():
     mu = charges.atom((0, 0, 0), 0.5)
     out = multicenter.solve_gap(basis_for(mu, n_s=6), mu).to_json()
     assert set(out) == {"lambda1", "residual", "iterations", "below_gap",
-                        "crosscheck_lambda1", "flags"}
+                        "crosscheck_lambda1", "flags", "converged"}
+    assert out["converged"] is True
     assert out["crosscheck_lambda1"] is None
     assert out["flags"] == []
 

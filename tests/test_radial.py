@@ -110,9 +110,10 @@ def test_ball_between_shell_and_point():
 
 
 def test_channel_sweep_ground_channel_wins():
-    results = radial.channel_sweep(point(0.6), kappa_max=2)
-    assert set(results) == {-2, -1, 1, 2}
-    best = radial.min_over_channels(results)
+    results = [radial.lowest_gap_eigenvalue_radial(point(0.6), kappa)
+               for kappa in (-2, -1, 1, 2)]
+    assert [res.kappa for res in results] == [-2, -1, 1, 2]
+    best = min(results, key=lambda res: res.lambda1)
     assert best.kappa == -1
     assert best.lambda1 == pytest.approx(math.sqrt(1 - 0.36), abs=1e-6)
 
@@ -199,4 +200,5 @@ def test_result_json_fields():
     res = radial.lowest_gap_eigenvalue_radial(point(0.5))
     out = res.to_json()
     assert set(out) == {"lambda1", "residual", "iterations", "below_gap",
-                        "kappa"}
+                        "kappa", "converged"}
+    assert out["converged"] is True

@@ -75,17 +75,23 @@ def test_root_at_bracket_ends():
 def test_below_gap_and_no_root_statuses():
     # a start on either side of the gap ends changes neither status
     for start in (None, -0.5, 0.0, 0.9):
+        slope = None if start is None else (lambda lam: 0.0)
         res = _rootfind.solve_monotone_gap(
-            lambda lam: -2.0, -0.99, 0.999, start=start,
-            slope=lambda lam: 0.0, **TOL)
+            lambda lam: -2.0, -0.99, 0.999, start=start, slope=slope, **TOL)
         assert res.status == _rootfind.BELOW_GAP
         assert not res.converged and res.trace[-1][0] == -0.99
 
         res = _rootfind.solve_monotone_gap(
-            lambda lam: 2.0, -0.99, 0.999, start=start,
-            slope=lambda lam: 0.0, **TOL)
+            lambda lam: 2.0, -0.99, 0.999, start=start, slope=slope, **TOL)
         assert res.status == _rootfind.NO_ROOT
         assert not res.converged and res.trace[-1][0] == 0.999
+
+
+def test_start_and_slope_come_together():
+    for kw in ({"start": 0.0}, {"slope": lambda lam: 0.0}):
+        with pytest.raises(ValueError):
+            _rootfind.solve_monotone_gap(affine(0.2, -1.0), LO, HI,
+                                         **kw, **TOL)
 
 
 def test_iteration_budget_is_respected():
