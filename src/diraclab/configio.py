@@ -150,12 +150,6 @@ class ConfigDoc:
         for section in self.sections:
             self.typed(section)
 
-    def require(self, section: str, key: str):
-        try:
-            return self.sections[section][key]
-        except KeyError:
-            raise ConfigError(f"missing required key {key!r} in [{section}]") from None
-
 
 def parse_config(text: str) -> ConfigDoc:
     doc = ConfigDoc()

@@ -23,6 +23,11 @@ PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex))
 
 EXPONENT_RANGE = (1e-8, 1e12)
+# Grid points per block of every loop over a tabulated grid.
+BLOCK = 8192
+# Default radial shell count and angular order of a 3D solve's grid.
+N_RADIAL = 96
+ANGULAR_ORDER = 29
 # Overlap (and small-component metric) eigenvalues below the largest one
 # divided by this are dropped as numerically dependent directions.
 COND_CAP = 1e10
@@ -150,22 +155,21 @@ class ScalarBasis:
         return out
 
     def values_and_gradients(self, pts: np.ndarray):
-        """Values (m,n) and three contiguous gradient component arrays.
+        """Values (m, n) and gradients (m, 3, n) of every primitive.
 
-        Filled one primitive column at a time, so no (m, n) temporary
-        beyond the four outputs is allocated.
+        Filled over blocks of BLOCK points for all primitives at once.
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
         vals = np.empty((m, self.n))
-        grads = [np.empty((m, self.n)) for _ in range(3)]
-        for k, g in enumerate(self.primitives):
-            dx = pts - np.asarray(g.center)[None, :]
-            r2 = np.einsum("ij,ij->i", dx, dx)
-            e = g.norm * np.exp(-g.exponent * r2)
-            vals[:, k] = e
-            for d in range(3):
-                grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * e
+        grads = np.empty((m, 3, self.n))
+        for start in range(0, m, BLOCK):
+            sl = slice(start, start + BLOCK)
+            dx = pts[sl, :, None] - self.centers.T[None, :, :]
+            e = self.norms * np.exp(-self.alphas * np.einsum(
+                "ijk,ijk->ik", dx, dx))
+            vals[sl] = e
+            grads[sl] = -2.0 * self.alphas * dx * e[:, None, :]
         return vals, grads
 
 
@@ -291,6 +295,8 @@ def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
         raise ConfigError("grid needs at least one center")
     if angular_order < 1 or angular_order % 2 == 0:
         raise ConfigError("angular order must be an odd positive integer")
+    if n_radial < 2:
+        raise ConfigError("grid needs at least two radial shells")
 
     tt = np.linspace(math.log(r_lo), math.log(r_hi), n_radial)
     h = tt[1] - tt[0]
@@ -338,8 +344,8 @@ def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
                           partition_residual=residual)
 
 
-def grid_for_basis(basis: SpinorBasis, n_radial: int = 96,
-                   angular_order: int = 29) -> QuadratureGrid:
+def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
+                   angular_order: int = ANGULAR_ORDER) -> QuadratureGrid:
     """Grid sized from the basis: range scales with the exponent extremes.
 
     Radial shells must reach past the most diffuse function (and past the
@@ -363,38 +369,48 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = 96,
 
 
 class GridEvaluation:
-    """Basis values and gradients tabulated on a grid, with weighted Grams."""
+    """Basis values (m, n) and gradients (m, 3, n) tabulated on a grid."""
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
         self.basis = basis
         self.grid = grid
-        vals, grads = basis.scalar.values_and_gradients(grid.points)
-        self.vals = vals
-        self.grads = [np.ascontiguousarray(g) for g in grads]
+        self.vals, self.grads = basis.scalar.values_and_gradients(grid.points)
 
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         return self.vals.T @ (c[:, None] * self.vals)
 
-    def weighted_grad_blocks(self, c: np.ndarray, block: int = 16384):
-        """Dot and cross gradient Grams accumulated over ordered grid blocks.
+    def weighted_grad_blocks(self, c: np.ndarray):
+        """Dot and cross gradient Grams for a weight c >= 0.
 
-        Returns (dot, [cross_x, cross_y, cross_z]) with the dot part
-        symmetrized and the cross parts exactly antisymmetric, so the spinor
-        assembly is Hermitian to the last bit.
+        rows^T rows of the sqrt(c)-weighted gradients, viewed (points, 3n),
+        is summed over grid blocks; numpy runs it as a symmetric rank-k
+        update.  dot sums its diagonal n x n blocks and cross_k differences
+        one off-diagonal pair, so they are exactly (anti)symmetric.
         """
+        if np.any(c < 0.0):
+            raise ValueError("gradient Gram weights must be nonnegative")
         n = self.basis.scalar.n
-        dot = np.zeros((n, n))
-        cross = [np.zeros((n, n)) for _ in range(3)]
-        gx, gy, gz = self.grads
-        for start in range(0, len(c), block):
-            sl = slice(start, start + block)
-            cw = c[sl][:, None]
-            ga, gb, gc = gx[sl], gy[sl], gz[sl]
-            cga, cgb, cgc = cw * ga, cw * gb, cw * gc
-            dot += ga.T @ cga + gb.T @ cgb + gc.T @ cgc
-            for k, (u, v) in enumerate(((gb, cgc), (gc, cga), (ga, cgb))):
-                m1 = u.T @ v
-                cross[k] += m1 - m1.T
-        dot = 0.5 * (dot + dot.T)
-        return dot, cross
+        gram = np.zeros((3 * n, 3 * n))
+        root = np.sqrt(c)
+        for start in range(0, len(c), BLOCK):
+            sl = slice(start, start + BLOCK)
+            rows = (root[sl, None, None] * self.grads[sl]).reshape(-1, 3 * n)
+            gram += rows.T @ rows
+        g = gram.reshape(3, n, 3, n)  # g[a, :, b] = int c d_a g_i d_b g_j
+        cross = [g[a, :, b] - g[b, :, a] for a, b in ((1, 2), (2, 0), (0, 1))]
+        return g[0, :, 0] + g[1, :, 1] + g[2, :, 2], cross
 
+    def weighted_sigma_grad(self, c: np.ndarray, psi: np.ndarray) -> float:
+        """int c |sigma.grad psi|^2 for spinor coefficients psi, spin fastest.
+
+        sigma.grad psi = sum_a d_a g_i (sigma_a psi_i), so each block is one
+        (points x 3n)(3n x 4) product giving its real and imaginary parts.
+        """
+        spun = np.concatenate([psi.reshape(-1, 2) @ s.T for s in PAULI])
+        parts = np.column_stack([spun.real, spun.imag])
+        total = 0.0
+        for start in range(0, len(c), BLOCK):
+            sl = slice(start, start + BLOCK)
+            d = self.grads[sl].reshape(-1, len(parts)) @ parts
+            total += float(c[sl] @ (d * d).sum(1))
+        return total

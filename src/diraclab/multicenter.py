@@ -35,8 +35,9 @@ from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
 from .errors import (ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError)
-from .gaussian import (COND_CAP, GridEvaluation, QuadratureGrid,
-                       SpinorBasis, grid_for_basis, spinor_matrix)
+from .gaussian import (ANGULAR_ORDER, COND_CAP, N_RADIAL, GridEvaluation,
+                       QuadratureGrid, SpinorBasis, grid_for_basis,
+                       spinor_matrix)
 
 NEAR_CRITICAL_STRENGTH = 0.9
 # Root-find bracket of every 3D solve.
@@ -56,8 +57,8 @@ class GapSolveConfig:
     lam_tol: float = 1e-8
     residual_tol: float = 1e-8
     max_iterations: int = 60
-    n_radial: int = 96
-    angular_order: int = 29
+    n_radial: int = N_RADIAL
+    angular_order: int = ANGULAR_ORDER
     crosscheck: bool = False
     crosscheck_tol: float = 1e-3
 
@@ -68,6 +69,10 @@ class GapSolveConfig:
             raise ConfigError("iteration budget too small")
         if self.crosscheck_tol <= 0.0:
             raise ConfigError("crosscheck tolerance must be positive")
+        if self.n_radial < 2 or self.angular_order < 1 \
+                or self.angular_order % 2 == 0:
+            raise ConfigError("grid needs n_radial >= 2 and an odd positive "
+                              "angular_order")
 
 
 @dataclass
@@ -151,27 +156,10 @@ class _GapEngine:
         return self.vectors[lam]
 
     def slope(self, lam: float) -> float:
-        """mu'(lam) = -int w (1+lam+v)^-2 |sigma.grad psi|^2 (Hellmann-Feynman).
-
-        psi is the eigenvector of mu_min(lam).  Its gradient comes from the
-        tabulated basis gradients in grid blocks of the size that
-        weighted_grad_blocks uses, so no (points x n) temporary is made.
-        """
-        coef = self.eigenvector(lam).reshape(-1, 2)
-        parts = np.column_stack([coef.real, coef.imag])  # (n, 4) real
-        weight = self.grid.weights / (1.0 + lam + self.vpot) ** 2
-        total = 0.0
-        for start in range(0, len(weight), 16384):
-            sl = slice(start, start + 16384)
-            # d/dx, d/dy, d/dz of the (up, down) spin components
-            gx, gy, gz = [d[:, :2] + 1j * d[:, 2:] for d in
-                          (g[sl] @ parts for g in self.evaluation.grads)]
-            up = gx[:, 1] - 1j * gy[:, 1] + gz[:, 0]
-            down = gx[:, 0] + 1j * gy[:, 0] - gz[:, 1]
-            dens = up.real ** 2 + up.imag ** 2 + down.real ** 2 \
-                + down.imag ** 2
-            total += float(weight[sl] @ dens)
-        return -total
+        """mu'(lam) = -int w (1+lam+v)^-2 |sigma.grad psi|^2, psi the
+        eigenvector of mu_min(lam) (Hellmann-Feynman)."""
+        c = self.grid.weights / (1.0 + lam + self.vpot) ** 2
+        return -self.evaluation.weighted_sigma_grad(c, self.eigenvector(lam))
 
 
 def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
@@ -280,7 +268,8 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     vpot = potential_grid(mu, grid.points)
     if evaluation is None:
         evaluation = GridEvaluation(basis, grid)
-    pdot, pcross = evaluation.weighted_grad_blocks(-grid.weights * vpot)
+    # P is the negated Gram of the nonnegative weight w v
+    pdot, pcross = evaluation.weighted_grad_blocks(grid.weights * vpot)
 
     x = basis.orthogonalizer
     tev, tvec = np.linalg.eigh(tdot)
@@ -291,8 +280,8 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
 
     ll = spinor_matrix(x.T @ (sdot + mvdot) @ x)
     ls = spinor_matrix(x.T @ tdot @ y)
-    ss = spinor_matrix(y.T @ (pdot - tdot) @ y,
-                       [y.T @ m @ y for m in pcross])
+    ss = spinor_matrix(y.T @ (-pdot - tdot) @ y,
+                       [y.T @ -m @ y for m in pcross])
     top = np.hstack([ll, ls])
     bot = np.hstack([ls.conj().T, ss])
     evals = np.linalg.eigvalsh(np.vstack([top, bot]))

@@ -117,6 +117,21 @@ def gaussian_attraction_reference(a, A, b, B, C) -> float:
     return pref * (np.pi / p) ** 1.5 * float(special.erf(np.sqrt(p) * d)) / d
 
 
+def values_and_gradients(scalar, pts):
+    """Values (m, n) and three gradient component arrays, one primitive
+    column at a time."""
+    vals = np.empty((len(pts), scalar.n))
+    grads = [np.empty((len(pts), scalar.n)) for _ in range(3)]
+    for k, g in enumerate(scalar.primitives):
+        dx = pts - np.asarray(g.center)[None, :]
+        r2 = np.einsum("ij,ij->i", dx, dx)
+        e = g.norm * np.exp(-g.exponent * r2)
+        vals[:, k] = e
+        for d in range(3):
+            grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * e
+    return vals, grads
+
+
 def weighted_grad_dot(grads, c) -> np.ndarray:
     """sum_k int c d_k g_i d_k g_j from tabulated gradients, in one pass."""
     return sum(g.T @ (c[:, None] * g) for g in grads)

@@ -169,6 +169,18 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("command,text", [
+    ("multicenter", MULTI), ("conjecture-sweep", FAST_SWEEP)],
+    ids=["multicenter", "sweep"])
+@pytest.mark.parametrize("n_radial", ["1", "0", "-3"])
+def test_bad_radial_shell_count_exits_1(tmp_path, capsys, command, text,
+                                        n_radial):
+    cfg = write(tmp_path, "grid.cfg",
+                text.replace("n_radial = 64", f"n_radial = {n_radial}"))
+    assert cli.main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,text", [
     ("conjecture-sweep", FAST_SWEEP.replace("n_s = 8", "n_s = abc")),
     ("multicenter", MULTI.replace("n_s = 8", "n_s = 2.7")),
     ("conjecture-sweep", FAST_SWEEP.replace(

@@ -39,8 +39,6 @@ def test_parse_sections_and_values():
     assert doc.get("experiment", "separations") == (0.25, 0.5, 1)
     assert doc.get("solver", "lam_tol") == 1e-9
     assert doc.get("solver", "missing", 7) == 7
-    with pytest.raises(ConfigError):
-        doc.require("solver", "missing")
 
 
 def test_parse_charge_blocks():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diraclab import charges, gaussian
+from diraclab import charges, gaussian, multicenter
 from diraclab.errors import ConfigError, IllConditionedBasisError
 
 
@@ -126,7 +126,20 @@ def test_values_and_gradients_match_finite_differences():
         shift[d] = eps
         vp, _ = sb.values_and_gradients(pts + shift)
         vm, _ = sb.values_and_gradients(pts - shift)
-        assert np.allclose(grads[d], (vp - vm) / (2 * eps), atol=1e-7)
+        assert np.allclose(grads[:, d], (vp - vm) / (2 * eps), atol=1e-7)
+
+
+def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
+    monkeypatch.setattr(gaussian, "BLOCK", 700)
+    basis = two_center_basis(n_s=4)
+    pts = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9).points
+    assert len(pts) % 700 != 0  # the last block is partial
+    vals, grads = basis.scalar.values_and_gradients(pts)
+    ref_vals, ref_grads = oracles.values_and_gradients(basis.scalar, pts)
+    assert grads.shape == (len(pts), 3, basis.scalar.n)
+    assert np.array_equal(vals, ref_vals)
+    for d in range(3):
+        assert np.array_equal(grads[:, d], ref_grads[d])
 
 
 def test_primitive_validation():
@@ -248,21 +261,61 @@ def test_grid_reproduces_analytic_attraction():
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
-def test_weighted_grad_blocks_consistency():
+def test_weighted_grad_blocks_consistency(monkeypatch):
+    monkeypatch.setattr(gaussian, "BLOCK", 1000)
     basis = two_center_basis(n_s=4)
     grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
     ev = gaussian.GridEvaluation(basis, grid)
     c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
-    dot, cross = ev.weighted_grad_blocks(c, block=1000)
-    assert np.allclose(dot, oracles.weighted_grad_dot(ev.grads, c),
-                       atol=1e-12)
-    for a, b in zip(cross, oracles.weighted_grad_cross(ev.grads, c)):
+    dot, cross = ev.weighted_grad_blocks(c)
+    grads = [ev.grads[:, d] for d in range(3)]
+    assert np.allclose(dot, oracles.weighted_grad_dot(grads, c), atol=1e-12)
+    assert np.array_equal(dot, dot.T)
+    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c)):
         assert np.allclose(a, b, atol=1e-12)
-        assert np.allclose(a, -a.T, atol=1e-15)
+        assert np.array_equal(a, -a.T)
+
+
+def test_weighted_grad_blocks_rejects_negative_weights():
+    basis = two_center_basis(n_s=3)
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
+    ev = gaussian.GridEvaluation(basis, grid)
+    c = grid.weights.copy()
+    c[5] = -1e-300
+    with pytest.raises(ValueError):
+        ev.weighted_grad_blocks(c)
+
+
+def test_weighted_sigma_grad_is_the_spinor_gram_form(monkeypatch):
+    monkeypatch.setattr(gaussian, "BLOCK", 500)
+    basis = two_center_basis(n_s=4)
+    grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
+    ev = gaussian.GridEvaluation(basis, grid)
+    c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1)) ** 2
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    want = psi.conj() @ gaussian.spinor_matrix(*ev.weighted_grad_blocks(c)) \
+        @ psi
+    assert abs(want.imag) <= 1e-12 * abs(want)
+    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want.real,
+                                                           rel=1e-12)
+
+
+def test_grid_for_basis_defaults_are_the_solver_defaults():
+    basis = two_center_basis(n_s=3)
+    cfg = multicenter.GapSolveConfig()
+    a = gaussian.grid_for_basis(basis)
+    b = gaussian.grid_for_basis(basis, cfg.n_radial, cfg.angular_order)
+    assert (a.n_radial, a.angular_order) == (b.n_radial, b.angular_order)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.weights, b.weights)
 
 
 def test_grid_validation():
     with pytest.raises(ConfigError):
         gaussian.build_grid([(0, 0, 0)], angular_order=8)
+    for n_radial in (1, 0, -3):
+        with pytest.raises(ConfigError):
+            gaussian.build_grid([(0, 0, 0)], n_radial=n_radial)
     with pytest.raises(ConfigError):
         gaussian.build_grid(np.empty((0, 3)))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from diraclab import charges, gaussian, multicenter
@@ -76,6 +78,54 @@ def test_translation_invariance():
     l0 = multicenter.solve_gap(basis_for(mu0), mu0).lambda1
     l1 = multicenter.solve_gap(basis_for(mu1), mu1).lambda1
     assert abs(l0 - l1) <= 1e-8
+
+
+@st.composite
+def small_molecules(draw):
+    """2-3 atoms of strength 0.1-0.3, at least 0.3 apart, within 1.5."""
+    coord = st.floats(min_value=-1.5, max_value=1.5)
+    atoms = draw(st.lists(st.tuples(st.tuples(coord, coord, coord),
+                                    st.floats(min_value=0.1, max_value=0.3)),
+                          min_size=2, max_size=3))
+    xyz = np.array([pos for pos, _ in atoms])
+    assume(min(np.linalg.norm(a - b) for i, a in enumerate(xyz)
+               for b in xyz[i + 1:]) >= 0.3)
+    return charges.atoms([pos for pos, _ in atoms], [t for _, t in atoms])
+
+
+def small_lambda1(mu):
+    """lambda1 with n_s = 6 on a 48 x 17 grid."""
+    basis = basis_for(mu, n_s=6)
+    return multicenter.solve_gap(
+        basis, mu, gaussian.grid_for_basis(basis, 48, 17)).lambda1
+
+
+INVARIANCE = settings(max_examples=6, derandomize=True, deadline=None)
+
+
+@given(mu=small_molecules(),
+       offset=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3))
+@INVARIANCE
+def test_translation_moves_lambda1_by_roundoff_only(mu, offset):
+    # basis and grid move with the atoms, so only roundoff changes
+    moved = charges.pushforward(mu, np.eye(3), 1.0, offset)
+    assert abs(small_lambda1(moved) - small_lambda1(mu)) <= 1e-12
+
+
+@given(mu=small_molecules(),
+       axis=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+       angle=st.floats(min_value=0.0, max_value=2.0 * math.pi))
+@INVARIANCE
+def test_rotation_moves_lambda1_by_quadrature_error_only(mu, axis, angle):
+    # The angular grid stays fixed in the lab frame, so a rotation moves
+    # lambda1 by quadrature error.  Over 140 random draws of these
+    # molecules that error was at most 8e-5; the bound leaves 2.5x margin.
+    a = np.asarray(axis)
+    assume(np.linalg.norm(a) >= 0.1)
+    k = np.cross(np.eye(3), a / np.linalg.norm(a))
+    rot = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k
+    turned = charges.pushforward(mu, rot, 1.0)
+    assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 2e-4
 
 
 def test_solve_trace_is_monotone_and_short():
@@ -245,6 +295,11 @@ def test_config_validation():
         multicenter.GapSolveConfig(lam_tol=0.0)
     with pytest.raises(ConfigError):
         multicenter.GapSolveConfig(max_iterations=2)
+    for grid in ({"n_radial": 1}, {"n_radial": 0}, {"n_radial": -3},
+                 {"angular_order": 8}, {"angular_order": 0},
+                 {"angular_order": -3}):
+        with pytest.raises(ConfigError):
+            multicenter.GapSolveConfig(**grid)
 
 
 def test_result_json_fields():
