@@ -239,7 +239,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     The atoms are put in canonical order first (see _canonical_basis).
     `diagnostics` goes to the manifest: the root find's iterations,
     residual and final bracket width, the retained rank of the basis
-    against its size, and the grid size; or the solver's error message.
+    against its size, the grid size and the grid's partition-of-unity
+    residual; or the solver's error message.
     """
     try:
         mu, basis = _canonical_basis(mu, cfg.basis)
@@ -263,7 +264,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
                 "iterations": res.iterations, "residual": res.residual,
                 "bracket_width": res.bracket[1] - res.bracket[0],
                 "retained_rank": basis.orthogonalizer.shape[1],
-                "basis_size": basis.scalar.n, "grid_points": grid.size}}
+                "basis_size": basis.scalar.n, "grid_points": grid.size,
+                "partition_residual": grid.partition_residual}}
 
 
 def _canonical_basis(mu: ChargeDistribution, basis_keys: dict):

@@ -7,6 +7,12 @@ at once as array expressions; see ScalarBasis.  Only the lam-dependent
 weighted integrals need the multi-center quadrature grid built here
 (per-center log radial shells times Gauss-Legendre-by-azimuth spheres,
 glued by smoothed Voronoi-style partition weights).
+
+On a grid the basis is tabulated once as values, with every value below
+VALUE_FLOOR stored as 0, plus the displacements of the points from the
+distinct centers.  Gradients -2a (x - A) g are formed from those per
+block of BLOCK points inside each weighted kernel, so no (points, 3, n)
+gradient table is ever held.
 """
 from __future__ import annotations
 
@@ -25,6 +31,11 @@ PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
 EXPONENT_RANGE = (1e-8, 1e12)
 # Grid points per block of every loop over a tabulated grid.
 BLOCK = 8192
+# Tabulated basis values below this are stored as 0.  Products of
+# weighted gradients below sqrt(tiny) ~ 1.5e-154 are subnormal and made
+# the gradient Gram about twice as slow on x86; on a shipped two-atom
+# geometry the dropped terms moved no Gram entry by more than 4.3e-109.
+VALUE_FLOOR = 1e-100
 # Default radial shell count and angular order of a 3D solve's grid.
 N_RADIAL = 96
 ANGULAR_ORDER = 29
@@ -118,6 +129,9 @@ class ScalarBasis:
         self.norms = np.array([g.norm for g in self.primitives])
         self.centers = np.array([g.center for g in self.primitives])
         self.alphas = np.array([g.exponent for g in self.primitives])
+        # the distinct centers and, per primitive, the index of its own
+        self.sites, self.site_of = np.unique(self.centers, axis=0,
+                                             return_inverse=True)
 
     def _pairs(self):
         """p = a + b, q = ab/p, d^2 and N_i N_j exp(-q d^2), each (n, n)."""
@@ -155,22 +169,35 @@ class ScalarBasis:
         return out
 
     def values_and_gradients(self, pts: np.ndarray):
-        """Values (m, n) and gradients (m, 3, n) of every primitive.
+        """Values (m, n) of every primitive, each below VALUE_FLOOR set to
+        0, and the displacements (m, 3, k) of the points from the k sites.
 
-        Filled over blocks of BLOCK points for all primitives at once.
+        `gradients` turns any block of the two into gradients.  Filled
+        over blocks of BLOCK points for all primitives at once.
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
         vals = np.empty((m, self.n))
-        grads = np.empty((m, 3, self.n))
+        disp = np.empty((m, 3, len(self.sites)))
         for start in range(0, m, BLOCK):
             sl = slice(start, start + BLOCK)
-            dx = pts[sl, :, None] - self.centers.T[None, :, :]
-            e = self.norms * np.exp(-self.alphas * np.einsum(
-                "ijk,ijk->ik", dx, dx))
+            dx = pts[sl, :, None] - self.sites.T[None, :, :]
+            r2 = np.einsum("ijk,ijk->ik", dx, dx)
+            e = self.norms * np.exp(-self.alphas * r2[:, self.site_of])
+            e[e < VALUE_FLOOR] = 0.0
             vals[sl] = e
-            grads[sl] = -2.0 * self.alphas * dx * e[:, None, :]
-        return vals, grads
+            disp[sl] = dx
+        return vals, disp
+
+    def gradients(self, vals: np.ndarray, disp: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Gradients (m, 3, n) ((-2a) (x - A)) g from values (m, n) and
+        site displacements (m, 3, k), written into `out` when given."""
+        # mode "clip" writes straight into out; the default buffers it
+        out = np.take(disp, self.site_of, axis=2, out=out, mode="clip")
+        out *= -2.0 * self.alphas
+        out *= vals[:, None, :]
+        return out
 
 
 def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
@@ -281,7 +308,8 @@ def becke_weights(pts: np.ndarray, centers: np.ndarray, order: int = 3
 EXCLUSION_RADIUS = 1e-10
 
 
-def build_grid(centers, n_radial: int = 80, angular_order: int = 29,
+def build_grid(centers, n_radial: int = N_RADIAL,
+               angular_order: int = ANGULAR_ORDER,
                r_lo: float = 2e-4, r_hi: float = 9.0) -> QuadratureGrid:
     """Per-center log-radial x spherical product grid with partition weights.
 
@@ -369,15 +397,29 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
 
 
 class GridEvaluation:
-    """Basis values (m, n) and gradients (m, 3, n) tabulated on a grid."""
+    """Basis values (m, n) and site displacements (m, 3, k) on a grid."""
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
         self.basis = basis
         self.grid = grid
-        self.vals, self.grads = basis.scalar.values_and_gradients(grid.points)
+        self.vals, self.disp = basis.scalar.values_and_gradients(grid.points)
 
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         return self.vals.T @ (c[:, None] * self.vals)
+
+    def gradient_blocks(self):
+        """(slice, gradients) per block of BLOCK points.
+
+        Every block is written into one reused buffer, so a caller may
+        scale it in place but must not keep it past the next block.
+        """
+        sc = self.basis.scalar
+        m = len(self.vals)
+        buf = np.empty((min(BLOCK, m), 3, sc.n))
+        for start in range(0, m, BLOCK):
+            sl = slice(start, start + BLOCK)
+            vals = self.vals[sl]
+            yield sl, sc.gradients(vals, self.disp[sl], out=buf[:len(vals)])
 
     def weighted_grad_blocks(self, c: np.ndarray):
         """Dot and cross gradient Grams for a weight c >= 0.
@@ -392,9 +434,9 @@ class GridEvaluation:
         n = self.basis.scalar.n
         gram = np.zeros((3 * n, 3 * n))
         root = np.sqrt(c)
-        for start in range(0, len(c), BLOCK):
-            sl = slice(start, start + BLOCK)
-            rows = (root[sl, None, None] * self.grads[sl]).reshape(-1, 3 * n)
+        for sl, grads in self.gradient_blocks():
+            grads *= root[sl, None, None]
+            rows = grads.reshape(-1, 3 * n)
             gram += rows.T @ rows
         g = gram.reshape(3, n, 3, n)  # g[a, :, b] = int c d_a g_i d_b g_j
         cross = [g[a, :, b] - g[b, :, a] for a, b in ((1, 2), (2, 0), (0, 1))]
@@ -409,8 +451,7 @@ class GridEvaluation:
         spun = np.concatenate([psi.reshape(-1, 2) @ s.T for s in PAULI])
         parts = np.column_stack([spun.real, spun.imag])
         total = 0.0
-        for start in range(0, len(c), BLOCK):
-            sl = slice(start, start + BLOCK)
-            d = self.grads[sl].reshape(-1, len(parts)) @ parts
+        for sl, grads in self.gradient_blocks():
+            d = grads.reshape(-1, len(parts)) @ parts
             total += float(c[sl] @ (d * d).sum(1))
         return total

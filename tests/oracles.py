@@ -117,15 +117,16 @@ def gaussian_attraction_reference(a, A, b, B, C) -> float:
     return pref * (np.pi / p) ** 1.5 * float(special.erf(np.sqrt(p) * d)) / d
 
 
-def values_and_gradients(scalar, pts):
+def values_and_gradients(scalar, pts, floor):
     """Values (m, n) and three gradient component arrays, one primitive
-    column at a time."""
+    column at a time; values below `floor` are set to 0 first."""
     vals = np.empty((len(pts), scalar.n))
     grads = [np.empty((len(pts), scalar.n)) for _ in range(3)]
     for k, g in enumerate(scalar.primitives):
         dx = pts - np.asarray(g.center)[None, :]
         r2 = np.einsum("ij,ij->i", dx, dx)
         e = g.norm * np.exp(-g.exponent * r2)
+        e[e < floor] = 0.0
         vals[:, k] = e
         for d in range(3):
             grads[d][:, k] = -2.0 * g.exponent * dx[:, d] * e

@@ -348,12 +348,14 @@ def test_manifest_carries_root_find_diagnostics_per_row(tmp_path):
     assert len(diags) == 2
     for row, diag in zip(report.rows, diags):
         assert set(diag) == {"iterations", "residual", "bracket_width",
-                             "retained_rank", "basis_size", "grid_points"}
+                             "retained_rank", "basis_size", "grid_points",
+                             "partition_residual"}
         assert row["converged"]
         assert diag["residual"] <= cfg.gap.residual_tol
         assert 0.0 <= diag["bracket_width"] <= cfg.gap.lam_tol
         assert 1 <= diag["iterations"] <= cfg.gap.max_iterations
         assert 0 < diag["retained_rank"] <= diag["basis_size"]
         assert diag["grid_points"] > 0
+        assert 0.0 <= diag["partition_residual"] <= 1e-12
     # the merged s = 0 row has one centre: half the basis of the pair
     assert diags[1]["basis_size"] == diags[0]["basis_size"] // 2 == 8

@@ -16,6 +16,17 @@ def two_center_basis(n_s=6, d=1.4):
     return gaussian.default_spinor_basis(mu, n_s=n_s, alpha0=0.05, beta=3.0)
 
 
+def shipped_pair():
+    """conjecture_m2's d = 1 geometry and default basis on a coarse grid,
+    with the Gram weight of its first sample, lam = sqrt(1 - 0.4^2)."""
+    mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.2, 0.2])
+    basis = gaussian.default_spinor_basis(mu)
+    grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
+    c = grid.weights / (1.0 + math.sqrt(0.84)
+                        + charges.potential_grid(mu, grid.points))
+    return basis, grid, c
+
+
 # --- Boys function ---------------------------------------------------------
 
 @pytest.mark.parametrize("m", range(5))
@@ -119,7 +130,7 @@ def test_values_and_gradients_match_finite_differences():
              gaussian.GaussianPrimitive((-0.6, 0.9, 0.3), 2.2)]
     sb = gaussian.ScalarBasis(prims)
     pts = np.array([[0.3, 0.2, 0.1], [-0.5, 1.0, 0.4]])
-    vals, grads = sb.values_and_gradients(pts)
+    grads = sb.gradients(*sb.values_and_gradients(pts))
     eps = 1e-6
     for d in range(3):
         shift = np.zeros(3)
@@ -132,14 +143,30 @@ def test_values_and_gradients_match_finite_differences():
 def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
     monkeypatch.setattr(gaussian, "BLOCK", 700)
     basis = two_center_basis(n_s=4)
-    pts = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9).points
-    assert len(pts) % 700 != 0  # the last block is partial
-    vals, grads = basis.scalar.values_and_gradients(pts)
-    ref_vals, ref_grads = oracles.values_and_gradients(basis.scalar, pts)
-    assert grads.shape == (len(pts), 3, basis.scalar.n)
-    assert np.array_equal(vals, ref_vals)
-    for d in range(3):
-        assert np.array_equal(grads[:, d], ref_grads[d])
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
+    assert grid.size % 700 != 0  # the last block is partial
+    ev = gaussian.GridEvaluation(basis, grid)
+    raw, _ = oracles.values_and_gradients(basis.scalar, grid.points, 0.0)
+    assert np.any((raw > 0.0) & (raw < gaussian.VALUE_FLOOR))
+    ref_vals, ref_grads = oracles.values_and_gradients(
+        basis.scalar, grid.points, gaussian.VALUE_FLOOR)
+    assert ev.disp.shape == (grid.size, 3, 2)
+    assert np.array_equal(ev.vals, ref_vals)
+    covered = 0
+    for sl, grads in ev.gradient_blocks():
+        for d in range(3):
+            assert np.array_equal(grads[:, d], ref_grads[d][sl])
+        covered += len(grads)
+    assert covered == grid.size
+
+
+def test_grid_evaluation_holds_no_gradient_table():
+    basis = two_center_basis(n_s=4)
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
+    ev = gaussian.GridEvaluation(basis, grid)
+    sizes = [a.size for a in vars(ev).values() if isinstance(a, np.ndarray)]
+    assert ev.vals.size in sizes
+    assert 3 * basis.scalar.n * grid.size not in sizes
 
 
 def test_primitive_validation():
@@ -268,12 +295,46 @@ def test_weighted_grad_blocks_consistency(monkeypatch):
     ev = gaussian.GridEvaluation(basis, grid)
     c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
     dot, cross = ev.weighted_grad_blocks(c)
-    grads = [ev.grads[:, d] for d in range(3)]
+    _, grads = oracles.values_and_gradients(basis.scalar, grid.points,
+                                            gaussian.VALUE_FLOOR)
     assert np.allclose(dot, oracles.weighted_grad_dot(grads, c), atol=1e-12)
     assert np.array_equal(dot, dot.T)
     for a, b in zip(cross, oracles.weighted_grad_cross(grads, c)):
         assert np.allclose(a, b, atol=1e-12)
         assert np.array_equal(a, -a.T)
+
+
+def test_value_floor_moves_the_gradient_gram_by_at_most_1e_100(monkeypatch):
+    basis, grid, c = shipped_pair()
+    dot, cross = gaussian.GridEvaluation(basis, grid).weighted_grad_blocks(c)
+    raw_vals, raw_grads = oracles.values_and_gradients(
+        basis.scalar, grid.points, 0.0)
+    assert np.any((raw_vals > 0.0) & (raw_vals < gaussian.VALUE_FLOOR))
+    # the unfloored oracle sums in another order, so it differs by round-off
+    atol = 1e-12 * np.max(np.abs(dot))
+    assert np.allclose(dot, oracles.weighted_grad_dot(raw_grads, c),
+                       rtol=0.0, atol=atol)
+    for a, b in zip(cross, oracles.weighted_grad_cross(raw_grads, c)):
+        assert np.allclose(a, b, rtol=0.0, atol=atol)
+    # the same arithmetic without the floor isolates the floor's own move
+    # (4.3e-109 here, in a cross entry)
+    monkeypatch.setattr(gaussian, "VALUE_FLOOR", 0.0)
+    dot0, cross0 = gaussian.GridEvaluation(basis, grid).weighted_grad_blocks(c)
+    assert np.max(np.abs(dot - dot0)) <= 1e-100
+    for a, b in zip(cross, cross0):
+        assert np.max(np.abs(a - b)) <= 1e-100
+
+
+def test_weighted_gradient_rows_make_no_subnormal_products():
+    # two nonzero row entries below sqrt(tiny) multiply to a subnormal,
+    # which x86 handles in microcode: the Gram's SYRK ran ~2x slower with
+    # 4% of the nonzero entries there
+    basis, grid, c = shipped_pair()
+    small = math.sqrt(np.finfo(float).tiny)
+    root = np.sqrt(c)
+    for sl, grads in gaussian.GridEvaluation(basis, grid).gradient_blocks():
+        rows = np.abs(grads * root[sl, None, None])
+        assert not np.any((rows > 0.0) & (rows < small))
 
 
 def test_weighted_grad_blocks_rejects_negative_weights():
@@ -312,6 +373,9 @@ def test_grid_for_basis_defaults_are_the_solver_defaults():
 
 
 def test_grid_validation():
+    grid = gaussian.build_grid([(0, 0, 0)])
+    assert (grid.n_radial, grid.angular_order) == (gaussian.N_RADIAL,
+                                                   gaussian.ANGULAR_ORDER)
     with pytest.raises(ConfigError):
         gaussian.build_grid([(0, 0, 0)], angular_order=8)
     for n_radial in (1, 0, -3):

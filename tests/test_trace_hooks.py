@@ -22,6 +22,14 @@ def test_spans_see_the_3d_hot_path(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
+    evaluations = []
+    init = gaussian.GridEvaluation.__init__
+
+    def counted(self, *args, **kwargs):
+        evaluations.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian.GridEvaluation, "__init__", counted)
     tracer = spans.Tracer()
     start = time.perf_counter()
     with spans.installed(tracer):
@@ -30,6 +38,12 @@ def test_spans_see_the_3d_hot_path(monkeypatch):
         grid = gaussian.grid_for_basis(basis, 24, 9)
         assert multicenter.solve_gap(basis, mu, grid).converged
     metrics = spans.layer_metrics(tracer.spans, time.perf_counter() - start)
+    # one whole-grid tabulation per evaluation: tabulating per block, or
+    # under another name, would hide the table's cost from tabulate_s
+    tabulations = [s for s in tracer.spans
+                   if s.name == "gaussian.values_and_gradients"]
+    assert len(evaluations) == 1
+    assert len(tabulations) == len(evaluations)
     assert metrics["gaussian.gram_calls"] >= 1
     assert metrics["gaussian.tabulate_mb"] > 0
     assert metrics["rootfind.evals"] >= 1
