@@ -10,9 +10,9 @@ glued by smoothed Voronoi-style partition weights).
 
 On a grid the basis is tabulated once as values, with every value below
 VALUE_FLOOR stored as 0, plus the displacements of the points from the
-distinct centers.  Gradients -2a (x - A) g are formed from those per
-block of BLOCK points inside each weighted kernel, so no (points, 3, n)
-gradient table is ever held.
+distinct centers.  No gradient is formed: since grad g = -2a (x - A) g,
+the weighted gradient Gram and the sigma.grad slope integral are
+computed from the values, block by block of BLOCK points.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ EXPONENT_RANGE = (1e-8, 1e12)
 # Grid points per block of every loop over a tabulated grid.
 BLOCK = 8192
 # Tabulated basis values below this are stored as 0.  Products of
-# weighted gradients below sqrt(tiny) ~ 1.5e-154 are subnormal and made
-# the gradient Gram about twice as slow on x86; on a shipped two-atom
+# weighted operand entries below sqrt(tiny) ~ 1.5e-154 are subnormal and
+# made the gradient Gram about twice as slow on x86; on a shipped two-atom
 # geometry the dropped terms moved no Gram entry by more than 4.3e-109.
 VALUE_FLOOR = 1e-100
 # Default radial shell count and angular order of a 3D solve's grid.
@@ -129,9 +129,12 @@ class ScalarBasis:
         self.norms = np.array([g.norm for g in self.primitives])
         self.centers = np.array([g.center for g in self.primitives])
         self.alphas = np.array([g.exponent for g in self.primitives])
-        # the distinct centers and, per primitive, the index of its own
+        # the distinct centers, per primitive the index of its own, and
+        # per site the indices of its primitives
         self.sites, self.site_of = np.unique(self.centers, axis=0,
                                              return_inverse=True)
+        self.site_columns = [np.flatnonzero(self.site_of == s)
+                             for s in range(len(self.sites))]
 
     def _pairs(self):
         """p = a + b, q = ab/p, d^2 and N_i N_j exp(-q d^2), each (n, n)."""
@@ -170,34 +173,27 @@ class ScalarBasis:
 
     def values_and_gradients(self, pts: np.ndarray):
         """Values (m, n) of every primitive, each below VALUE_FLOOR set to
-        0, and the displacements (m, 3, k) of the points from the k sites.
+        0, and the displacements x - A_s (m, 3, k) of the points from the
+        k sites; no gradient is formed.
 
-        `gradients` turns any block of the two into gradients.  Filled
-        over blocks of BLOCK points for all primitives at once.
+        Both arrays are transposed views of point-fastest tables, so the
+        grid kernels scale them along memory.  Filled over blocks of
+        BLOCK points for all primitives at once.
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
-        vals = np.empty((m, self.n))
-        disp = np.empty((m, 3, len(self.sites)))
+        vals = np.empty((self.n, m))
+        disp = np.empty((len(self.sites), 3, m))
         for start in range(0, m, BLOCK):
             sl = slice(start, start + BLOCK)
-            dx = pts[sl, :, None] - self.sites.T[None, :, :]
-            r2 = np.einsum("ijk,ijk->ik", dx, dx)
-            e = self.norms * np.exp(-self.alphas * r2[:, self.site_of])
+            dx = pts[sl].T[None, :, :] - self.sites[:, :, None]
+            r2 = np.einsum("kab,kab->kb", dx, dx)
+            e = self.norms[:, None] * np.exp(-self.alphas[:, None]
+                                             * r2[self.site_of])
             e[e < VALUE_FLOOR] = 0.0
-            vals[sl] = e
-            disp[sl] = dx
-        return vals, disp
-
-    def gradients(self, vals: np.ndarray, disp: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """Gradients (m, 3, n) ((-2a) (x - A)) g from values (m, n) and
-        site displacements (m, 3, k), written into `out` when given."""
-        # mode "clip" writes straight into out; the default buffers it
-        out = np.take(disp, self.site_of, axis=2, out=out, mode="clip")
-        out *= -2.0 * self.alphas
-        out *= vals[:, None, :]
-        return out
+            vals[:, sl] = e
+            disp[:, :, sl] = dx
+        return vals.T, disp.T
 
 
 def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
@@ -284,8 +280,12 @@ class QuadratureGrid:
         return len(self.weights)
 
 
-def becke_weights(pts: np.ndarray, centers: np.ndarray, order: int = 3
-                  ) -> np.ndarray:
+# Smoothing steps of the Becke cell function in every partition.
+BECKE_ORDER = 4
+
+
+def becke_weights(pts: np.ndarray, centers: np.ndarray,
+                  order: int = BECKE_ORDER) -> np.ndarray:
     """Smoothed Voronoi partition weights, rows normalized to sum to 1."""
     m_ctr = len(centers)
     if m_ctr == 1:
@@ -356,7 +356,7 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     pts = np.concatenate(pts_parts)
     w = np.concatenate(w_parts)
 
-    cell = becke_weights(pts, centers, order=4)
+    cell = becke_weights(pts, centers)
     residual = float(np.max(np.abs(np.sum(cell, axis=1) - 1.0)))
     per_center = np.concatenate([
         w[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs)]
@@ -397,61 +397,144 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
 
 
 class GridEvaluation:
-    """Basis values (m, n) and site displacements (m, 3, k) on a grid."""
+    """Basis values (m, n) and site displacements (m, 3, k) on a grid.
+
+    The kernels work from these two tables alone.  The gradient of a
+    primitive i at site s is -2a_i (x - A_s) g_i, so every gradient
+    integral is 4 a_i a_j times a weighted integral of values, with the
+    factors applied to the finished matrices.
+    """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
         self.basis = basis
         self.grid = grid
-        self.vals, self.disp = basis.scalar.values_and_gradients(grid.points)
+        sc = basis.scalar
+        self.vals, self.disp = sc.values_and_gradients(grid.points)
+        # per site its primitives' columns, a view when they are adjacent
+        self._cols = [slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1
+                      else i for i in sc.site_columns]
+        # per site pair s < t with D = A_s - A_t: an orthonormal pair e
+        # (2, 3) perpendicular to D, and the rows D x e
+        self._pairs = []
+        for s, t in zip(*np.triu_indices(len(sc.sites), 1)):
+            d = sc.sites[s] - sc.sites[t]
+            e = np.linalg.svd(d[None, :])[2][1:]
+            self._pairs.append((s, t, e, np.cross(d, e)))
+
+    def _blocks(self):
+        """Per block of BLOCK points: its slice, values (n, b) and
+        displacements (k, 3, b), rows contiguous along the points."""
+        vals, disp = self.vals.T, self.disp.T
+        for start in range(0, vals.shape[1], BLOCK):
+            sl = slice(start, start + BLOCK)
+            yield sl, vals[:, sl], disp[:, :, sl]
 
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
-        return self.vals.T @ (c[:, None] * self.vals)
+        """int c g_i g_j for a weight c >= 0, exactly symmetric.
 
-    def gradient_blocks(self):
-        """(slice, gradients) per block of BLOCK points.
-
-        Every block is written into one reused buffer, so a caller may
-        scale it in place but must not keep it past the next block.
+        rows rows^T of the sqrt(c)-scaled values, summed over grid
+        blocks; numpy runs it as a symmetric rank-k update.
         """
-        sc = self.basis.scalar
-        m = len(self.vals)
-        buf = np.empty((min(BLOCK, m), 3, sc.n))
-        for start in range(0, m, BLOCK):
-            sl = slice(start, start + BLOCK)
-            vals = self.vals[sl]
-            yield sl, sc.gradients(vals, self.disp[sl], out=buf[:len(vals)])
+        if np.any(c < 0.0):
+            raise ValueError("overlap weights must be nonnegative")
+        root = np.sqrt(c)
+        n = self.basis.scalar.n
+        out = np.zeros((n, n))
+        for sl, vals, _ in self._blocks():
+            rows = vals * root[sl]
+            out += rows @ rows.T
+        return out
+
+    def gram_operands(self, c: np.ndarray):
+        """Per grid block, the value operands of the weighted gradient Gram.
+
+        For each site s, the rows sqrt(c) |x - A_s| g_i of its primitives,
+        whose symmetric rank-k update is the (s, s) block.  For each site
+        pair s < t, the rows c w g_i (i at s), stacked for the three
+        weights w = (x - A_s).(x - A_t) and ((x - A_s) x D).e_1,2, and
+        the values g_j (j at t) they multiply.
+        """
+        root = np.sqrt(c)
+        for sl, vals, disp in self._blocks():
+            b = vals.shape[1]
+            cols = [vals[i] for i in self._cols]
+            radius = np.sqrt(np.einsum("kab,kab->kb", disp, disp))
+            rows = [v * r for v, r in zip(cols, radius * root[sl])]
+            pairs = []
+            for s, t, _, dxe in self._pairs:
+                w = np.empty((3, b))
+                np.einsum("ab,ab->b", disp[s], disp[t], out=w[0])
+                # ((x - A_s) x D).e = (x - A_s).(D x e)
+                np.matmul(dxe, disp[s], out=w[1:])
+                w *= c[sl]
+                pairs.append(((w[:, None, :] * cols[s]).reshape(-1, b),
+                              cols[t]))
+            yield rows, pairs
 
     def weighted_grad_blocks(self, c: np.ndarray):
         """Dot and cross gradient Grams for a weight c >= 0.
 
-        rows^T rows of the sqrt(c)-weighted gradients, viewed (points, 3n),
-        is summed over grid blocks; numpy runs it as a symmetric rank-k
-        update.  dot sums its diagonal n x n blocks and cross_k differences
-        one off-diagonal pair, so they are exactly (anti)symmetric.
+        With g_i at site s, g_j at site t, r = x - A_s, D = A_s - A_t,
+
+            int c grad g_i . grad g_j  = 4 a_i a_j int c r.(r + D) g_i g_j
+            int c (grad g_i x grad g_j) = 4 a_i a_j int c (r x D) g_i g_j,
+
+        so a same-site cross block is exactly 0, and an off-site one lies
+        in the plane of e_1, e_2 perpendicular to D: three weighted
+        products per site pair (see gram_operands) and one symmetric
+        rank-k update per site give everything.  The (t, s) blocks are
+        the (anti)transposes of the (s, t) ones, so dot is exactly
+        symmetric and each cross_k exactly antisymmetric.
         """
         if np.any(c < 0.0):
             raise ValueError("gradient Gram weights must be nonnegative")
-        n = self.basis.scalar.n
-        gram = np.zeros((3 * n, 3 * n))
-        root = np.sqrt(c)
-        for sl, grads in self.gradient_blocks():
-            grads *= root[sl, None, None]
-            rows = grads.reshape(-1, 3 * n)
-            gram += rows.T @ rows
-        g = gram.reshape(3, n, 3, n)  # g[a, :, b] = int c d_a g_i d_b g_j
-        cross = [g[a, :, b] - g[b, :, a] for a, b in ((1, 2), (2, 0), (0, 1))]
-        return g[0, :, 0] + g[1, :, 1] + g[2, :, 2], cross
+        sc = self.basis.scalar
+        idx = sc.site_columns
+        same = [np.zeros((len(i), len(i))) for i in idx]
+        off = [np.zeros((3 * len(idx[s]), len(idx[t])))
+               for s, t, _, _ in self._pairs]
+        for rows, pairs in self.gram_operands(c):
+            for acc, r in zip(same, rows):
+                acc += r @ r.T
+            for acc, (lhs, rhs) in zip(off, pairs):
+                acc += lhs @ rhs.T
+        dot = np.zeros((sc.n, sc.n))
+        cross = np.zeros((3, sc.n, sc.n))
+        for i, acc in zip(idx, same):
+            dot[np.ix_(i, i)] = acc
+        for (s, t, e, _), acc in zip(self._pairs, off):
+            acc = acc.reshape(3, len(idx[s]), len(idx[t]))
+            i, j = np.ix_(idx[s], idx[t])
+            dot[i, j] = acc[0]
+            dot[j.T, i.T] = acc[0].T
+            blk = np.einsum("ek,est->kst", e, acc[1:])
+            cross[:, i, j] = blk
+            cross[:, j.T, i.T] = -blk.transpose(0, 2, 1)
+        f = 2.0 * sc.alphas
+        scale = np.outer(f, f)
+        return scale * dot, list(scale * cross)
 
     def weighted_sigma_grad(self, c: np.ndarray, psi: np.ndarray) -> float:
-        """int c |sigma.grad psi|^2 for spinor coefficients psi, spin fastest.
+        """int c |sigma.grad psi|^2 for spinor coefficients psi, spin
+        fastest, from the values.
 
-        sigma.grad psi = sum_a d_a g_i (sigma_a psi_i), so each block is one
-        (points x 3n)(3n x 4) product giving its real and imaginary parts.
+        sigma.grad psi = sum_t sigma.(x - A_t) u_t with the 2-spinor
+        u_t = sum_{i at t} (-2a_i) psi_i g_i, so each block is one
+        (4k x n)(n x points) product for the parts of every u_t and then
+        per-point 2 x 2 algebra.
         """
-        spun = np.concatenate([psi.reshape(-1, 2) @ s.T for s in PAULI])
-        parts = np.column_stack([spun.real, spun.imag])
+        sc = self.basis.scalar
+        coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
+        parts = np.zeros((4, len(sc.sites), sc.n))
+        parts[:, sc.site_of, np.arange(sc.n)] = np.vstack([coef.real.T,
+                                                           coef.imag.T])
+        parts = parts.reshape(-1, sc.n)
         total = 0.0
-        for sl, grads in self.gradient_blocks():
-            d = grads.reshape(-1, len(parts)) @ parts
-            total += float(c[sl] @ (d * d).sum(1))
+        for sl, vals, disp in self._blocks():
+            # u_t = (p0 + i q0, p1 + i q1) and (x, y, z) = x - A_t, (k, b)
+            p0, p1, q0, q1 = (parts @ vals).reshape(4, len(sc.sites), -1)
+            x, y, z = disp.transpose(1, 0, 2)
+            f = [z * p0 + x * p1 + y * q1, z * q0 + x * q1 - y * p1,
+                 x * p0 - y * q0 - z * p1, x * q0 + y * p0 - z * q1]
+            total += float(c[sl] @ sum(np.sum(g, axis=0) ** 2 for g in f))
         return total

@@ -16,7 +16,7 @@ and steps by Newton on the Hellmann-Feynman slope
     mu'(lam) = -int w (1 + lam + v)^-2 |sigma.grad psi|^2,
 
 evaluated from the eigenvector psi of that sample on the tabulated basis
-gradients, without another weighted Gram.  The eigenvector returned is
+values, without another weighted Gram.  The eigenvector returned is
 the one of the sample at the root.  A converged solve typically builds
 two or three weighted Grams, one per sample.
 

@@ -130,14 +130,18 @@ def test_values_and_gradients_match_finite_differences():
              gaussian.GaussianPrimitive((-0.6, 0.9, 0.3), 2.2)]
     sb = gaussian.ScalarBasis(prims)
     pts = np.array([[0.3, 0.2, 0.1], [-0.5, 1.0, 0.4]])
-    grads = sb.gradients(*sb.values_and_gradients(pts))
+    vals, disp = sb.values_and_gradients(pts)
+    _, grads = oracles.values_and_gradients(sb, pts, gaussian.VALUE_FLOOR)
     eps = 1e-6
     for d in range(3):
+        # the identity every grid kernel rests on: grad g = -2a (x - A) g
+        assert np.allclose(grads[d], -2.0 * sb.alphas * disp[:, d, sb.site_of]
+                           * vals, rtol=1e-14, atol=0.0)
         shift = np.zeros(3)
         shift[d] = eps
         vp, _ = sb.values_and_gradients(pts + shift)
         vm, _ = sb.values_and_gradients(pts - shift)
-        assert np.allclose(grads[:, d], (vp - vm) / (2 * eps), atol=1e-7)
+        assert np.allclose(grads[d], (vp - vm) / (2 * eps), atol=1e-7)
 
 
 def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
@@ -148,16 +152,13 @@ def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
     ev = gaussian.GridEvaluation(basis, grid)
     raw, _ = oracles.values_and_gradients(basis.scalar, grid.points, 0.0)
     assert np.any((raw > 0.0) & (raw < gaussian.VALUE_FLOOR))
-    ref_vals, ref_grads = oracles.values_and_gradients(
+    ref_vals, _ = oracles.values_and_gradients(
         basis.scalar, grid.points, gaussian.VALUE_FLOOR)
-    assert ev.disp.shape == (grid.size, 3, 2)
     assert np.array_equal(ev.vals, ref_vals)
-    covered = 0
-    for sl, grads in ev.gradient_blocks():
-        for d in range(3):
-            assert np.array_equal(grads[:, d], ref_grads[d][sl])
-        covered += len(grads)
-    assert covered == grid.size
+    sites = basis.scalar.sites
+    assert ev.disp.shape == (grid.size, 3, 2)
+    assert np.array_equal(ev.disp,
+                          grid.points[:, :, None] - sites.T[None, :, :])
 
 
 def test_grid_evaluation_holds_no_gradient_table():
@@ -326,15 +327,25 @@ def test_value_floor_moves_the_gradient_gram_by_at_most_1e_100(monkeypatch):
 
 
 def test_weighted_gradient_rows_make_no_subnormal_products():
-    # two nonzero row entries below sqrt(tiny) multiply to a subnormal,
-    # which x86 handles in microcode: the Gram's SYRK ran ~2x slower with
-    # 4% of the nonzero entries there
+    # two nonzero operand entries whose product is below tiny make a
+    # subnormal, which x86 handles in microcode: the Gram's SYRK ran ~2x
+    # slower with 4% of the nonzero entries of its rows below sqrt(tiny)
     basis, grid, c = shipped_pair()
-    small = math.sqrt(np.finfo(float).tiny)
-    root = np.sqrt(c)
-    for sl, grads in gaussian.GridEvaluation(basis, grid).gradient_blocks():
-        rows = np.abs(grads * root[sl, None, None])
-        assert not np.any((rows > 0.0) & (rows < small))
+    tiny = np.finfo(float).tiny
+    small = math.sqrt(tiny)
+
+    def smallest(a):
+        a = np.abs(a)
+        return np.min(a[a > 0.0])
+
+    blocks = 0
+    for rows, pairs in gaussian.GridEvaluation(basis, grid).gram_operands(c):
+        for r in rows:
+            assert not np.any((np.abs(r) > 0.0) & (np.abs(r) < small))
+        for lhs, rhs in pairs:
+            assert smallest(lhs) * smallest(rhs) >= tiny
+        blocks += 1
+    assert blocks == -(-grid.size // gaussian.BLOCK)
 
 
 def test_weighted_grad_blocks_rejects_negative_weights():
@@ -345,6 +356,93 @@ def test_weighted_grad_blocks_rejects_negative_weights():
     c[5] = -1e-300
     with pytest.raises(ValueError):
         ev.weighted_grad_blocks(c)
+
+
+def off_plane_triple():
+    mu = charges.atoms([(0.1, -0.2, 0.3), (1.2, 0.5, -0.4), (-0.3, 0.9, 0.7)],
+                       [0.2, 0.2, 0.2])
+    return gaussian.default_spinor_basis(mu, n_s=3, alpha0=0.1, beta=3.0)
+
+
+def interleaved_pair():
+    """Two sites whose primitives alternate, so no site's columns are
+    adjacent."""
+    prims = [gaussian.GaussianPrimitive(ctr, float(a))
+             for a in gaussian.even_tempered(0.05, 3.0, 4)
+             for ctr in ((0.0, 0.0, 0.0), (0.9, -0.4, 0.3))]
+    return gaussian.SpinorBasis(gaussian.ScalarBasis(prims))
+
+
+def one_site():
+    mu = charges.atom((0.2, 0.1, -0.3), 0.4)
+    return gaussian.default_spinor_basis(mu, n_s=5, alpha0=0.05, beta=3.0)
+
+
+GEOMETRIES = {"off_plane_triple": off_plane_triple,
+              "interleaved_pair": interleaved_pair, "one_site": one_site}
+
+
+def tabulated(name, monkeypatch):
+    """A geometry's evaluation over blocks of 700 points, the last one
+    partial, and a positive Gram weight on it."""
+    monkeypatch.setattr(gaussian, "BLOCK", 700)
+    basis = GEOMETRIES[name]()
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=11)
+    assert grid.size % 700 != 0
+    c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
+    return basis, grid, gaussian.GridEvaluation(basis, grid), c
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_values_only_gram_matches_unfloored_gradient_oracle(name, monkeypatch):
+    basis, grid, ev, c = tabulated(name, monkeypatch)
+    dot, cross = ev.weighted_grad_blocks(c)
+    _, grads = oracles.values_and_gradients(basis.scalar, grid.points, 0.0)
+    atol = 1e-13 * np.max(np.abs(dot))
+    assert np.allclose(dot, oracles.weighted_grad_dot(grads, c),
+                       rtol=0.0, atol=atol)
+    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c)):
+        assert np.allclose(a, b, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_values_only_gram_is_exactly_symmetric(name, monkeypatch):
+    basis, _, ev, c = tabulated(name, monkeypatch)
+    dot, cross = ev.weighted_grad_blocks(c)
+    assert np.array_equal(dot, dot.T)
+    for m in cross:
+        assert np.array_equal(m, -m.T)
+        # parallel gradients of one site have no cross part at all
+        for i in basis.scalar.site_columns:
+            assert np.all(m[np.ix_(i, i)] == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_values_only_slope_matches_gradient_oracle(name, monkeypatch):
+    basis, grid, ev, c = tabulated(name, monkeypatch)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    _, grads = oracles.values_and_gradients(basis.scalar, grid.points, 0.0)
+    # sigma.grad psi at every point from the gradient table, spin by spin
+    spinor = psi.reshape(-1, 2)
+    field = sum(grads[a] @ (spinor @ gaussian.PAULI[a].T) for a in range(3))
+    want = float(c @ np.sum(np.abs(field) ** 2, axis=1))
+    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want, rel=1e-12)
+
+
+def test_weighted_overlap_is_exactly_symmetric_and_checks_weights():
+    basis = interleaved_pair()
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
+    ev = gaussian.GridEvaluation(basis, grid)
+    vals, _ = oracles.values_and_gradients(basis.scalar, grid.points, 0.0)
+    got = ev.weighted_overlap(grid.weights)
+    assert np.array_equal(got, got.T)
+    want = vals.T @ (grid.weights[:, None] * vals)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(want))
+    c = grid.weights.copy()
+    c[3] = -1e-300
+    with pytest.raises(ValueError):
+        ev.weighted_overlap(c)
 
 
 def test_weighted_sigma_grad_is_the_spinor_gram_form(monkeypatch):
