@@ -15,8 +15,8 @@ from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      NoGapEigenvalueError, SingularLocationError,
                      UncertifiedEigenvalueError)
 from .radial import (RadialGapResult, RadialGrid, RadialSolveConfig,
-                     lambda_of_trial, lowest_gap_eigenvalue_radial,
-                     q_form_radial, schrodinger_ground_radial)
+                     lowest_gap_eigenvalue_radial, q_form_radial,
+                     schrodinger_ground_radial)
 from .configio import (ConfigDoc, charge_descriptor, doc_from_charge,
                        emit_charge, emit_config, format_float, load_config,
                        parse_config)

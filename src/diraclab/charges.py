@@ -100,17 +100,6 @@ class ChargeDistribution:
         tot += [l.strength for l in self.layers if l.kind == "point"]
         return math.fsum(tot)
 
-    def centers(self) -> np.ndarray:
-        """Distinct atom positions plus the origin when layers are present."""
-        locs = [p.position for p in self.points]
-        if self.layers and (0.0, 0.0, 0.0) not in locs:
-            locs.append((0.0, 0.0, 0.0))
-        seen: list[tuple[float, float, float]] = []
-        for loc in locs:
-            if loc not in seen:
-                seen.append(loc)
-        return np.array(seen, dtype=float)
-
 
 def atom(position, strength) -> ChargeDistribution:
     return ChargeDistribution(points=(PointCharge(tuple(position), strength),))

@@ -10,25 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .charges import (LAYER_KINDS, ChargeDistribution, PointCharge,
-                      RadialLayer, sorted_canonical)
+from .charges import (ChargeDistribution, PointCharge, RadialLayer,
+                      sorted_canonical)
 from .errors import ConfigError
 
-CHARGE_SECTIONS = ("charge.point", "charge.layer")
-
-# value types of the scalar keys
+# value types of the keys
 INT, REAL, BOOL, NAME, REALS = "int", "real", "bool", "name", "reals"
 
-# every scalar section and key any command reads, with its type
+# every section and key any command reads, with its type
 SECTION_KEYS = {
+    "charge.point": {"position": REALS, "theta": REAL},
+    "charge.layer": {"kind": NAME, "radius": REAL, "theta": REAL},
     "experiment": {"kind": NAME, "thetas": REALS, "separations": REALS,
-                   "scales": REALS, "direction": REALS, "arrangement": NAME,
+                   "scales": REALS, "arrangement": NAME,
                    "margin_budget": REAL, "workers": INT},
     "basis": {"n_s": INT, "alpha0": REAL, "beta": REAL},
     "grid": {"n_radial": INT, "angular_order": INT, "r_min": REAL,
              "r_max": REAL, "n": INT},
     "solver": {"lam_tol": REAL, "residual_tol": REAL, "max_iterations": INT,
-               "crosscheck": BOOL, "crosscheck_tol": REAL},
+               "crosscheck": BOOL},
     "output": {"csv": NAME, "manifest": NAME},
 }
 
@@ -78,6 +78,20 @@ def _convert(kind: str, value, what: str):
     raise ConfigError(f"{what} must be {expected}, got {value!r}")
 
 
+def _typed_block(section: str, block: dict[str, object]) -> dict[str, object]:
+    """The keys of one block of a declared section, each converted to its
+    type; ConfigError on an undeclared key or a value of the wrong type."""
+    declared = SECTION_KEYS[section]
+    out = {}
+    for key, value in block.items():
+        if key not in declared:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}]; expected one "
+                f"of {', '.join(declared)}")
+        out[key] = _convert(declared[key], value, f"[{section}] {key}")
+    return out
+
+
 @dataclass
 class ConfigDoc:
     """Parsed config: scalar sections plus an optional charge distribution."""
@@ -91,23 +105,22 @@ class ConfigDoc:
             raise ConfigError("config declares no charge blocks")
         points = []
         for blk in self.point_blocks:
+            blk = _typed_block("charge.point", blk)
             pos = blk.get("position")
             theta = blk.get("theta")
             if pos is None or theta is None:
                 raise ConfigError("[charge.point] needs position and theta")
-            if not isinstance(pos, tuple) or len(pos) != 3:
+            if len(pos) != 3:
                 raise ConfigError(f"position must be three reals, got {pos!r}")
-            points.append(PointCharge(tuple(float(c) for c in pos), float(theta)))
+            points.append(PointCharge(pos, theta))
         layers = []
         for blk in self.layer_blocks:
+            blk = _typed_block("charge.layer", blk)
             kind = blk.get("kind")
             theta = blk.get("theta")
             if kind is None or theta is None:
                 raise ConfigError("[charge.layer] needs kind and theta")
-            if kind not in LAYER_KINDS:
-                raise ConfigError(f"unknown layer kind {kind!r}")
-            radius = float(blk.get("radius", 0.0))
-            layers.append(RadialLayer(str(kind), radius, float(theta)))
+            layers.append(RadialLayer(kind, blk.get("radius", 0.0), theta))
         return ChargeDistribution(points=tuple(points), layers=tuple(layers))
 
     def has_charge(self) -> bool:
@@ -125,15 +138,7 @@ class ConfigDoc:
         if section not in SECTION_KEYS:
             raise ConfigError(f"unknown section [{section}]; expected one "
                               f"of {', '.join(SECTION_KEYS)}")
-        declared = SECTION_KEYS[section]
-        out = {}
-        for key, value in self.sections.get(section, {}).items():
-            if key not in declared:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; expected one "
-                    f"of {', '.join(declared)}")
-            out[key] = _convert(declared[key], value, f"[{section}] {key}")
-        return out
+        return _typed_block(section, self.sections.get(section, {}))
 
     def build(self, cls, *sections: str):
         """`cls(**keys)` from the keys set in `sections` that name its

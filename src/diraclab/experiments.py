@@ -83,7 +83,6 @@ class ExperimentConfig:
     thetas: tuple[float, ...] = ()
     separations: tuple[float, ...] = ()
     scales: tuple[float, ...] = ()
-    direction: tuple[float, ...] = (1.0, 0.0, 0.0)
     arrangement: str = "line"
     basis: dict = field(default_factory=dict)
     gap: GapSolveConfig = GapSolveConfig()
@@ -104,10 +103,6 @@ class ExperimentConfig:
             raise ConfigError("triangle arrangement needs exactly 3 thetas")
         if self.margin_budget <= 0.0:
             raise ConfigError("margin budget must be positive")
-        if len(self.direction) != 3:
-            raise ConfigError("direction must be three reals")
-        if np.linalg.norm(self.direction) == 0.0:
-            raise ConfigError("scan direction must be nonzero")
 
 
 def config_from_doc(doc: ConfigDoc, kind: str | None = None,
@@ -203,10 +198,8 @@ def _run_ordered(fn, items, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _line_positions(m: int, d: float, direction) -> list[tuple]:
-    e = np.asarray(direction, dtype=float)
-    e = e / np.linalg.norm(e)
-    return [tuple(k * d * e) for k in range(m)]
+def _line_positions(m: int, d: float) -> list[tuple]:
+    return [(k * d, 0.0, 0.0) for k in range(m)]
 
 
 def _triangle_positions(d: float) -> list[tuple]:
@@ -224,7 +217,7 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
             if cfg.arrangement == "triangle":
                 pos = _triangle_positions(d)
             else:
-                pos = _line_positions(len(cfg.thetas), d, cfg.direction)
+                pos = _line_positions(len(cfg.thetas), d)
             out.append((d, charges.atoms(pos, cfg.thetas)))
         return out
     if cfg.charge is not None:

@@ -284,8 +284,7 @@ class QuadratureGrid:
 BECKE_ORDER = 4
 
 
-def becke_weights(pts: np.ndarray, centers: np.ndarray,
-                  order: int = BECKE_ORDER) -> np.ndarray:
+def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Smoothed Voronoi partition weights, rows normalized to sum to 1."""
     m_ctr = len(centers)
     if m_ctr == 1:
@@ -298,7 +297,7 @@ def becke_weights(pts: np.ndarray, centers: np.ndarray,
                 continue
             rij = np.linalg.norm(centers[i] - centers[j])
             f = (d[:, i] - d[:, j]) / rij
-            for _ in range(order):
+            for _ in range(BECKE_ORDER):
                 f = 0.5 * f * (3.0 - f * f)
             cell[:, i] *= 0.5 * (1.0 - f)
     return cell / np.sum(cell, axis=1, keepdims=True)

@@ -44,6 +44,9 @@ NEAR_CRITICAL_STRENGTH = 0.9
 _BRACKET = (-1.0 + 1e-6, 1.0 - 1e-12)
 ACCURACY_FLAG = "accuracy-unverified"
 POLLUTION_FLAG = "pollution-warning"
+# A four-spinor cross-check farther than this from lambda1 raises the
+# pollution flag.
+POLLUTION_GAP = 1e-2
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -60,15 +63,12 @@ class GapSolveConfig:
     n_radial: int = N_RADIAL
     angular_order: int = ANGULAR_ORDER
     crosscheck: bool = False
-    crosscheck_tol: float = 1e-3
 
     def __post_init__(self):
         if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
             raise ConfigError("tolerances must be positive")
         if self.max_iterations < 4:
             raise ConfigError("iteration budget too small")
-        if self.crosscheck_tol <= 0.0:
-            raise ConfigError("crosscheck tolerance must be positive")
         if self.n_radial < 2 or self.angular_order < 1 \
                 or self.angular_order % 2 == 0:
             raise ConfigError("grid needs n_radial >= 2 and an odd positive "
@@ -211,7 +211,7 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
             result.crosscheck_lambda1 = float(gap_evs[0])
             result.crosscheck_gap = abs(result.crosscheck_lambda1
                                         - result.lambda1)
-            if result.crosscheck_gap > 10.0 * config.crosscheck_tol:
+            if result.crosscheck_gap > POLLUTION_GAP:
                 flags.append(POLLUTION_FLAG)
         else:
             flags.append(POLLUTION_FLAG)

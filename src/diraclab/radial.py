@@ -42,7 +42,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused here; perfbench/spans.py wraps it
-from scipy.optimize import brentq
 
 from . import _rootfind
 from .charges import ChargeDistribution, radial_profile
@@ -138,7 +137,7 @@ class _ChannelProblem:
         rq, wq = _gauss_on(self.eps)
         self._rq = rq
         self._wq = wq
-        self._vq = radial_profile(smooth, rq) if smooth.layers else np.zeros_like(rq)
+        self._vq = radial_profile(smooth, rq)
         self._sq = (rq / self.eps) ** (2.0 * self.gamma)
 
     def stub_terms(self, lam: float) -> tuple[float, float]:
@@ -162,7 +161,6 @@ class _ChannelProblem:
         K = (self.A.T @ sp.diags(c) @ self.A).tocsr()
         m_stub, b_stub = self.stub_terms(lam)
         bdiag = self.mass[:-1] * (1.0 - self.vpot[:-1])
-        bdiag = bdiag.copy()
         bdiag[0] += b_stub
         mdiag = self.mass[:-1].copy()
         mdiag[0] += m_stub
@@ -223,70 +221,22 @@ class _ChannelProblem:
         return mu
 
 
-def _trial_terms(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid):
-    """A checked trial g with its lam-independent parts D g + kappa g and v."""
+def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
+                  grid: RadialGrid) -> float:
+    """The eliminated quadratic form at fixed lam for a grid trial g."""
     kappa = _check_channel(kappa)
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n,):
         raise ValueError(f"trial must have {grid.n} nodal values")
     if not np.any(g):
         raise ValueError("trial is identically zero")
-    a = derivative_matrix(grid.n, grid.h) @ g + kappa * g
-    return g, a, radial_profile(mu, grid.r)
-
-
-def _q_form(lam: float, g: np.ndarray, a: np.ndarray, vpot: np.ndarray,
-            grid: RadialGrid) -> float:
     if lam <= -1.0:
         raise ValueError(f"q_form_radial needs lam > -1, got {lam}")
+    a = derivative_matrix(grid.n, grid.h) @ g + kappa * g
+    vpot = radial_profile(mu, grid.r)
     kinetic = float(np.sum(grid.w * a * a / (grid.r * (1.0 + lam + vpot))))
     rest = float(np.sum(grid.w * grid.r * (1.0 - vpot - lam) * g * g))
     return kinetic + rest
-
-
-def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
-                  grid: RadialGrid) -> float:
-    """The eliminated quadratic form at fixed lam for a grid trial g."""
-    return _q_form(lam, *_trial_terms(g, kappa, mu, grid), grid)
-
-
-def lambda_of_trial(g, kappa: int, mu: ChargeDistribution, grid: RadialGrid,
-                    tol: float = 1e-12) -> float:
-    """Unique root in lam of Q(lam, g) = 0 for a fixed trial g.
-
-    The tolerance applies to |Q| with g normalized to unit mass norm.
-    """
-    g = np.asarray(g, dtype=float)
-    nrm = math.sqrt(float(np.sum(grid.w * grid.r * g * g)))
-    if nrm == 0.0:
-        raise ValueError("trial is identically zero")
-    terms = _trial_terms(g / nrm, kappa, mu, grid)
-    delta = 1e-9
-    lo = -1.0 + delta
-
-    def f(lam: float) -> float:
-        return _q_form(lam, *terms, grid)
-
-    f_lo = f(lo)
-    if f_lo <= 0.0:
-        raise BelowGapError(
-            f"Q({lo}, g) = {f_lo} <= 0: trial dives below the gap")
-    hi = 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoGapEigenvalueError("Q stays positive out to lam = 1e8")
-    lam = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    q = f(lam)
-    lam2, q2 = lam * (1.0 + 1e-9) + 1e-12, None
-    for _ in range(5):
-        if abs(q) <= tol:
-            break
-        q2 = f(lam2)
-        if q2 == q:
-            break
-        lam, lam2, q, q2 = lam2 - q2 * (lam2 - lam) / (q2 - q), lam, q2, q
-    return lam
 
 
 # Root-find bracket of every radial solve.
@@ -387,8 +337,7 @@ def schrodinger_ground_radial(mu: ChargeDistribution,
     grid = grid or RadialGrid()
     if not mu.radially_symmetric:
         raise ConfigError("Schroedinger radial solver needs radial symmetry")
-    vpot = radial_profile(mu, grid.r) if (mu.points or mu.layers) \
-        else np.zeros_like(grid.r)
+    vpot = radial_profile(mu, grid.r)
     nu_pt = mu.origin_point_strength
     nu = mu.total_charge
 

@@ -158,10 +158,3 @@ def test_sorted_canonical_is_order_insensitive():
     a = charges.atoms([(1, 0, 0), (0, 0, 0)], [0.2, 0.3])
     b = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.2])
     assert charges.sorted_canonical(a) == charges.sorted_canonical(b)
-
-
-def test_centers_include_origin_for_layers():
-    mu = charges.combine(charges.atom((1, 0, 0), 0.3), charges.shell(0.2, 1.0))
-    ctr = mu.centers()
-    assert (ctr == np.array([0.0, 0.0, 0.0])).all(axis=1).any()
-    assert len(ctr) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diraclab import charges, configio
+from diraclab import charges, cli, configio
 from diraclab.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -150,3 +150,19 @@ def test_shipped_configs_use_declared_keys():
     assert len(shipped) == 8
     for path in shipped:
         configio.load_config(str(path)).check_keys()
+
+
+@pytest.mark.parametrize("block", [
+    "[charge.point]\nposition = 0 0 0\ntheta = abc",
+    "[charge.point]\nposition = a b c\ntheta = 0.5",
+    "[charge.point]\nposition = 0 0\ntheta = 0.5",
+    "[charge.point]\nposition = 0 0 0\ntheta = 0.5\nstrenght = 0.9",
+    "[charge.layer]\nkind = sphere-shell\nradius = abc\ntheta = 0.5",
+    "[charge.layer]\nkind = sphere-shell\nradius = 1\ntheta = 0.5\n"
+    "strenght = 0.9"], ids=["theta", "position", "position-length",
+                            "point-typo", "radius", "layer-typo"])
+def test_bad_charge_block_exits_1(block, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(block + "\n")
+    assert cli.main(["radial", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -55,9 +55,12 @@ def test_config_validation_failures():
                                      arrangement="triangle")
     with pytest.raises(ConfigError):
         experiments.ExperimentConfig(kind="pes-scan", margin_budget=0.0)
-    with pytest.raises(ConfigError):
-        experiments.ExperimentConfig(kind="pes-scan",
-                                     direction=(0.0, 0.0, 0.0))
+    # keys the package no longer has are rejected like any typo
+    for text in (FAST.replace("[experiment]\n",
+                              "[experiment]\ndirection = 1 0 0\n"),
+                 FAST + "\n[solver]\ncrosscheck_tol = 1e-3\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            experiments.config_from_doc(configio.parse_config(text))
     with pytest.raises(ConfigError):
         experiments.run_experiment(fast_config(separations=(1.0, -2.0)))
     with pytest.raises(ConfigError):

@@ -1,5 +1,8 @@
 """Radial gap solver and nonrelativistic comparison integrator."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,20 +143,22 @@ def test_channel_validation():
 
 
 def test_quadratic_form_root_consistency():
-    # lambda_of_trial returns the root of the eliminated form, and the
-    # form itself changes sign across it
+    # Q(., g) is strictly decreasing, so its sign at the solved minimum
+    # places the trial's root at or above it, and a sign change below 1
+    # shows the root lies in the gap
     mu = point(0.5)
     grid = radial.RadialGrid(1e-6, 100.0, 1200)
     g = np.exp(-grid.r) * grid.r ** 0.9
-    lam = radial.lambda_of_trial(g, -1, mu, grid)
-    assert -1.0 < lam < 1.0
-    assert radial.q_form_radial(lam, g, -1, mu, grid) == pytest.approx(
-        0.0, abs=1e-9)
-    assert radial.q_form_radial(lam - 1e-3, g, -1, mu, grid) > 0.0
-    assert radial.q_form_radial(lam + 1e-3, g, -1, mu, grid) < 0.0
-    # any admissible trial sits at or above the solved minimum
     best = radial.lowest_gap_eigenvalue_radial(mu, grid=grid).lambda1
-    assert lam >= best - 1e-10
+    assert radial.q_form_radial(best - 1e-10, g, -1, mu, grid) > 0.0
+    assert radial.q_form_radial(1.0, g, -1, mu, grid) < 0.0
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = ("import sys, diraclab; "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_schrodinger_point_matches_hydrogenic():
