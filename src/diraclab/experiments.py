@@ -44,11 +44,10 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_MARGIN = 3
 
-# Proven lower end of the critical-charge bracket [2/(pi/2 + 2/pi), 1].
 # Merged-limit claims need the total charge below the critical one, which
-# is only known to lie in that bracket; totals in (0.9, 1] may exceed it,
-# so those rows carry a conditional flag.
-NU1_KNOWN_FLOOR = 2.0 / (math.pi / 2.0 + 2.0 / math.pi)
+# is only known to lie in the proven bracket [2/(pi/2 + 2/pi), 1] (lower
+# end 0.906...); totals in (0.9, 1] may exceed it, so those rows carry a
+# conditional flag.
 CONDITIONAL_ABOVE = 0.9
 
 
@@ -414,8 +413,7 @@ def _contraction_check(cfg: ExperimentConfig):
 def _schrodinger_energy(mu: ChargeDistribution,
                         cfg: ExperimentConfig) -> tuple[float, bool]:
     if mu.radially_symmetric:
-        res = schrodinger_ground_radial(mu, cfg.radial_grid)
-        return res.energy, res.bound
+        return schrodinger_ground_radial(mu, cfg.radial_grid)
     mu, basis = _canonical_basis(mu, cfg.basis)
     return schrodinger_ground_gaussian(basis, mu)
 

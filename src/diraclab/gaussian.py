@@ -208,6 +208,20 @@ def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
     return out
 
 
+def filtered_orthogonalizer(S: np.ndarray, failure: str) -> np.ndarray:
+    """X with X^T S X = I on the eigenvectors of S above top / COND_CAP.
+
+    Raises IllConditionedBasisError(failure) when S has no positive
+    eigenvalue.
+    """
+    evals, vecs = np.linalg.eigh(S)
+    top = evals[-1]
+    if top <= 0.0:
+        raise IllConditionedBasisError(failure)
+    keep = evals > top / COND_CAP
+    return vecs[:, keep] / np.sqrt(evals[keep])[None, :]
+
+
 @dataclass
 class SpinorBasis:
     """Scalar basis doubled by spin, with condition-filtered orthogonalizer."""
@@ -216,15 +230,8 @@ class SpinorBasis:
     _x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        S = self.scalar.overlap_matrix()
-        evals, vecs = np.linalg.eigh(S)
-        top = evals[-1]
-        if top <= 0.0:
-            raise IllConditionedBasisError("overlap matrix is not positive")
-        keep = evals > top / COND_CAP
-        if not np.any(keep):
-            raise IllConditionedBasisError("no basis direction survives filtering")
-        self._x = vecs[:, keep] / np.sqrt(evals[keep])[None, :]
+        self._x = filtered_orthogonalizer(self.scalar.overlap_matrix(),
+                                          "overlap matrix is not positive")
 
     @property
     def size(self) -> int:

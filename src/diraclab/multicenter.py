@@ -33,11 +33,11 @@ import numpy as np
 
 from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
-from .errors import (ConfigError, IllConditionedBasisError,
-                     NoGapEigenvalueError)
-from .gaussian import (ANGULAR_ORDER, COND_CAP, N_RADIAL, GridEvaluation,
-                       QuadratureGrid, SpinorBasis, grid_for_basis,
-                       spinor_matrix)
+from .errors import ConfigError, NoGapEigenvalueError
+from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
+                       QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
+                       grid_for_basis, spinor_matrix)
+from .radial import UNBOUND_ENERGY
 
 NEAR_CRITICAL_STRENGTH = 0.9
 # Root-find bracket of every 3D solve.
@@ -233,7 +233,7 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
     x = basis.orthogonalizer
     evals = np.linalg.eigvalsh(x.T @ h @ x)
     e0 = float(evals[0])
-    if e0 >= -1e-12:
+    if e0 >= UNBOUND_ENERGY:
         return 0.0, False
     return e0, True
 
@@ -272,11 +272,7 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     pdot, pcross = evaluation.weighted_grad_blocks(grid.weights * vpot)
 
     x = basis.orthogonalizer
-    tev, tvec = np.linalg.eigh(tdot)
-    keep = tev > tev[-1] / COND_CAP
-    if not np.any(keep):
-        raise IllConditionedBasisError("small-component metric collapsed")
-    y = tvec[:, keep] / np.sqrt(tev[keep])[None, :]
+    y = filtered_orthogonalizer(tdot, "small-component metric collapsed")
 
     ll = spinor_matrix(x.T @ (sdot + mvdot) @ x)
     ls = spinor_matrix(x.T @ tdot @ y)

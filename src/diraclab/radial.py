@@ -29,14 +29,22 @@ form (kappa + gamma)/nu_pt, and the remainder is handled by fixed-order
 quadrature.  A plain Dirichlet cut at r_min would leave an O(r_min^{2*gamma})
 truncation error, fatal for strong charges.
 
-The radial Schroedinger ground state is computed by Numerov shooting with
-node-count bisection; on the log grid this sidesteps the severe stiffness
-that breaks matrix eigensolvers at tight tolerances.
+The radial Schroedinger ground state (l = 0) is the lowest eigenvalue of
+the same kind of pencil, found by the same spectrum slicing: the kappa = -1
+form with 1/(1 + lam + v) replaced by its nonrelativistic value 1/2,
+
+    E(u) = int (u' - u/r)^2 / 2 dr - int v u^2 dr,   u = r R,
+
+against the mass int u^2 dr.  On [r_min, r_max] the first integral equals
+int u'^2 / 2 dr + u(r_min)^2 / (2 r_min), exactly the kinetic energy of u
+with the regular profile u ~ r continued onto (0, r_min], so no stub is
+needed; what the cut leaves out is O(r_min^2).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -110,6 +118,68 @@ def _check_channel(kappa) -> int:
     return int(kappa)
 
 
+def _channel_operator(grid: RadialGrid, kappa: int) -> sp.csr_matrix:
+    """d/dt + kappa on the grid, Dirichlet at r_max (last column dropped)."""
+    D = derivative_matrix(grid.n, grid.h)
+    A = (D + kappa * sp.identity(grid.n, format="csr")).tocsr()
+    return A[:, :-1].tocsr()
+
+
+def _lowest(B: sp.csr_matrix, mdiag: np.ndarray) -> float:
+    """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing.
+
+    B must be symmetric with bandwidth 4.  Raises UncertifiedEigenvalueError
+    when the inertia test does not confirm the result as the lowest
+    eigenvalue.
+    """
+    ab = np.zeros((5, B.shape[0]))  # upper band storage, bandwidth 4
+    for k in range(5):
+        ab[4 - k, k:] = B.diagonal(k)
+
+    def factor(sigma: float):
+        shifted = ab.copy()
+        shifted[4] -= sigma * mdiag
+        try:
+            return sla.cholesky_banded(shifted)
+        except sla.LinAlgError:
+            return None
+
+    # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
+    # step down from it in doubling steps until a factorisation holds
+    hi = float(np.min(ab[4] / mdiag))
+    step = max(1.0, abs(hi))
+    for _ in range(64):
+        lo = hi - step
+        chol = factor(lo)
+        if chol is not None:
+            break
+        hi, step = lo, 2.0 * step
+    else:
+        raise UncertifiedEigenvalueError(
+            f"no positive definite shift of the pencil below {hi}")
+    while hi - lo > _BISECT_REL * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        trial = factor(mid)
+        if trial is None:
+            hi = mid
+        else:
+            lo, chol = mid, trial
+    # lo sits within the bracket width of the lowest eigenvalue, far
+    # closer than to the next, so each inverse step gains many digits
+    v = np.ones(len(mdiag))
+    mu = hi
+    for _ in range(8):
+        y = sla.cho_solve_banded((chol, False), mdiag * v)
+        v = y / math.sqrt(y @ (mdiag * y))
+        prev, mu = mu, float((v @ (B @ v)) / (v @ (mdiag * v)))
+        if abs(prev - mu) <= _RQ_STALL * max(1.0, abs(mu)):
+            break
+    if factor(mu - _CERT_REL * max(1.0, abs(mu))) is None:
+        raise UncertifiedEigenvalueError(
+            f"inertia test finds an eigenvalue of the pencil below {mu}")
+    return mu
+
+
 class _ChannelProblem:
     """Grid matrices of the eliminated form for one (mu, kappa, grid)."""
 
@@ -126,9 +196,7 @@ class _ChannelProblem:
         self.grid = grid
         self.vpot = radial_profile(mu, grid.r)
         self.mass = grid.w * grid.r
-        D = derivative_matrix(grid.n, grid.h)
-        A = (D + kappa * sp.identity(grid.n, format="csr")).tocsr()
-        self.A = A[:, :-1].tocsr()  # Dirichlet at r_max
+        self.A = _channel_operator(grid, kappa)
         self.eps = grid.r_min
         self.nu_pt = nu_pt
         self.gamma = math.sqrt(kappa * kappa - nu_pt * nu_pt)
@@ -167,58 +235,8 @@ class _ChannelProblem:
         return (K + sp.diags(bdiag)).tocsr(), mdiag
 
     def mu_min(self, lam: float) -> float:
-        """Lowest eigenvalue of the pencil (B(lam), M) by spectrum slicing.
-
-        Raises UncertifiedEigenvalueError when the inertia test does not
-        confirm the result as the lowest eigenvalue.
-        """
-        B, mdiag = self.pencil(lam)
-        ab = np.zeros((5, B.shape[0]))  # upper band storage, bandwidth 4
-        for k in range(5):
-            ab[4 - k, k:] = B.diagonal(k)
-
-        def factor(sigma: float):
-            shifted = ab.copy()
-            shifted[4] -= sigma * mdiag
-            try:
-                return sla.cholesky_banded(shifted)
-            except sla.LinAlgError:
-                return None
-
-        # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
-        # step down from it in doubling steps until a factorisation holds
-        hi = float(np.min(ab[4] / mdiag))
-        step = max(1.0, abs(hi))
-        for _ in range(64):
-            lo = hi - step
-            chol = factor(lo)
-            if chol is not None:
-                break
-            hi, step = lo, 2.0 * step
-        else:
-            raise UncertifiedEigenvalueError(
-                f"no positive definite shift of B({lam}) below {hi}")
-        while hi - lo > _BISECT_REL * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            trial = factor(mid)
-            if trial is None:
-                hi = mid
-            else:
-                lo, chol = mid, trial
-        # lo sits within the bracket width of the lowest eigenvalue, far
-        # closer than to the next, so each inverse step gains many digits
-        v = np.ones(len(mdiag))
-        mu = hi
-        for _ in range(8):
-            y = sla.cho_solve_banded((chol, False), mdiag * v)
-            v = y / math.sqrt(y @ (mdiag * y))
-            prev, mu = mu, float((v @ (B @ v)) / (v @ (mdiag * v)))
-            if abs(prev - mu) <= _RQ_STALL * max(1.0, abs(mu)):
-                break
-        if factor(mu - _CERT_REL * max(1.0, abs(mu))) is None:
-            raise UncertifiedEigenvalueError(
-                f"inertia test finds an eigenvalue of B({lam}) below {mu}")
-        return mu
+        """Lowest eigenvalue of the pencil (B(lam), M), certified."""
+        return _lowest(*self.pencil(lam))
 
 
 def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
@@ -252,6 +270,8 @@ class RadialSolveConfig:
     def __post_init__(self):
         if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
             raise ConfigError("tolerances must be positive")
+        if self.max_iterations < 4:
+            raise ConfigError("iteration budget too small")
 
 
 @dataclass
@@ -300,30 +320,25 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
         bracket=rs.bracket, trace=rs.trace)
 
 
-@dataclass
-class SchrodingerResult:
+# Shallower ground states than this are reported as unbound.
+UNBOUND_ENERGY = -1e-12
+
+
+class SchrodingerResult(NamedTuple):
     energy: float
     bound: bool
-    iterations: int
 
 
-def _numerov_nodes(energy: float, r: np.ndarray, h: float, vpot: np.ndarray,
-                   nu_pt: float) -> int:
-    """Count interior nodes of the outward l=0 solution at this energy."""
-    g = 0.25 - 2.0 * r * r * (energy + vpot)
-    f = 1.0 - (h * h / 12.0) * g
-    w_prev = math.sqrt(r[0]) * (1.0 - nu_pt * r[0])
-    w_cur = math.sqrt(r[1]) * (1.0 - nu_pt * r[1])
-    nodes = 0
-    for k in range(1, len(r) - 1):
-        w_next = ((12.0 - 10.0 * f[k]) * w_cur - f[k - 1] * w_prev) / f[k + 1]
-        if w_next * w_cur < 0.0:
-            nodes += 1
-        if abs(w_next) > 1e250:
-            w_next *= 1e-250
-            w_cur *= 1e-250
-        w_prev, w_cur = w_cur, w_next
-    return nodes
+def _schrodinger_pencil(mu: ChargeDistribution, grid: RadialGrid
+                        ) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The l=0 pencil: the kappa = -1 form with 1/(1 + lam + v) -> 1/2."""
+    if not mu.radially_symmetric:
+        raise ConfigError("Schroedinger radial solver needs radial symmetry")
+    vpot = radial_profile(mu, grid.r)
+    mass = (grid.w * grid.r)[:-1]
+    A = _channel_operator(grid, -1)
+    K = A.T @ sp.diags(grid.w / (2.0 * grid.r)) @ A
+    return (K - sp.diags(mass * vpot[:-1])).tocsr(), mass
 
 
 def schrodinger_ground_radial(mu: ChargeDistribution,
@@ -331,36 +346,10 @@ def schrodinger_ground_radial(mu: ChargeDistribution,
                               ) -> SchrodingerResult:
     """Ground state of -Laplace/2 - potential in the l=0 radial channel.
 
-    Numerov shooting in log radius with node-count bisection; states
-    shallower than 1e-12 are reported as unbound.
+    The certified lowest eigenvalue of the nonrelativistic pencil; states
+    shallower than UNBOUND_ENERGY are reported unbound with energy 0.0.
     """
-    grid = grid or RadialGrid()
-    if not mu.radially_symmetric:
-        raise ConfigError("Schroedinger radial solver needs radial symmetry")
-    vpot = radial_profile(mu, grid.r)
-    nu_pt = mu.origin_point_strength
-    nu = mu.total_charge
-
-    def nodes(e: float) -> int:
-        return _numerov_nodes(e, grid.r, grid.h, vpot, nu_pt)
-
-    e_hi = -1e-12
-    if nodes(e_hi) == 0:
-        return SchrodingerResult(energy=0.0, bound=False, iterations=1)
-    e_lo = -0.5 * nu * nu - 1e-3 * (1.0 + nu * nu)
-    for _ in range(8):
-        if nodes(e_lo) == 0:
-            break
-        e_lo *= 2.0
-    else:
-        raise NoGapEigenvalueError("could not bracket the ground state from below")
-    iters = 0
-    while e_hi - e_lo > 1e-14 * max(1.0, abs(e_lo)) and iters < 200:
-        mid = 0.5 * (e_lo + e_hi)
-        if nodes(mid) == 0:
-            e_lo = mid
-        else:
-            e_hi = mid
-        iters += 1
-    return SchrodingerResult(energy=0.5 * (e_lo + e_hi), bound=True,
-                             iterations=iters)
+    energy = _lowest(*_schrodinger_pencil(mu, grid or RadialGrid()))
+    if energy >= UNBOUND_ENERGY:
+        return SchrodingerResult(0.0, False)
+    return SchrodingerResult(energy, True)

@@ -110,11 +110,23 @@ def test_multicenter_atom_order_does_not_change_json_bytes(tmp_path):
 
 
 def test_radial_json_reports_unconverged_solve(tmp_path, capsys):
+    # 4 is the smallest accepted budget; this shell needs 7 evaluations
     cfg = write(tmp_path, "shell.cfg",
-                RADIAL_SHELL + "\n[solver]\nmax_iterations = 3\n")
+                RADIAL_SHELL + "\n[solver]\nmax_iterations = 4\n")
     assert cli.main(["radial", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["converged"] is False and out["iterations"] <= 3
+    assert out["converged"] is False and out["iterations"] <= 4
+
+
+@pytest.mark.parametrize("budget", ["0", "3", "-1"])
+def test_radial_rejects_too_small_iteration_budget(tmp_path, capsys, budget):
+    # the 3D solver's rule: fewer than 4 root-find iterations exits 1
+    cfg = write(tmp_path, "shell.cfg",
+                RADIAL_SHELL + f"\n[solver]\nmax_iterations = {budget}\n")
+    assert cli.main(["radial", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "iteration budget too small" in captured.err
+    assert captured.out == ""
 
 
 def test_multicenter_rejects_non_boolean_crosscheck(tmp_path, capsys):

@@ -50,15 +50,23 @@ SLICE_CHARGES = {"free": charges.ChargeDistribution(), "nu=0.5": point(0.5),
                  "nu=0.99": point(0.99), "shell": charges.shell(0.5, 1.0)}
 
 
+def sliced_pencils(mu, channel):
+    """(pencil, its sliced lowest eigenvalue) for a Dirac channel kappa at
+    four lam, or for the Schroedinger pencil."""
+    if channel == "schrodinger":
+        pencil = radial._schrodinger_pencil(mu, SMALL)
+        return [(pencil, radial._lowest(*pencil))]
+    prob = radial._ChannelProblem(mu, channel, SMALL)
+    return [(prob.pencil(lam), prob.mu_min(lam))
+            for lam in (-1.0 + 1e-9, 0.0, 0.9, 1.0)]
+
+
 @pytest.mark.parametrize("name", sorted(SLICE_CHARGES))
-@pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+@pytest.mark.parametrize("kappa", [-2, -1, 1, 2, "schrodinger"])
 def test_mu_min_is_lowest_dense_eigenvalue(name, kappa):
-    prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
-    for lam in (-1.0 + 1e-9, 0.0, 0.9, 1.0):
-        B, mdiag = prob.pencil(lam)
+    for (B, mdiag), lowest in sliced_pencils(SLICE_CHARGES[name], kappa):
         dense = sla.eigh(B.toarray(), np.diag(mdiag), eigvals_only=True)
-        assert prob.mu_min(lam) == pytest.approx(
-            dense[0], rel=1e-11, abs=1e-11)
+        assert lowest == pytest.approx(dense[0], rel=1e-11, abs=1e-11)
 
 
 def test_mu_min_is_deterministic():
@@ -69,13 +77,16 @@ def test_mu_min_is_deterministic():
     assert [again.mu_min(lam) for lam in (0.0, 0.9)] == first
 
 
-def test_mu_min_refuses_an_uncertified_value(monkeypatch):
+@pytest.mark.parametrize("solve", [
+    lambda: radial._ChannelProblem(point(0.5), -1, SMALL).mu_min(0.9),
+    lambda: radial.schrodinger_ground_radial(point(0.5), SMALL)],
+    ids=["dirac", "schrodinger"])
+def test_mu_min_refuses_an_uncertified_value(monkeypatch, solve):
     # a negative margin asks the inertia test to confirm that nothing lies
     # below mu + 1e-6, which the lowest eigenvalue mu itself contradicts
     monkeypatch.setattr(radial, "_CERT_REL", -1e-6)
-    prob = radial._ChannelProblem(point(0.5), -1, SMALL)
     with pytest.raises(UncertifiedEigenvalueError):
-        prob.mu_min(0.9)
+        solve()
 
 
 def test_trace_h_values_strictly_decrease():
