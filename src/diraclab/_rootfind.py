@@ -13,15 +13,9 @@ bisection, all unconditionally safe:
   on a side the clamp leaves open, so the below-gap and no-root outcomes
   are decided exactly as without a start);
 * proposals strictly inside the bracket: Newton steps
-  l - h/(mu'(l) - 1) from the last sample when the caller gives the slope
-  mu', else secant steps through the last two samples.  Two consecutive
-  same-side secant landings force a midpoint step, as regula falsi can
-  creep in from one side; Newton steps on a convex or concave h approach
-  from one side at full speed, so they are not interrupted.
-
-There are two call patterns: mu alone (the radial solver; both ends are
-sampled first, then secant steps) and mu with a start and its slope (the
-3D solver; the certificate and Newton steps).
+  l - h/(mu'(l) - 1) from the last sample, with the slope mu' supplied
+  by the caller.  On a convex or concave h they approach from one side
+  at full speed, so they are not interrupted.
 
 Every main-loop iteration is guaranteed to at least halve the bracket: a
 proposal that fails to do so is followed by one midpoint evaluation,
@@ -55,29 +49,25 @@ class GapRootSolve:
 def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
                        lo: float, hi: float, *,
                        lam_tol: float, residual_tol: float,
-                       max_iter: int, start: float | None = None,
-                       slope: Callable[[float], float] | None = None
-                       ) -> GapRootSolve:
+                       max_iter: int, start: float,
+                       slope: Callable[[float], float]) -> GapRootSolve:
     """Root of mu_of_lambda(lam) - lam in [lo, hi]; see the module docstring.
 
     `start` (ignored unless lo < start < hi) is the first sample and
-    `slope(lam)` returns mu'(lam) at a lam already sampled; the two come
-    together or not at all.
+    `slope(lam)` returns mu'(lam) at a lam already sampled.
     """
-    if (start is None) != (slope is None):
-        raise ValueError("solve_monotone_gap takes start and slope together")
-    cache: dict[float, float] = {}
+    sampled: set[float] = set()
     trace: list[tuple[float, float]] = []
     a, b = lo, hi
 
-    def h(lam: float) -> float:
-        if lam not in cache:
-            cache[lam] = mu_of_lambda(lam) - lam
-            trace.append((lam, cache[lam]))
-        return cache[lam]
-
-    def clamp(lam: float, hv: float) -> None:
+    # every sample ends up on or outside the bracket, so a lam strictly
+    # inside it is new; other lams are checked against `sampled` first
+    def step(lam: float) -> float:
+        """Sample h at lam and clamp the bracket with it."""
         nonlocal a, b
+        hv = mu_of_lambda(lam) - lam
+        sampled.add(lam)
+        trace.append((lam, hv))
         mu = hv + lam
         if hv > 0.0:
             a, b = max(a, lam), min(b, mu)
@@ -85,69 +75,49 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
             a, b = max(a, mu), min(b, lam)
         else:
             a = b = lam
+        return hv
 
-    started = start is not None and lo < start < hi
+    started = lo < start < hi
     if started:
-        clamp(start, h(start))
+        step(start)
     if a == lo:
-        h_lo = h(lo)
+        h_lo = step(lo)
         if h_lo < 0.0:
             return GapRootSolve(BELOW_GAP, lo, abs(h_lo), len(trace), trace,
                                 (lo, hi), False)
-        clamp(lo, h_lo)
     if not started or b == hi:
-        h_hi = h(hi)
+        h_hi = step(hi)
         if h_hi > 0.0:
             return GapRootSolve(NO_ROOT, hi, abs(h_hi), len(trace), trace,
                                 (lo, hi), False)
-        clamp(hi, h_hi)
 
-    prev = trace[-2] if len(trace) > 1 else None
-    last = trace[-1]
     guard = 1e-3 * lam_tol
-    same_side = 0
     widths: list[float] = [b - a]
 
     def propose() -> float | None:
-        l2, h2 = last
-        if slope is None:
-            if prev is None or h2 == prev[1]:
-                return None
-            l1, h1 = prev
-            cand = l2 - h2 * (l2 - l1) / (h2 - h1)
-        else:
-            cand = l2 + h2 / (1.0 - slope(l2))
-            # with the exact slope the step lands in the clamp interval of
-            # its own sample; there it is moved off the bracket ends
-            if a <= cand <= b:
-                cand = min(max(cand, a + 2.0 * guard), b - 2.0 * guard)
-        if a + guard < cand < b - guard and cand not in cache:
+        l2, h2 = trace[-1]
+        cand = l2 + h2 / (1.0 - slope(l2))
+        # with the exact slope the step lands in the clamp interval of its
+        # own sample; there it is moved off the bracket ends
+        if a <= cand <= b:
+            cand = min(max(cand, a + 2.0 * guard), b - 2.0 * guard)
+        if a + guard < cand < b - guard and cand not in sampled:
             return cand
         return None
 
-    def step(cand: float) -> float:
-        nonlocal prev, last, same_side
-        hv = h(cand)
-        clamp(cand, hv)
-        same_side = same_side + 1 if (hv > 0.0) == (last[1] > 0.0) else 0
-        prev, last = last, (cand, hv)
-        return hv
-
     while b - a > lam_tol and len(trace) < max_iter:
         width = b - a
-        cand = propose() if slope is not None or same_side < 2 else None
+        cand = propose()
         if cand is None:
-            same_side = 0
             cand = 0.5 * (a + b)
-            if cand in cache:
+            if cand in sampled:
                 cand = a + 0.37 * (b - a)
-                if cand in cache or not a < cand < b:
+                if cand in sampled or not a < cand < b:
                     break
         if step(cand) == 0.0:
             widths.append(b - a)
             break
         if b - a > 0.5 * width and b - a > lam_tol and len(trace) < max_iter:
-            same_side = 0
             step(0.5 * (a + b))
         widths.append(b - a)
 
@@ -157,7 +127,7 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], float],
         cand = propose()
         if cand is None:
             cand = 0.5 * (a + b)
-            if cand in cache:
+            if cand in sampled:
                 break
         hv = step(cand)
         if abs(hv) < abs(best[1]):

@@ -90,6 +90,13 @@ class ChargeDistribution:
                          + [l.strength for l in self.layers])
 
     @property
+    def merged_lambda(self) -> float:
+        """sqrt(1 - nu^2), nu the total charge: the lowest gap eigenvalue
+        of the merged point charge (0 from nu = 1 on)."""
+        nu = self.total_charge
+        return math.sqrt(max(0.0, 1.0 - nu * nu))
+
+    @property
     def radially_symmetric(self) -> bool:
         return all(p.position == (0.0, 0.0, 0.0) for p in self.points)
 

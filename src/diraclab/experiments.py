@@ -277,11 +277,11 @@ def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
                         family, cfg.workers)
 
 
-def _against_merged(total: float, solved: list[dict]):
+def _against_merged(mu: ChargeDistribution, solved: list[dict]):
     """Bound sqrt(1 - nu^2) of the merged charge, whether the rows are
     conditional on the critical charge, and per-row bound cells."""
-    bound = math.sqrt(max(0.0, 1.0 - total * total))
-    conditional = total > CONDITIONAL_ABOVE
+    bound = mu.merged_lambda
+    conditional = mu.total_charge > CONDITIONAL_ABOVE
     cells = []
     for sol in solved:
         flags = sol["flags"]
@@ -317,7 +317,7 @@ def _conjecture_sweep(cfg: ExperimentConfig):
     if total > 1.0 + 1e-12:
         raise ConfigError("conjecture sweep needs total charge <= 1")
     bound, conditional, cells = _against_merged(
-        total, _solve_family(family, cfg))
+        family[0][1], _solve_family(family, cfg))
     rows = [{"scan_index": idx, "separation": sep,
              "geometry": charge_descriptor(mu), "nu_total": mu.total_charge,
              **cell}
@@ -391,7 +391,7 @@ def _contraction_check(cfg: ExperimentConfig):
     eye = np.eye(3)
     family = [(s, charges.pushforward(cfg.charge, eye, s)) for s in scales]
     bound, conditional, cells = _against_merged(
-        cfg.charge.total_charge, _solve_family(family, cfg))
+        cfg.charge, _solve_family(family, cfg))
     rows = [{"scan_index": idx, "scale": s, "geometry": charge_descriptor(mu),
              **cell}
             for idx, ((s, mu), cell) in enumerate(zip(family, cells))]

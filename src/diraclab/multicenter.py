@@ -26,7 +26,6 @@ diagnostic cross-check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,12 +175,11 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     if grid is None:
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
     engine = _GapEngine(basis, mu, grid)
-    nu = mu.total_charge
     root = _rootfind.solve_monotone_gap(
         engine.mu_min, *_BRACKET,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
         max_iter=config.max_iterations,
-        start=math.sqrt(max(0.0, 1.0 - nu * nu)), slope=engine.slope)
+        start=mu.merged_lambda, slope=engine.slope)
 
     flags = []
     if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):

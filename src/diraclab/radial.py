@@ -20,6 +20,13 @@ last digits, and one more successful factorisation just below the result
 certifies that no lower eigenvalue exists.  No random start vector and
 no dense or banded eigensolver is involved.
 
+The root find starts at the merged-charge value sqrt(1 - nu^2), the
+root for a point charge in kappa = -1, and takes Newton steps on the
+exact slope of the discrete mu_min (Hellmann-Feynman): mu'(lam) =
+g^T B'(lam) g for the M-normalised eigenvector g of the inverse
+iteration, B' = -A^T diag(w / (r (1 + lam + v)^2)) A plus the
+lam-derivative of the stub term below on the first row.
+
 Near the origin the eigenfunction behaves like r^gamma with
 gamma = sqrt(kappa^2 - nu_pt^2), which a truncated grid cannot represent
 when the point strength nu_pt is large.  The first degree of freedom is
@@ -108,10 +115,6 @@ def derivative_matrix(n: int, h: float) -> sp.csr_matrix:
     return sp.vstack([ends[:2], middle, ends[2:]], format="csr")
 
 
-def _gauss_on(eps: float):
-    return 0.5 * eps * (_LEG_X + 1.0), 0.5 * eps * _LEG_W
-
-
 def _check_channel(kappa) -> int:
     if int(kappa) != kappa or kappa == 0:
         raise ConfigError(f"kappa must be a nonzero integer, got {kappa!r}")
@@ -125,8 +128,10 @@ def _channel_operator(grid: RadialGrid, kappa: int) -> sp.csr_matrix:
     return A[:, :-1].tocsr()
 
 
-def _lowest(B: sp.csr_matrix, mdiag: np.ndarray) -> float:
-    """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing.
+def _lowest(B: sp.csr_matrix, mdiag: np.ndarray
+            ) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing,
+    with its M-normalised eigenvector from the inverse iteration.
 
     B must be symmetric with bandwidth 4.  Raises UncertifiedEigenvalueError
     when the inertia test does not confirm the result as the lowest
@@ -177,11 +182,12 @@ def _lowest(B: sp.csr_matrix, mdiag: np.ndarray) -> float:
     if factor(mu - _CERT_REL * max(1.0, abs(mu))) is None:
         raise UncertifiedEigenvalueError(
             f"inertia test finds an eigenvalue of the pencil below {mu}")
-    return mu
+    return mu, v
 
 
 class _ChannelProblem:
-    """Grid matrices of the eliminated form for one (mu, kappa, grid)."""
+    """Grid matrices of the eliminated form for one (mu, kappa, grid); each
+    mu_min(lam) keeps its eigenvector for the slope at that lam."""
 
     def __init__(self, mu: ChargeDistribution, kappa: int, grid: RadialGrid):
         kappa = _check_channel(kappa)
@@ -202,32 +208,35 @@ class _ChannelProblem:
         self.gamma = math.sqrt(kappa * kappa - nu_pt * nu_pt)
         smooth = ChargeDistribution(
             layers=tuple(l for l in mu.layers if l.kind != "point"))
-        rq, wq = _gauss_on(self.eps)
-        self._rq = rq
-        self._wq = wq
-        self._vq = radial_profile(smooth, rq)
-        self._sq = (rq / self.eps) ** (2.0 * self.gamma)
+        self._rq = 0.5 * self.eps * (_LEG_X + 1.0)  # Gauss nodes on (0, eps)
+        self._wq = 0.5 * self.eps * _LEG_W
+        self._vq = radial_profile(smooth, self._rq)
+        self._sq = (self._rq / self.eps) ** (2.0 * self.gamma)
+        self.vectors: dict[float, np.ndarray] = {}
 
-    def stub_terms(self, lam: float) -> tuple[float, float]:
-        """Mass and B-matrix contribution of the origin-matched profile."""
+    def stub_terms(self, lam: float) -> tuple[float, float, float]:
+        """Mass and B-matrix contribution of the origin-matched profile,
+        and the lam-derivative of the latter."""
         gam, kap, nu = self.gamma, self.kappa, self.nu_pt
         rq, wq, sq, vq = self._rq, self._wq, self._sq, self._vq
         m_stub = self.eps / (2.0 * gam + 1.0)
         a = 1.0 + lam + vq
         if nu == 0.0:
             kin = (gam + kap) ** 2 * np.sum(wq * sq / (rq ** 2 * a))
+            dkin = -(gam + kap) ** 2 * np.sum(wq * sq / (rq * a) ** 2)
         else:
             # kinetic minus point-potential part; the 1/r singularities cancel
             kin = (gam + kap) / nu - (gam + kap) ** 2 * np.sum(
                 wq * sq * a / (nu * (nu + a * rq)))
+            dkin = -(gam + kap) ** 2 * np.sum(wq * sq / (nu + a * rq) ** 2)
         b_stub = kin + m_stub - float(np.sum(wq * sq * vq))
-        return m_stub, b_stub
+        return m_stub, b_stub, float(dkin)
 
     def pencil(self, lam: float) -> tuple[sp.csr_matrix, np.ndarray]:
         g = self.grid
         c = g.w / (g.r * (1.0 + lam + self.vpot))
         K = (self.A.T @ sp.diags(c) @ self.A).tocsr()
-        m_stub, b_stub = self.stub_terms(lam)
+        m_stub, b_stub, _ = self.stub_terms(lam)
         bdiag = self.mass[:-1] * (1.0 - self.vpot[:-1])
         bdiag[0] += b_stub
         mdiag = self.mass[:-1].copy()
@@ -236,7 +245,18 @@ class _ChannelProblem:
 
     def mu_min(self, lam: float) -> float:
         """Lowest eigenvalue of the pencil (B(lam), M), certified."""
-        return _lowest(*self.pencil(lam))
+        mu, self.vectors[lam] = _lowest(*self.pencil(lam))
+        return mu
+
+    def slope(self, lam: float) -> float:
+        """mu'(lam) = g^T B'(lam) g, g the M-normalised eigenvector of
+        mu_min(lam) (Hellmann-Feynman)."""
+        if lam not in self.vectors:
+            self.mu_min(lam)
+        g = self.vectors[lam]
+        ag = self.A @ g
+        c = self.grid.w / (self.grid.r * (1.0 + lam + self.vpot) ** 2)
+        return float(self.stub_terms(lam)[2] * g[0] ** 2 - ag @ (c * ag))
 
 
 def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
@@ -264,7 +284,9 @@ _BRACKET = (-1.0 + 1e-9, 1.0)
 @dataclass(frozen=True)
 class RadialSolveConfig:
     lam_tol: float = 1e-10
-    residual_tol: float = 1e-12
+    # the roundoff floor of h near the nu = 1 root on RadialGrid(1e-8, 100,
+    # ~8000) (scatter up to 8.8e-12); as h' <= -1, |lam - root| <= 1e-11
+    residual_tol: float = 1e-11
     max_iterations: int = 60
 
     def __post_init__(self):
@@ -307,7 +329,8 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
     rs = _rootfind.solve_monotone_gap(
         prob.mu_min, *_BRACKET,
         lam_tol=config.lam_tol, residual_tol=config.residual_tol,
-        max_iter=config.max_iterations)
+        max_iter=config.max_iterations,
+        start=mu.merged_lambda, slope=prob.slope)
     if rs.status == _rootfind.NO_ROOT:
         raise NoGapEigenvalueError(
             f"no gap eigenvalue in channel kappa={prob.kappa}: "
@@ -349,7 +372,7 @@ def schrodinger_ground_radial(mu: ChargeDistribution,
     The certified lowest eigenvalue of the nonrelativistic pencil; states
     shallower than UNBOUND_ENERGY are reported unbound with energy 0.0.
     """
-    energy = _lowest(*_schrodinger_pencil(mu, grid or RadialGrid()))
+    energy, _ = _lowest(*_schrodinger_pencil(mu, grid or RadialGrid()))
     if energy >= UNBOUND_ENERGY:
         return SchrodingerResult(0.0, False)
     return SchrodingerResult(energy, True)

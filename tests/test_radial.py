@@ -10,7 +10,8 @@ import scipy.linalg as sla
 
 import oracles
 from diraclab import charges, radial
-from diraclab.errors import ConfigError, UncertifiedEigenvalueError
+from diraclab.errors import (ConfigError, NoGapEigenvalueError,
+                             UncertifiedEigenvalueError)
 
 SQ75 = math.sqrt(0.75)
 
@@ -43,6 +44,23 @@ def test_point_charge_critical_needs_finer_grid():
     assert res.converged and not res.below_gap
 
 
+@pytest.mark.parametrize("n", [7996, 7998, 8000, 8002, 8004, 8010])
+def test_point_charge_critical_converges_through_noise(n):
+    # h scatters by about +-1e-11 near this root; the radial residual_tol
+    # sits at that floor, so Newton steps converge on every nearby grid
+    grid = radial.RadialGrid(1e-8, 100.0, n)
+    res = radial.lowest_gap_eigenvalue_radial(point(1.0), grid=grid)
+    assert res.converged and res.residual <= 1e-11
+    assert res.iterations <= 4
+
+
+def test_free_charge_has_no_gap_eigenvalue():
+    # the start sqrt(1 - 0^2) = 1 is the upper end of the bracket, so it
+    # is ignored and both ends are sampled
+    with pytest.raises(NoGapEigenvalueError):
+        radial.lowest_gap_eigenvalue_radial(charges.ChargeDistribution())
+
+
 # small, mildly graded grid on which a dense generalized eigensolve is
 # accurate to roundoff
 SMALL = radial.RadialGrid(1e-3, 50.0, 200)
@@ -55,7 +73,7 @@ def sliced_pencils(mu, channel):
     four lam, or for the Schroedinger pencil."""
     if channel == "schrodinger":
         pencil = radial._schrodinger_pencil(mu, SMALL)
-        return [(pencil, radial._lowest(*pencil))]
+        return [(pencil, radial._lowest(*pencil)[0])]
     prob = radial._ChannelProblem(mu, channel, SMALL)
     return [(prob.pencil(lam), prob.mu_min(lam))
             for lam in (-1.0 + 1e-9, 0.0, 0.9, 1.0)]
@@ -67,6 +85,22 @@ def test_mu_min_is_lowest_dense_eigenvalue(name, kappa):
     for (B, mdiag), lowest in sliced_pencils(SLICE_CHARGES[name], kappa):
         dense = sla.eigh(B.toarray(), np.diag(mdiag), eigvals_only=True)
         assert lowest == pytest.approx(dense[0], rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("name", ["nu=0.5", "nu=0.99", "shell", "ball"])
+@pytest.mark.parametrize("kappa", [-2, -1, 1])
+def test_slope_matches_central_differences(name, kappa):
+    mu = {**SLICE_CHARGES, "ball": charges.ball(0.9, 1.0)}[name]
+    prob = radial._ChannelProblem(mu, kappa, SMALL)
+    eps = 1e-5
+    signs = []
+    # one lam on each side of the root
+    for lam in (0.0, 0.99):
+        signs.append(prob.mu_min(lam) > lam)
+        diff = (prob.mu_min(lam + eps) - prob.mu_min(lam - eps)) / (2 * eps)
+        assert prob.slope(lam) == pytest.approx(diff, rel=1e-7)
+        assert prob.slope(lam) < 0.0
+    assert signs == [True, False]
 
 
 def test_mu_min_is_deterministic():
@@ -90,7 +124,8 @@ def test_mu_min_refuses_an_uncertified_value(monkeypatch, solve):
 
 
 def test_trace_h_values_strictly_decrease():
-    res = radial.lowest_gap_eigenvalue_radial(point(0.5))
+    # not a point charge: its start sqrt(1 - nu^2) is the root already
+    res = radial.lowest_gap_eigenvalue_radial(charges.shell(0.5, 1.0))
     samples = sorted(res.trace)
     assert len(samples) >= 3
     for (l1, h1), (l2, h2) in zip(samples, samples[1:]):
