@@ -115,6 +115,7 @@ def _cmd_multicenter(args) -> int:
     res = solve_gap(basis, mu, grid, gcfg)
     if args.verbose:
         print(f"lambda1={res.lambda1:.12g} iterations={res.iterations} "
+              f"grid_points={grid.size} grid_kind={grid.kind} "
               f"flags={','.join(res.flags) or '-'}", file=sys.stderr)
     _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
     return 0

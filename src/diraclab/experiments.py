@@ -30,7 +30,7 @@ from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
 from .errors import (BelowGapError, ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError)
 from .gaussian import default_spinor_basis, grid_for_basis
-from .hardy import hardy_quotient_min
+from .hardy import hardy_grid, hardy_quotient_min
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
 from .radial import RadialGrid, schrodinger_ground_radial
@@ -231,8 +231,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     The atoms are put in canonical order first (see _canonical_basis).
     `diagnostics` goes to the manifest: the root find's iterations,
     residual and final bracket width, the retained rank of the basis
-    against its size, the grid size and the grid's partition-of-unity
-    residual; or the solver's error message.
+    against its size, the grid size and kind, and the grid's
+    partition-of-unity residual; or the solver's error message.
     """
     try:
         mu, basis = _canonical_basis(mu, cfg.basis)
@@ -257,6 +257,7 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
                 "bracket_width": res.bracket[1] - res.bracket[0],
                 "retained_rank": basis.orthogonalizer.shape[1],
                 "basis_size": basis.scalar.n, "grid_points": grid.size,
+                "grid_kind": grid.kind,
                 "partition_residual": grid.partition_residual}}
 
 
@@ -464,7 +465,7 @@ def _hardy_sweep(cfg: ExperimentConfig):
 
     def solve_one(item):
         mu, basis = _canonical_basis(item[1], cfg.basis)
-        return hardy_quotient_min(basis, mu, grid_for_basis(
+        return hardy_quotient_min(basis, mu, hardy_grid(
             basis, cfg.gap.n_radial, cfg.gap.angular_order))
     solved = _run_ordered(solve_one, family, cfg.workers)
     rows = [{"family_index": idx, "nu_total": mu.total_charge,

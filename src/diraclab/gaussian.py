@@ -8,6 +8,18 @@ weighted integrals need the multi-center quadrature grid built here
 (per-center log radial shells times Gauss-Legendre-by-azimuth spheres,
 glued by smoothed Voronoi-style partition weights).
 
+grid_for_basis builds that rule in a frame attached to the distinct
+centers and keeps only what their symmetry needs: one azimuth of weight
+2 pi, with twice the cos(theta) nodes, when they lie on a line (an
+"axial" grid; see _sphere_rule), the half on one side of
+their plane with the off-plane weights doubled when they lie in a plane
+(a "mirror" grid), and the whole lab-frame sphere otherwise ("full").
+A reduced grid integrates every integrand with that symmetry exactly as
+the full rule it is cut from, laid in the same frame, would; integrands odd under it, the
+cross parts perpendicular to the symmetry axis, are left out as exactly
+0.  Every weight the solvers put on a grid (partition, potential) has
+the symmetry of the centers.
+
 On a grid the basis is tabulated once as values, with every value below
 VALUE_FLOOR stored as 0, plus the displacements of the points from the
 distinct centers.  No gradient is formed: since grad g = -2a (x - A) g,
@@ -208,6 +220,14 @@ def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
     return out
 
 
+def spin_along(axis: np.ndarray) -> np.ndarray:
+    """The unit 2-spinor chi with (sigma.axis) chi = chi."""
+    ax, ay, az = axis
+    chi = np.array([1.0 + az, ax + 1j * ay]) if az > -1.0 \
+        else np.array([0.0, 1.0 + 0j])
+    return chi / np.linalg.norm(chi)
+
+
 def filtered_orthogonalizer(S: np.ndarray, failure: str) -> np.ndarray:
     """X with X^T S X = I on the eigenvectors of S above top / COND_CAP.
 
@@ -273,7 +293,12 @@ def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
 
 @dataclass
 class QuadratureGrid:
-    """Multi-center grid: points, combined weights, partition metadata."""
+    """Multi-center grid: points, combined weights, partition metadata.
+
+    `kind` is "full", "axial" or "mirror" (see the module docstring) and
+    `axis` the unit symmetry axis of a reduced grid: the line of an axial
+    grid, the plane normal of a mirror one; None for a full grid.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -281,14 +306,31 @@ class QuadratureGrid:
     n_radial: int
     angular_order: int
     partition_residual: float
+    kind: str = "full"
+    axis: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
+    def live_directions(self, d: np.ndarray) -> np.ndarray:
+        """Orthonormal rows (j, 3) perpendicular to the center separation
+        d along which a cross part can be nonzero on this grid: both
+        directions of the plane perpendicular to d on a full grid, the
+        normal on a mirror grid, none on an axial one."""
+        if self.kind == "axial":
+            return np.empty((0, 3))
+        if self.kind == "mirror":
+            return self.axis[None, :]
+        return np.linalg.svd(d[None, :])[2][1:]
+
 
 # Smoothing steps of the Becke cell function in every partition.
 BECKE_ORDER = 4
+GRID_KINDS = ("full", "axial", "mirror")
+# Centers within this fraction of their largest distance from the first
+# one of a line (plane) count as lying on it.
+SYMMETRY_TOL = 1e-10
 
 
 def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -314,15 +356,54 @@ def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
 EXCLUSION_RADIUS = 1e-10
 
 
+def _sphere_rule(angular_order: int, kind: str):
+    """Directions (k, 3) and weights (k,) of the sphere rule in its own
+    frame, cos(theta)-major.
+
+    The full rule has (order + 1) / 2 Gauss-Legendre nodes in cos(theta)
+    times order + 1 azimuths.  An axial rule is the azimuth-0 ring, of
+    weight 2 pi, of the full rule of order 2 order + 1, so it spends the
+    order + 1 nodes of an azimuth ring on cos(theta).  With only
+    (order + 1) / 2 of them a function of theta alone is resolved worse
+    than by the full rule with its axis on the equator: at order 35 the
+    analytic overlap of a pair 1.4 apart was off by 1.4e-8 that way,
+    against 1.3e-9 with order + 1 nodes and 1.9e-9 on the full rule.
+    A mirror rule keeps the nodes of the full rule with cos(theta) >= 0,
+    the ones off the plane with doubled weight.
+    """
+    n_theta = angular_order + 1 if kind == "axial" else (angular_order + 1) // 2
+    n_phi = 1 if kind == "axial" else angular_order + 1
+    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    if kind == "mirror":
+        # Gauss-Legendre nodes and weights are exactly symmetric
+        keep = ct >= 0.0
+        ct, wt = ct[keep], np.where(ct[keep] > 0.0, 2.0, 1.0) * wt[keep]
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(1.0 - ct ** 2)
+    dirs = np.empty((len(ct) * n_phi, 3))
+    wang = np.empty(len(ct) * n_phi)
+    k = 0
+    for c_one, s_one, w_one in zip(ct, st, wt):
+        for ph in phis:
+            dirs[k] = (s_one * math.cos(ph), s_one * math.sin(ph), c_one)
+            wang[k] = w_one * (2.0 * np.pi / n_phi)
+            k += 1
+    return dirs, wang
+
+
 def build_grid(centers, n_radial: int = N_RADIAL,
                angular_order: int = ANGULAR_ORDER,
-               r_lo: float = 2e-4, r_hi: float = 9.0) -> QuadratureGrid:
+               r_lo: float = 2e-4, r_hi: float = 9.0, kind: str = "full",
+               frame: np.ndarray | None = None) -> QuadratureGrid:
     """Per-center log-radial x spherical product grid with partition weights.
 
     The sphere rule is Gauss-Legendre in cos(theta) crossed with a uniform
     azimuth ring, exact through the stated angular order.  The default radial
     window targets unit-scale exponents; callers with wider exponent ranges
     should pass explicit bounds (grid_for_basis does this automatically).
+    A reduced `kind` ("axial" or "mirror") needs the orthonormal `frame`
+    (rows e1, e2, axis) of symmetry_frame, in which its sphere rule is
+    laid: its azimuth 0 on e1, its pole on the axis.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if len(centers) < 1:
@@ -331,6 +412,9 @@ def build_grid(centers, n_radial: int = N_RADIAL,
         raise ConfigError("angular order must be an odd positive integer")
     if n_radial < 2:
         raise ConfigError("grid needs at least two radial shells")
+    if kind not in GRID_KINDS or (kind == "full") != (frame is None):
+        raise ConfigError(f"grid kind must be one of {GRID_KINDS}, with a "
+                          "frame unless it is full")
 
     tt = np.linspace(math.log(r_lo), math.log(r_hi), n_radial)
     h = tt[1] - tt[0]
@@ -340,19 +424,9 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     wr[-1] *= 0.5
     wr = wr * rr ** 3  # r^2 dr = r^3 dt on the log axis
 
-    n_theta = (angular_order + 1) // 2
-    n_phi = angular_order + 1
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - ct ** 2)
-    dirs = np.empty((n_theta * n_phi, 3))
-    wang = np.empty(n_theta * n_phi)
-    k = 0
-    for c_one, s_one, w_one in zip(ct, st, wt):
-        for ph in phis:
-            dirs[k] = (s_one * math.cos(ph), s_one * math.sin(ph), c_one)
-            wang[k] = w_one * (2.0 * np.pi / n_phi)
-            k += 1
+    dirs, wang = _sphere_rule(angular_order, kind)
+    if frame is not None:
+        dirs = dirs @ frame
 
     pts_parts, w_parts = [], []
     for c in centers:
@@ -375,12 +449,46 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     return QuadratureGrid(points=pts[keep], weights=per_center[keep],
                           centers=centers, n_radial=n_radial,
                           angular_order=angular_order,
-                          partition_residual=residual)
+                          partition_residual=residual, kind=kind,
+                          axis=None if frame is None else frame[2])
 
 
-def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
-                   angular_order: int = ANGULAR_ORDER) -> QuadratureGrid:
-    """Grid sized from the basis: range scales with the exponent extremes.
+def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
+    """The grid kind the distinct centers allow and its frame.
+
+    With s_0 the first and s_-1 the last site (np.unique order) and
+    e1 = unit(s_-1 - s_0): a single site or sites on the line of e1 give
+    "axial" with the line as axis, e1 then replaced by the unit lab
+    vector least aligned with it, made perpendicular; sites in one plane
+    give "mirror" with the normal e1 x (s_j - s_0) of the site s_j
+    farthest from that line; any other set gives "full" and no frame.
+    The frame rows are (e1, axis x e1, axis).  A line along z or a plane
+    with an edge on +x in z = 0 keeps the lab frame.
+    """
+    sites = np.atleast_2d(np.asarray(sites, dtype=float))
+    if len(sites) == 1:
+        return "axial", np.eye(3)
+    rel = sites - sites[0]
+    reach = np.linalg.norm(rel, axis=1)
+    tol = SYMMETRY_TOL * float(np.max(reach))
+    e1 = rel[-1] / reach[-1]
+    off = np.cross(e1, rel)
+    off_len = np.linalg.norm(off, axis=1)
+    j = int(np.argmax(off_len))
+    if off_len[j] <= tol:
+        axis = e1
+        k = int(np.argmin(np.abs(axis)))
+        e1 = np.eye(3)[k] - axis[k] * axis
+        e1 = e1 / np.linalg.norm(e1)
+        return "axial", np.array([e1, np.cross(axis, e1), axis])
+    normal = off[j] / off_len[j]
+    if np.max(np.abs(rel @ normal)) <= tol:
+        return "mirror", np.array([e1, np.cross(normal, e1), normal])
+    return "full", None
+
+
+def radial_window(basis: SpinorBasis) -> tuple[float, float]:
+    """Inner and outer radius (r_lo, r_hi) of the grids of this basis.
 
     Radial shells must reach past the most diffuse function (and past the
     other centers, so cross-center products are covered) and resolve the
@@ -389,17 +497,24 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
     surviving power of r at a nucleus (attraction-type) lose < 1e-8.
     """
     sc = basis.scalar
-    centers = np.unique(sc.centers, axis=0)
     a_min = float(np.min(sc.alphas))
     a_max = float(np.max(sc.alphas))
     d_max = 0.0
-    if len(centers) > 1:
-        seps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    if len(sc.sites) > 1:
+        seps = np.linalg.norm(sc.sites[:, None, :] - sc.sites[None, :, :],
+                              axis=2)
         d_max = float(np.max(seps))
-    r_hi = 5.5 / math.sqrt(a_min) + d_max
-    r_lo = 3e-5 / math.sqrt(a_max)
-    return build_grid(centers, n_radial=n_radial, angular_order=angular_order,
-                      r_lo=r_lo, r_hi=r_hi)
+    return 3e-5 / math.sqrt(a_max), 5.5 / math.sqrt(a_min) + d_max
+
+
+def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
+                   angular_order: int = ANGULAR_ORDER) -> QuadratureGrid:
+    """Grid sized from the basis (radial_window) and reduced by the
+    symmetry of its distinct centers (symmetry_frame)."""
+    sites = basis.scalar.sites
+    kind, frame = symmetry_frame(sites)
+    return build_grid(sites, n_radial, angular_order, *radial_window(basis),
+                      kind=kind, frame=frame)
 
 
 class GridEvaluation:
@@ -419,12 +534,12 @@ class GridEvaluation:
         # per site its primitives' columns, a view when they are adjacent
         self._cols = [slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1
                       else i for i in sc.site_columns]
-        # per site pair s < t with D = A_s - A_t: an orthonormal pair e
-        # (2, 3) perpendicular to D, and the rows D x e
+        # per site pair s < t with D = A_s - A_t: the directions e (j, 3)
+        # perpendicular to D of its live cross parts, and the rows D x e
         self._pairs = []
         for s, t in zip(*np.triu_indices(len(sc.sites), 1)):
             d = sc.sites[s] - sc.sites[t]
-            e = np.linalg.svd(d[None, :])[2][1:]
+            e = grid.live_directions(d)
             self._pairs.append((s, t, e, np.cross(d, e)))
 
     def _blocks(self):
@@ -456,9 +571,10 @@ class GridEvaluation:
 
         For each site s, the rows sqrt(c) |x - A_s| g_i of its primitives,
         whose symmetric rank-k update is the (s, s) block.  For each site
-        pair s < t, the rows c w g_i (i at s), stacked for the three
-        weights w = (x - A_s).(x - A_t) and ((x - A_s) x D).e_1,2, and
-        the values g_j (j at t) they multiply.
+        pair s < t, the rows c w g_i (i at s), stacked for the weights
+        w = (x - A_s).(x - A_t) and ((x - A_s) x D).e for each live
+        direction e of the pair, and the values g_j (j at t) they
+        multiply.
         """
         root = np.sqrt(c)
         for sl, vals, disp in self._blocks():
@@ -468,7 +584,7 @@ class GridEvaluation:
             rows = [v * r for v, r in zip(cols, radius * root[sl])]
             pairs = []
             for s, t, _, dxe in self._pairs:
-                w = np.empty((3, b))
+                w = np.empty((1 + len(dxe), b))
                 np.einsum("ab,ab->b", disp[s], disp[t], out=w[0])
                 # ((x - A_s) x D).e = (x - A_s).(D x e)
                 np.matmul(dxe, disp[s], out=w[1:])
@@ -486,19 +602,24 @@ class GridEvaluation:
             int c (grad g_i x grad g_j) = 4 a_i a_j int c (r x D) g_i g_j,
 
         so a same-site cross block is exactly 0, and an off-site one lies
-        in the plane of e_1, e_2 perpendicular to D: three weighted
-        products per site pair (see gram_operands) and one symmetric
-        rank-k update per site give everything.  The (t, s) blocks are
-        the (anti)transposes of the (s, t) ones, so dot is exactly
-        symmetric and each cross_k exactly antisymmetric.
+        in the plane perpendicular to D.  Only its live directions (see
+        QuadratureGrid.live_directions) are formed: two on a full grid,
+        the plane normal on a mirror grid, none on an axial grid, where
+        the others integrate to exactly 0.  One weighted product per
+        site pair and live direction, one more for dot (see
+        gram_operands), and one symmetric rank-k update per site give
+        everything.  The (t, s) blocks are the (anti)transposes of the
+        (s, t) ones, so dot is exactly symmetric and each cross_k
+        exactly antisymmetric.  Returns dot and the three lab-frame
+        components cross_k.
         """
         if np.any(c < 0.0):
             raise ValueError("gradient Gram weights must be nonnegative")
         sc = self.basis.scalar
         idx = sc.site_columns
         same = [np.zeros((len(i), len(i))) for i in idx]
-        off = [np.zeros((3 * len(idx[s]), len(idx[t])))
-               for s, t, _, _ in self._pairs]
+        off = [np.zeros(((1 + len(e)) * len(idx[s]), len(idx[t])))
+               for s, t, e, _ in self._pairs]
         for rows, pairs in self.gram_operands(c):
             for acc, r in zip(same, rows):
                 acc += r @ r.T
@@ -509,7 +630,7 @@ class GridEvaluation:
         for i, acc in zip(idx, same):
             dot[np.ix_(i, i)] = acc
         for (s, t, e, _), acc in zip(self._pairs, off):
-            acc = acc.reshape(3, len(idx[s]), len(idx[t]))
+            acc = acc.reshape(1 + len(e), len(idx[s]), len(idx[t]))
             i, j = np.ix_(idx[s], idx[t])
             dot[i, j] = acc[0]
             dot[j.T, i.T] = acc[0].T

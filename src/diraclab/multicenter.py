@@ -20,6 +20,14 @@ values, without another weighted Gram.  The eigenvector returned is
 the one of the sample at the root.  A converged solve typically builds
 two or three weighted Grams, one per sample.
 
+On the symmetry-reduced grid that grid_for_basis builds for atoms on a
+line or in a plane, every cross part of W lies along the grid's axis a,
+and each mu_min is the lowest eigenvalue of one n x n Hermitian block
+(real symmetric for a line) instead of the 2n x 2n spinor pencil; psi
+is its eigenvector times the spinor chi with (sigma.a) chi = chi (see
+_GapEngine).  Four or more atoms in no common plane keep the full
+lab-frame grid and the spinor pencil.
+
 This path cannot produce spurious eigenvalues from below; a kinetically
 balanced 4-spinor discretization of the same operator is available as a
 diagnostic cross-check.
@@ -35,7 +43,7 @@ from .charges import ChargeDistribution, potential_grid
 from .errors import ConfigError, NoGapEigenvalueError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
                        QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
-                       grid_for_basis, spinor_matrix)
+                       grid_for_basis, spin_along, spinor_matrix)
 from .radial import UNBOUND_ENERGY
 
 NEAR_CRITICAL_STRENGTH = 0.9
@@ -115,6 +123,16 @@ class _GapEngine:
     Each mu_min(lam) keeps the lowest eigenvector of its pencil, so the
     slope at a sampled lam and the eigenvector of the returned root need
     no further weighted Gram.
+
+    On a full grid the pencil is the 2n x 2n spinor matrix
+    kron(dot', I2) + i sum_k kron(cross'_k, sigma_k), with dot' the
+    projected dot Gram plus S + M_V.  On a reduced grid (axis a) every
+    cross part lies along a, so with chi_+- the spinors of
+    (sigma.a) chi = +-chi the pencil splits into dot' + i a.cross' on
+    phi (x) chi_+ and its complex conjugate on phi (x) chi_-, which has
+    the same eigenvalues.  The engine solves the n x n block of chi_+
+    alone, a real symmetric one on an axial grid, and returns
+    psi = phi (x) chi_+.
     """
 
     def __init__(self, basis: SpinorBasis, mu: ChargeDistribution,
@@ -130,6 +148,7 @@ class _GapEngine:
         sc = basis.scalar
         self.bstat = sc.overlap_matrix() + sc.potential_matrix(mu)
         self.x = basis.orthogonalizer
+        self.spin = None if grid.axis is None else spin_along(grid.axis)
         self.vectors: dict[float, np.ndarray] = {}
 
     def _projected_pencil(self, lam: float) -> np.ndarray:
@@ -139,13 +158,17 @@ class _GapEngine:
         dot, cross = self.evaluation.weighted_grad_blocks(c)
         x = self.x
         bdot = x.T @ (dot + self.bstat) @ x
-        bcross = [x.T @ m @ x for m in cross]
-        return spinor_matrix(bdot, bcross)
+        if self.grid.kind == "full":
+            return spinor_matrix(bdot, [x.T @ m @ x for m in cross])
+        if self.grid.kind == "axial":
+            return bdot
+        return bdot + 1j * (x.T @ np.tensordot(self.grid.axis, cross, 1) @ x)
 
     def mu_min(self, lam: float) -> float:
         evals, vecs = np.linalg.eigh(self._projected_pencil(lam))
-        self.vectors[lam] = self.basis.expand_scalar_spinor(
-            _fix_phase(vecs[:, 0]))
+        vec = vecs[:, 0] if self.spin is None else np.kron(vecs[:, 0],
+                                                           self.spin)
+        self.vectors[lam] = self.basis.expand_scalar_spinor(_fix_phase(vec))
         return float(evals[0])
 
     def eigenvector(self, lam: float) -> np.ndarray:

@@ -138,12 +138,19 @@ def weighted_grad_dot(grads, c) -> np.ndarray:
     return sum(g.T @ (c[:, None] * g) for g in grads)
 
 
-def weighted_grad_cross(grads, c) -> list:
-    """Antisymmetric cross Grams int c (d_a g_i d_b g_j - d_b g_i d_a g_j)."""
+def weighted_grad_cross(grads, c, axis=None) -> list:
+    """Antisymmetric cross Grams int c (d_a g_i d_b g_j - d_b g_i d_a g_j).
+
+    With the axis of a reduced grid, only their component along it,
+    axis_k (axis . cross): the part that grid keeps.
+    """
     out = []
     for a, b in ((1, 2), (2, 0), (0, 1)):
         m1 = grads[a].T @ (c[:, None] * grads[b])
         out.append(m1 - m1.T)
+    if axis is not None:
+        along = np.tensordot(axis, out, 1)
+        out = [a_k * along for a_k in axis]
     return out
 
 

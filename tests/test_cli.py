@@ -1,10 +1,15 @@
 """Command line façade: exit codes, JSON/CSV output, config echo."""
+import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from diraclab import cli, multicenter, radial
+from diraclab.configio import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_SWEEP = """
 [experiment]
@@ -65,6 +70,14 @@ def test_radial_config_shell(tmp_path, capsys):
     assert cli.main(["radial", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["lambda1"] >= math.sqrt(0.75) - 1e-8
+
+
+def test_multicenter_verbose_reports_the_grid(tmp_path, capsys):
+    cfg = write(tmp_path, "multi.cfg", MULTI)
+    assert cli.main(["multicenter", "--config", cfg, "--verbose"]) == 0
+    err = capsys.readouterr().err
+    # one atom: 64 shells times the 18 cos(theta) nodes of one azimuth
+    assert "grid_points=1152 grid_kind=axial" in err
 
 
 def test_radial_rejects_nonsymmetric_charge(tmp_path, capsys):
@@ -276,3 +289,30 @@ def test_experiment_exit_code_passthrough(tmp_path, monkeypatch, capsys):
     cfg = write(tmp_path, "sweep.cfg", FAST_SWEEP)
     assert cli.main(["conjecture-sweep", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def shipped_command(path: Path) -> str:
+    """The subcommand a shipped config is written for: radial for layers,
+    multicenter for a bare charge block, else its experiment kind."""
+    doc = load_config(path)
+    if doc.layer_blocks:
+        return "radial"
+    return str(doc.get("experiment", "kind", "multicenter"))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_runs_clean(path, tmp_path):
+    command = shipped_command(path)
+    single = command in ("radial", "multicenter")
+    out = tmp_path / ("out.json" if single else "out.csv")
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    if single:
+        res = json.loads(out.read_text())
+        assert res["converged"] and not res["below_gap"]
+        assert res.get("flags", []) == []
+    else:
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(row.get("flags", "ok") == "ok" for row in rows)

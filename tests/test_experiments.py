@@ -352,7 +352,9 @@ def test_manifest_carries_root_find_diagnostics_per_row(tmp_path):
     for row, diag in zip(report.rows, diags):
         assert set(diag) == {"iterations", "residual", "bracket_width",
                              "retained_rank", "basis_size", "grid_points",
-                             "partition_residual"}
+                             "grid_kind", "partition_residual"}
+        # a pair and a merged atom both lie on a line
+        assert diag["grid_kind"] == "axial"
         assert row["converged"]
         assert diag["residual"] <= cfg.gap.residual_tol
         assert 0.0 <= diag["bracket_width"] <= cfg.gap.lam_tol

@@ -300,7 +300,7 @@ def test_weighted_grad_blocks_consistency(monkeypatch):
                                             gaussian.VALUE_FLOOR)
     assert np.allclose(dot, oracles.weighted_grad_dot(grads, c), atol=1e-12)
     assert np.array_equal(dot, dot.T)
-    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c)):
+    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c, grid.axis)):
         assert np.allclose(a, b, atol=1e-12)
         assert np.array_equal(a, -a.T)
 
@@ -315,7 +315,8 @@ def test_value_floor_moves_the_gradient_gram_by_at_most_1e_100(monkeypatch):
     atol = 1e-12 * np.max(np.abs(dot))
     assert np.allclose(dot, oracles.weighted_grad_dot(raw_grads, c),
                        rtol=0.0, atol=atol)
-    for a, b in zip(cross, oracles.weighted_grad_cross(raw_grads, c)):
+    for a, b in zip(cross, oracles.weighted_grad_cross(raw_grads, c,
+                                                       grid.axis)):
         assert np.allclose(a, b, rtol=0.0, atol=atol)
     # the same arithmetic without the floor isolates the floor's own move
     # (4.3e-109 here, in a cross entry)
@@ -364,6 +365,13 @@ def off_plane_triple():
     return gaussian.default_spinor_basis(mu, n_s=3, alpha0=0.1, beta=3.0)
 
 
+def off_plane_quad():
+    """Four sites in no common plane: the one geometry on a full grid."""
+    mu = charges.atoms([(0.1, -0.2, 0.3), (1.2, 0.5, -0.4), (-0.3, 0.9, 0.7),
+                        (0.4, 0.3, -0.9)], [0.2] * 4)
+    return gaussian.default_spinor_basis(mu, n_s=3, alpha0=0.1, beta=3.0)
+
+
 def interleaved_pair():
     """Two sites whose primitives alternate, so no site's columns are
     adjacent."""
@@ -378,7 +386,8 @@ def one_site():
     return gaussian.default_spinor_basis(mu, n_s=5, alpha0=0.05, beta=3.0)
 
 
-GEOMETRIES = {"off_plane_triple": off_plane_triple,
+GEOMETRIES = {"off_plane_quad": off_plane_quad,
+              "off_plane_triple": off_plane_triple,
               "interleaved_pair": interleaved_pair, "one_site": one_site}
 
 
@@ -401,7 +410,7 @@ def test_values_only_gram_matches_unfloored_gradient_oracle(name, monkeypatch):
     atol = 1e-13 * np.max(np.abs(dot))
     assert np.allclose(dot, oracles.weighted_grad_dot(grads, c),
                        rtol=0.0, atol=atol)
-    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c)):
+    for a, b in zip(cross, oracles.weighted_grad_cross(grads, c, grid.axis)):
         assert np.allclose(a, b, rtol=0.0, atol=atol)
 
 
@@ -446,18 +455,26 @@ def test_weighted_overlap_is_exactly_symmetric_and_checks_weights():
 
 
 def test_weighted_sigma_grad_is_the_spinor_gram_form(monkeypatch):
+    # any psi on the full lab-frame grid; on the reduced (axial) grid the
+    # psi = phi (x) chi with (sigma.axis) chi = chi that the solver forms
     monkeypatch.setattr(gaussian, "BLOCK", 500)
     basis = two_center_basis(n_s=4)
-    grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
-    ev = gaussian.GridEvaluation(basis, grid)
-    c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1)) ** 2
+    n = basis.scalar.n
+    reduced = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
+    lab = gaussian.build_grid(basis.scalar.sites, 48, 17,
+                              *gaussian.radial_window(basis))
     rng = np.random.default_rng(11)
-    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    want = psi.conj() @ gaussian.spinor_matrix(*ev.weighted_grad_blocks(c)) \
-        @ psi
-    assert abs(want.imag) <= 1e-12 * abs(want)
-    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want.real,
-                                                           rel=1e-12)
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for grid, psi in (
+            (lab, rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)),
+            (reduced, np.kron(phi, gaussian.spin_along(reduced.axis)))):
+        ev = gaussian.GridEvaluation(basis, grid)
+        c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1)) ** 2
+        want = psi.conj() @ gaussian.spinor_matrix(
+            *ev.weighted_grad_blocks(c)) @ psi
+        assert abs(want.imag) <= 1e-12 * abs(want)
+        assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want.real,
+                                                               rel=1e-12)
 
 
 def test_grid_for_basis_defaults_are_the_solver_defaults():
@@ -481,3 +498,81 @@ def test_grid_validation():
             gaussian.build_grid([(0, 0, 0)], n_radial=n_radial)
     with pytest.raises(ConfigError):
         gaussian.build_grid(np.empty((0, 3)))
+
+
+# --- symmetry-reduced grids ------------------------------------------------
+
+@pytest.mark.parametrize("sites,kind,axis", [
+    ([(0.2, 0.1, -0.3)], "axial", (0, 0, 1)),
+    ([(0, 0, 0), (1, 0, 0), (3, 0, 0)], "axial", (1, 0, 0)),
+    ([(0, 0, 0), (0, 0, 0.5)], "axial", (0, 0, 1)),
+    ([(0, 0, 0), (1, 0, 0), (0.5, 0.8, 0)], "mirror", (0, 0, 1)),
+    ([(0, 0, 0), (1, 0, 0), (0.5, 1e-6, 0)], "mirror", (0, 0, 1)),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], "mirror", (0, 0, 1)),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], "full", None),
+])
+def test_symmetry_frame_kinds(sites, kind, axis):
+    # a third atom 1e-6 off the line already breaks the axial symmetry
+    got, frame = gaussian.symmetry_frame(np.array(sorted(sites)))
+    assert got == kind
+    if axis is None:
+        assert frame is None
+    else:
+        assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+        assert np.allclose(frame[2], axis, atol=1e-15)
+
+
+def test_shipped_triangle_keeps_the_lab_azimuths():
+    # an edge on +x in z = 0: the mirror grid is the z >= 0 half of the
+    # lab grid, node for node, with the weights off the plane doubled
+    d = 1.0
+    mu = charges.atoms([(0, 0, 0), (d, 0, 0), (0.5 * d, 0.5 * math.sqrt(3) * d,
+                                                0)], [0.15] * 3)
+    basis = gaussian.default_spinor_basis(mu, n_s=3)
+    sites = basis.scalar.sites
+    half = gaussian.grid_for_basis(basis, 24, 9)
+    lab = gaussian.build_grid(sites, 24, 9, *gaussian.radial_window(basis))
+    assert half.kind == "mirror" and np.array_equal(half.axis, [0, 0, 1])
+    up = lab.points[:, 2] >= sites[0, 2]
+    assert np.array_equal(half.points, lab.points[up])
+    on_plane = lab.points[up, 2] == 0.0
+    assert np.array_equal(half.weights,
+                          np.where(on_plane, 1.0, 2.0) * lab.weights[up])
+
+
+def _laid_out(name):
+    """A molecule placed so that its reduced grid is the lab grid's
+    (on z, or in z = 0 with an edge on +x), its basis, and both grids."""
+    positions = {"one_atom": [(0, 0, 0)],
+                 "pair": [(0, 0, -0.3), (0, 0, 0.7)],
+                 "triangle": [(0, 0, 0), (1.1, 0, 0), (0.4, 0.8, 0)]}[name]
+    mu = charges.atoms(positions, [0.45 / len(positions)] * len(positions))
+    basis = gaussian.default_spinor_basis(mu, n_s=5, alpha0=0.05, beta=3.0)
+    reduced = gaussian.grid_for_basis(basis, 32, 11)
+    # an axial rule of order o is the azimuth-0 ring of the order 2o + 1 rule
+    order = 23 if reduced.kind == "axial" else 11
+    lab = gaussian.build_grid(basis.scalar.sites, 32, order,
+                              *gaussian.radial_window(basis))
+    return mu, basis, reduced, lab
+
+
+@pytest.mark.parametrize("name", ["one_atom", "pair", "triangle"])
+def test_reduced_gram_equals_the_lab_gram(name):
+    mu, basis, reduced, lab = _laid_out(name)
+    assert reduced.kind == ("mirror" if name == "triangle" else "axial")
+    assert np.array_equal(reduced.axis, [0, 0, 1])
+    assert reduced.size < lab.size
+    grams = []
+    for grid in (reduced, lab):
+        c = grid.weights / (1.8 + charges.potential_grid(mu, grid.points))
+        grams.append(gaussian.GridEvaluation(basis, grid)
+                     .weighted_grad_blocks(c))
+    (dot_r, cross_r), (dot_l, cross_l) = grams
+    tol = 1e-12 * np.max(np.abs(dot_l))
+    assert np.max(np.abs(dot_r - dot_l)) <= tol
+    # the axis (z) part agrees; the perpendicular ones the reduced grid
+    # leaves out are 0 on it and round-off on the lab grid
+    assert np.max(np.abs(cross_r[2] - cross_l[2])) <= tol
+    for k in (0, 1):
+        assert not np.any(cross_r[k])
+        assert np.max(np.abs(cross_l[k])) <= tol
