@@ -30,7 +30,7 @@ from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
 from .errors import (BelowGapError, ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError)
 from .gaussian import default_spinor_basis, grid_for_basis
-from .hardy import hardy_grid, hardy_quotient_min
+from .hardy import hardy_quotient_min
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
 from .radial import RadialGrid, schrodinger_ground_radial
@@ -230,9 +230,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
 
     The atoms are put in canonical order first (see _canonical_basis).
     `diagnostics` goes to the manifest: the root find's iterations,
-    residual and final bracket width, the retained rank of the basis
-    against its size, the grid size and kind, and the grid's
-    partition-of-unity residual; or the solver's error message.
+    residual and final bracket width and the keys of _grid_diagnostics;
+    or the solver's error message.
     """
     try:
         mu, basis = _canonical_basis(mu, cfg.basis)
@@ -255,10 +254,16 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
             "diagnostics": {
                 "iterations": res.iterations, "residual": res.residual,
                 "bracket_width": res.bracket[1] - res.bracket[0],
-                "retained_rank": basis.orthogonalizer.shape[1],
-                "basis_size": basis.scalar.n, "grid_points": grid.size,
-                "grid_kind": grid.kind,
-                "partition_residual": grid.partition_residual}}
+                **_grid_diagnostics(basis, grid)}}
+
+
+def _grid_diagnostics(basis, grid) -> dict:
+    """The retained rank of the basis against its scalar size, the grid
+    size and kind, and the grid's partition-of-unity residual."""
+    return {"retained_rank": basis.orthogonalizer.shape[1],
+            "basis_size": basis.scalar.n, "grid_points": grid.size,
+            "grid_kind": grid.kind,
+            "partition_residual": grid.partition_residual}
 
 
 def _canonical_basis(mu: ChargeDistribution, basis_keys: dict):
@@ -460,19 +465,23 @@ def _schrodinger_compare(cfg: ExperimentConfig):
 
 
 def _hardy_sweep(cfg: ExperimentConfig):
-    """Per-charge quotient constants c(mu) with the published floor."""
+    """Per-charge quotient constants c(mu) with the published floor; each
+    row's `diagnostics` (_grid_diagnostics) goes to the manifest."""
     family = _scan_family(cfg)
 
     def solve_one(item):
         mu, basis = _canonical_basis(item[1], cfg.basis)
-        return hardy_quotient_min(basis, mu, hardy_grid(
-            basis, cfg.gap.n_radial, cfg.gap.angular_order))
+        grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
+        return (hardy_quotient_min(basis, mu, grid),
+                _grid_diagnostics(basis, grid))
     solved = _run_ordered(solve_one, family, cfg.workers)
     rows = [{"family_index": idx, "nu_total": mu.total_charge,
              "geometry_descriptor": charge_descriptor(mu),
              "eta_min": res.eta_min, "c_mu": res.c_mu,
-             "basis_size": res.basis_size, "converged": True, "flags": "ok"}
-            for idx, ((_, mu), res) in enumerate(zip(family, solved))]
+             "basis_size": res.basis_size, "converged": True, "flags": "ok",
+             "diagnostics": diagnostics}
+            for idx, ((_, mu), (res, diagnostics))
+            in enumerate(zip(family, solved))]
     c_min = min(r["c_mu"] for r in rows)
     floor = 0.90033 - 1e-6
     summary = {

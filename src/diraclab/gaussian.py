@@ -220,6 +220,24 @@ def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
     return out
 
 
+def grid_matrix(grid: QuadratureGrid, dot: np.ndarray, cross=None):
+    """The part of the spinor matrix kron(dot, I2) + i sum_k
+    kron(cross_k, sigma_k) that the eigenproblems of this grid need.
+
+    The whole 2n x 2n matrix on a full grid.  On a reduced grid (axis a)
+    every cross part lies along a, so each matrix of a pencil splits into
+    dot + i a.cross on phi (x) chi_+ and its complex conjugate on
+    phi (x) chi_-, with (sigma.a) chi_+- = +-chi_+-: the n x n block of
+    chi_+ has every eigenvalue of the 2n pencil, each once, and
+    eigenvectors phi (x) chi_+ (spin_along).  It is dot on an axial grid.
+    """
+    if grid.kind == "full":
+        return spinor_matrix(dot, cross)
+    if grid.kind == "axial" or cross is None:
+        return dot
+    return dot + 1j * np.tensordot(grid.axis, cross, 1)
+
+
 def spin_along(axis: np.ndarray) -> np.ndarray:
     """The unit 2-spinor chi with (sigma.axis) chi = chi."""
     ax, ay, az = axis
@@ -462,8 +480,12 @@ def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
     vector least aligned with it, made perpendicular; sites in one plane
     give "mirror" with the normal e1 x (s_j - s_0) of the site s_j
     farthest from that line; any other set gives "full" and no frame.
-    The frame rows are (e1, axis x e1, axis).  A line along z or a plane
-    with an edge on +x in z = 0 keeps the lab frame.
+    A mirror frame then lays e1 along the longest edge, so its azimuths
+    turn with the sites, unless s_-1 - s_0 is as long within the
+    tolerance; the sign of e1 is immaterial, as the order + 1 azimuths of
+    a ring are symmetric under a half turn.  The frame rows are
+    (e1, axis x e1, axis).  A line along z or a plane in z = 0 whose
+    longest edge lies on +x keeps the lab frame.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if len(sites) == 1:
@@ -483,6 +505,12 @@ def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
         return "axial", np.array([e1, np.cross(axis, e1), axis])
     normal = off[j] / off_len[j]
     if np.max(np.abs(rel @ normal)) <= tol:
+        edges = sites[:, None, :] - sites[None, :, :]
+        lengths = np.linalg.norm(edges, axis=2)
+        a, b = np.unravel_index(np.argmax(lengths), lengths.shape)
+        if lengths[a, b] - reach[-1] > tol:
+            e1 = edges[a, b] - (edges[a, b] @ normal) * normal
+            e1 = e1 / np.linalg.norm(e1)
         return "mirror", np.array([e1, np.cross(normal, e1), normal])
     return "full", None
 

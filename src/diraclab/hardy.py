@@ -15,14 +15,12 @@ reported here is a certified upper estimate of the per-charge constant:
 
 with nu the total charge.  The 1/v weight vanishes linearly at each
 nucleus, so plain grid quadrature with the node-exclusion radius of
-build_grid needs no extra regularization.
+the grids needs no extra regularization.
 
-The quotients are integrated on the full lab-frame grid of hardy_grid,
-not on the symmetry-reduced grid of grid_for_basis, so Hardy constants
-do not depend on that reduction.  The two rules differ by quadrature
-error: on the shipped hardy_sweep family c(mu) differs between them by
-up to 4.8e-8, and both lie within 4e-7 of a converged axial grid
-(192 x 59).
+Both matrices are cut to the block their grid_for_basis grid needs
+(gaussian.grid_matrix).  On the shipped hardy_sweep family the default
+96 x 29 grid puts c(mu) within 1.8e-7 to 3.9e-7 of the converged axial
+grid (192 x 59).
 """
 from __future__ import annotations
 
@@ -35,9 +33,8 @@ import scipy.linalg as sla
 from .charges import ChargeDistribution, potential_grid
 from .configio import charge_descriptor
 from .errors import ConfigError, IllConditionedBasisError
-from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
-                       QuadratureGrid, SpinorBasis, build_grid,
-                       default_spinor_basis, radial_window, spinor_matrix)
+from .gaussian import (GridEvaluation, QuadratureGrid, SpinorBasis,
+                       default_spinor_basis, grid_for_basis, grid_matrix)
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,6 @@ class HardyScanRow:
     basis_size: int
 
 
-def hardy_grid(basis: SpinorBasis, n_radial: int = N_RADIAL,
-               angular_order: int = ANGULAR_ORDER) -> QuadratureGrid:
-    """The full lab-frame grid on the radial window of the basis."""
-    return build_grid(basis.scalar.sites, n_radial, angular_order,
-                      *radial_window(basis))
-
-
 def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
                        grid: QuadratureGrid | None = None) -> HardyResult:
     """Minimize the weighted quotient over the basis span.
@@ -80,13 +70,13 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
     if nu <= 0.0:
         raise ConfigError("Hardy quotient needs a nonzero charge")
     if grid is None:
-        grid = hardy_grid(basis)
+        grid = grid_for_basis(basis)
     vpot = potential_grid(mu, grid.points)
     evaluation = GridEvaluation(basis, grid)
 
     adot, across = evaluation.weighted_grad_blocks(grid.weights / vpot)
-    a = spinor_matrix(adot, across)
-    n = spinor_matrix(evaluation.weighted_overlap(grid.weights * vpot))
+    a = grid_matrix(grid, adot, across)
+    n = grid_matrix(grid, evaluation.weighted_overlap(grid.weights * vpot))
 
     # symmetric diagonal balancing keeps wide exponent spans solvable
     d = np.diag(n).real.copy()
@@ -117,7 +107,7 @@ def nu1_scan(family, basis_rule=None) -> list[HardyScanRow]:
     """Per-member constants c(mu) for a family of charges.
 
     basis_rule maps a charge to a SpinorBasis (default even-tempered
-    shells on its atoms); each basis gets its default hardy_grid.
+    shells on its atoms); each basis gets its default grid_for_basis.
     The family minimum min(row.c_mu) is the scan's headline value.
     """
     if basis_rule is None:

@@ -21,12 +21,9 @@ the one of the sample at the root.  A converged solve typically builds
 two or three weighted Grams, one per sample.
 
 On the symmetry-reduced grid that grid_for_basis builds for atoms on a
-line or in a plane, every cross part of W lies along the grid's axis a,
-and each mu_min is the lowest eigenvalue of one n x n Hermitian block
-(real symmetric for a line) instead of the 2n x 2n spinor pencil; psi
-is its eigenvector times the spinor chi with (sigma.a) chi = chi (see
-_GapEngine).  Four or more atoms in no common plane keep the full
-lab-frame grid and the spinor pencil.
+line or in a plane, each mu_min is the lowest eigenvalue of one n x n
+block (real symmetric for a line) instead of the 2n x 2n spinor pencil,
+and psi is its eigenvector times a fixed spinor (gaussian.grid_matrix).
 
 This path cannot produce spurious eigenvalues from below; a kinetically
 balanced 4-spinor discretization of the same operator is available as a
@@ -43,7 +40,7 @@ from .charges import ChargeDistribution, potential_grid
 from .errors import ConfigError, NoGapEigenvalueError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
                        QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
-                       grid_for_basis, spin_along, spinor_matrix)
+                       grid_for_basis, grid_matrix, spin_along)
 from .radial import UNBOUND_ENERGY
 
 NEAR_CRITICAL_STRENGTH = 0.9
@@ -124,15 +121,8 @@ class _GapEngine:
     slope at a sampled lam and the eigenvector of the returned root need
     no further weighted Gram.
 
-    On a full grid the pencil is the 2n x 2n spinor matrix
-    kron(dot', I2) + i sum_k kron(cross'_k, sigma_k), with dot' the
-    projected dot Gram plus S + M_V.  On a reduced grid (axis a) every
-    cross part lies along a, so with chi_+- the spinors of
-    (sigma.a) chi = +-chi the pencil splits into dot' + i a.cross' on
-    phi (x) chi_+ and its complex conjugate on phi (x) chi_-, which has
-    the same eigenvalues.  The engine solves the n x n block of chi_+
-    alone, a real symmetric one on an axial grid, and returns
-    psi = phi (x) chi_+.
+    The pencil is cut to the block its grid needs (grid_matrix); on a
+    reduced grid its lowest eigenvector phi gives psi = phi (x) chi_+.
     """
 
     def __init__(self, basis: SpinorBasis, mu: ChargeDistribution,
@@ -157,12 +147,8 @@ class _GapEngine:
         c = self.grid.weights / (1.0 + lam + self.vpot)
         dot, cross = self.evaluation.weighted_grad_blocks(c)
         x = self.x
-        bdot = x.T @ (dot + self.bstat) @ x
-        if self.grid.kind == "full":
-            return spinor_matrix(bdot, [x.T @ m @ x for m in cross])
-        if self.grid.kind == "axial":
-            return bdot
-        return bdot + 1j * (x.T @ np.tensordot(self.grid.axis, cross, 1) @ x)
+        return grid_matrix(self.grid, x.T @ (dot + self.bstat) @ x,
+                           [x.T @ m @ x for m in cross])
 
     def mu_min(self, lam: float) -> float:
         evals, vecs = np.linalg.eigh(self._projected_pencil(lam))
@@ -270,10 +256,12 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
         [[S + M_V,  T       ],        metric  [[S, 0],
          [T,        P - T   ]]                 [0, T]]
 
-    with P the small-side potential matrix by quadrature.  Returns the
-    eigenvalues strictly inside (-1, 1), ascending.  Diagnostic only: this
-    discretization can in principle suffer spectral pollution, so it is
-    restricted to total charge <= 0.9 where the risk is low.  A given
+    with P the small-side potential matrix by quadrature, each block cut
+    by grid_matrix.  Returns the eigenvalues strictly inside (-1, 1),
+    ascending, on a reduced grid each once, not as a Kramers pair.
+    Diagnostic only: this discretization can in principle suffer spectral
+    pollution, so it is restricted to total charge <= 0.9 where the risk
+    is low.  A given
     `evaluation` (the basis tabulated on `grid`) is reused, not rebuilt.
     """
     _require_atomic(mu, "4-spinor cross-check")
@@ -295,10 +283,10 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     x = basis.orthogonalizer
     y = filtered_orthogonalizer(tdot, "small-component metric collapsed")
 
-    ll = spinor_matrix(x.T @ (sdot + mvdot) @ x)
-    ls = spinor_matrix(x.T @ tdot @ y)
-    ss = spinor_matrix(y.T @ (-pdot - tdot) @ y,
-                       [y.T @ -m @ y for m in pcross])
+    ll = grid_matrix(grid, x.T @ (sdot + mvdot) @ x)
+    ls = grid_matrix(grid, x.T @ tdot @ y)
+    ss = grid_matrix(grid, y.T @ (-pdot - tdot) @ y,
+                     [y.T @ -m @ y for m in pcross])
     top = np.hstack([ll, ls])
     bot = np.hstack([ls.conj().T, ss])
     evals = np.linalg.eigvalsh(np.vstack([top, bot]))

@@ -10,6 +10,10 @@ from diraclab import cli, multicenter, radial
 from diraclab.configio import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# Values the benchmark checks its shipped-config runs against, and its
+# tolerance on each.
+REFERENCE_FILE = CONFIG_DIR.parent / "perfbench" / "reference.json"
+REFERENCE_TOL = 1e-7
 
 FAST_SWEEP = """
 [experiment]
@@ -300,6 +304,39 @@ def shipped_command(path: Path) -> str:
     return str(doc.get("experiment", "kind", "multicenter"))
 
 
+# the CSV column of a scan kind's whole-output reference, and the column
+# each `<config>/<key>=<value>` reference picks its row by
+SCAN_VALUE = {"hardy-sweep": "c_mu", "schrodinger": "energy"}
+ROW_COLUMN = {"separations": "separation", "scales": "scale"}
+
+
+def reference_pairs(path: Path, command: str, out: Path) -> dict:
+    """Per key of REFERENCE_FILE naming this config, the values `out`
+    holds for it (None if none) and the recorded ones: the whole output
+    under `<command>/<config>`, one scan row under `<config>/<key>=<value>`."""
+    reference = json.loads(REFERENCE_FILE.read_text(encoding="utf-8"))
+    whole = f"{command}/{path.stem}"
+    keys = [k for k in reference
+            if k == whole or k.startswith(f"{path.stem}/")]
+    got = {}
+    if command in ("radial", "multicenter"):
+        res = json.loads(out.read_text())
+        got[whole] = [v for v in (res["lambda1"],
+                                  res.get("crosscheck_lambda1"))
+                      if v is not None]
+    else:
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        if command in SCAN_VALUE:
+            got[whole] = [float(r[SCAN_VALUE[command]]) for r in rows]
+        for k in keys:
+            key, _, value = k.partition("/")[2].partition("=")
+            if key in ROW_COLUMN:
+                got[k] = [float(r["lambda1"]) for r in rows
+                          if float(r[ROW_COLUMN[key]]) == float(value)]
+    return {k: (got.get(k), reference[k]) for k in keys}
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
                          ids=lambda p: p.stem)
 def test_shipped_config_runs_clean(path, tmp_path):
@@ -316,3 +353,9 @@ def test_shipped_config_runs_clean(path, tmp_path):
             rows = list(csv.DictReader(fh))
         assert rows
         assert all(row.get("flags", "ok") == "ok" for row in rows)
+    # every value the benchmark records for this output, within its
+    # tolerance, so a drift shows here and not only in a benchmark run
+    for key, (got, want) in reference_pairs(path, command, out).items():
+        assert got is not None and len(got) == len(want), key
+        assert all(abs(g - w) <= REFERENCE_TOL for g, w in zip(got, want)), \
+            (key, got, want)

@@ -271,6 +271,10 @@ def test_hardy_sweep_columns_fixed():
     assert report.summary["published_bracket"] == [0.90033, 1.0]
     assert report.summary["c_min"] >= report.summary["floor"]
     assert report.exit_code == 0
+    # the gap rows' basis and grid diagnostics, in the manifest only
+    assert [set(d) for d in report.manifest()["row_diagnostics"]] == [
+        {"retained_rank", "basis_size", "grid_points", "grid_kind",
+         "partition_residual"}] * 2
 
 
 def test_exit_code_solver_error(monkeypatch):

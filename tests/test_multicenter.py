@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diraclab import charges, gaussian, multicenter
+from diraclab import charges, gaussian, hardy, multicenter
 from diraclab.errors import ConfigError, NoGapEigenvalueError
 
 
@@ -138,15 +138,14 @@ def test_rotation_moves_pair_lambda1_by_roundoff_only(mu, axis, angle):
 @given(mu=small_molecules(sizes=(3,)), **ROTATIONS)
 @INVARIANCE
 def test_rotation_moves_lambda1_by_quadrature_error_only(mu, axis, angle):
-    # A triangle's mirror grid turns with its plane, but its in-plane
-    # azimuth 0 follows the first-to-last atom of the sorted sites, which
-    # a rotation can reorder, so lambda1 moves by the quadrature error of
-    # this coarse 48 x 17 grid.  In 840 random draws of these molecules
-    # the move was at most 2.8e-4 and above 8e-5 in 1.8% of draws; a
-    # grid fixed in the lab frame did the same (at most 2.6e-4 in 420
-    # draws).  The bound holds the six derandomized draws run here.
+    # A triangle's mirror grid turns with its plane and lays azimuth 0
+    # along its longest edge, so the quadrature error of this coarse
+    # 48 x 17 grid turns with the triangle and cancels: lambda1 moves by
+    # round-off only.  In three runs of 300 random draws of 2-3 atoms
+    # (384 triangles) the move was at most 2.9e-15; the bound leaves 30x
+    # margin, where the old in-plane azimuth needed 2e-4.
     turned = rotated(mu, axis, angle)
-    assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 2e-4
+    assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["one_atom", "pair", "triangle"])
@@ -167,6 +166,15 @@ def test_reduced_solve_equals_the_lab_solve(name):
     want = multicenter.solve_gap(basis, mu, lab)
     assert got.converged and want.converged
     assert abs(got.lambda1 - want.lambda1) <= 1e-12
+    # the Hardy pencil and the 4-spinor matrix split the same way; the
+    # reduced cross-check counts each Kramers pair of the lab one once
+    c_got = hardy.hardy_quotient_min(basis, mu, reduced).c_mu
+    c_want = hardy.hardy_quotient_min(basis, mu, lab).c_mu
+    assert abs(c_got - c_want) <= 1e-12 * c_want
+    evs = multicenter.rkb_cross_check(basis, mu, reduced)
+    lab_evs = multicenter.rkb_cross_check(basis, mu, lab)
+    assert len(evs) > 0 and len(lab_evs) == 2 * len(evs)
+    assert np.max(np.abs(evs - lab_evs[::2])) <= 1e-12
     # psi = phi (x) chi solves the 2n pencil of the reduced grid as well
     engine = multicenter._GapEngine(basis, mu, reduced)
     psi = engine.eigenvector(got.lambda1)
