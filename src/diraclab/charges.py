@@ -75,14 +75,20 @@ class RadialLayer:
 
 @dataclass(frozen=True)
 class ChargeDistribution:
-    """A finite collection of atoms and origin-centered radial layers."""
+    """A finite collection of atoms and origin-centered radial layers,
+    stored sorted (points by position and strength, layers by kind, radius
+    and strength), so that no result depends on the order they are listed in.
+    """
 
     points: tuple[PointCharge, ...] = ()
     layers: tuple[RadialLayer, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "points", tuple(sorted(
+            self.points, key=lambda p: (p.position, p.strength))))
+        object.__setattr__(self, "layers", tuple(sorted(
+            self.layers,
+            key=lambda l: (LAYER_KINDS.index(l.kind), l.radius, l.strength))))
 
     @property
     def total_charge(self) -> float:
@@ -242,10 +248,3 @@ def mix(mu1: ChargeDistribution, mu2: ChargeDistribution, t: float) -> ChargeDis
         raise ChargeModelError("mixing weight must lie strictly between 0 and 1")
     return combine(scale_strengths(mu1, t), scale_strengths(mu2, 1.0 - t))
 
-
-def sorted_canonical(mu: ChargeDistribution) -> ChargeDistribution:
-    """Deterministic ordering used by the config writer."""
-    pts = tuple(sorted(mu.points, key=lambda p: (p.position, p.strength)))
-    order = {k: i for i, k in enumerate(LAYER_KINDS)}
-    lys = tuple(sorted(mu.layers, key=lambda l: (order[l.kind], l.radius, l.strength)))
-    return ChargeDistribution(points=pts, layers=lys)

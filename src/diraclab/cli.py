@@ -16,9 +16,9 @@ from .configio import ConfigDoc, doc_from_charge, emit_config, load_config
 from .errors import (BelowGapError, ChargeModelError, ConfigError,
                      IllConditionedBasisError, NoGapEigenvalueError,
                      UncertifiedEigenvalueError)
-from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, _canonical_basis,
-                          config_from_doc, run_experiment)
-from .gaussian import grid_for_basis
+from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
+                          run_experiment)
+from .gaussian import default_spinor_basis, grid_for_basis
 from .multicenter import GapSolveConfig, solve_gap
 from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
@@ -109,7 +109,8 @@ def _cmd_multicenter(args) -> int:
     if args.print_config:
         _write_text(emit_config(doc), args.out)
         return 0
-    mu, basis = _canonical_basis(doc.charge(), doc.typed("basis"))
+    mu = doc.charge()
+    basis = default_spinor_basis(mu, **doc.typed("basis"))
     gcfg = doc.build(GapSolveConfig, "solver", "grid")
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)

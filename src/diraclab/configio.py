@@ -3,15 +3,16 @@
 Grammar: INI-like sections.  `[charge.point]` and `[charge.layer]` may
 repeat, one block per charge piece; every other section holds scalar
 `key = value` pairs and may appear once.  `#` starts a comment.  The
-writer is canonical: charge blocks sorted, floats at 17 significant
-digits, so write -> parse round-trips bit-exactly.
+writer is canonical: charge blocks in the charge's own stored order,
+floats at 17 significant digits, so write -> parse round-trips
+bit-exactly.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 
-from .charges import (ChargeDistribution, PointCharge, RadialLayer,
-                      sorted_canonical)
+from .charges import ChargeDistribution, PointCharge, RadialLayer
 from .errors import ConfigError
 
 # value types of the keys
@@ -58,10 +59,12 @@ def _parse_value(raw: str):
 
 
 def _convert(kind: str, value, what: str):
-    """A parsed value as `kind`; ConfigError if it is not one."""
+    """A parsed value as `kind`; ConfigError if it is not one.  A real
+    must fit a finite float: a nan tolerance passes every check."""
     if kind == INT and isinstance(value, int):
         return value
-    if kind == REAL and isinstance(value, (int, float)):
+    if kind == REAL and isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max:
         return float(value)
     if kind == BOOL and (value in ("true", "false") or (
             isinstance(value, int) and value in (0, 1))):
@@ -70,11 +73,12 @@ def _convert(kind: str, value, what: str):
         return value
     if kind == REALS:
         items = value if isinstance(value, tuple) else (value,)
-        if all(isinstance(v, (int, float)) for v in items):
+        if all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+               for v in items):
             return tuple(float(v) for v in items)
-    expected = {INT: "an integer", REAL: "a real number",
+    expected = {INT: "an integer", REAL: "a finite real number",
                 BOOL: "0, 1, true or false", NAME: "a name",
-                REALS: "a list of real numbers"}[kind]
+                REALS: "a list of finite real numbers"}[kind]
     raise ConfigError(f"{what} must be {expected}, got {value!r}")
 
 
@@ -216,8 +220,7 @@ def _format_value(v) -> str:
 
 
 def emit_charge(mu: ChargeDistribution) -> str:
-    """Canonical charge blocks: sorted, 17 significant digits."""
-    mu = sorted_canonical(mu)
+    """Canonical charge blocks: stored order, 17 significant digits."""
     out = []
     for p in mu.points:
         out.append("[charge.point]")
@@ -249,7 +252,6 @@ def emit_config(doc: ConfigDoc) -> str:
 
 def charge_descriptor(mu: ChargeDistribution) -> str:
     """Compact one-line geometry descriptor used in report rows."""
-    mu = sorted_canonical(mu)
     bits = []
     for p in mu.points:
         x, y, z = p.position

@@ -20,7 +20,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
 from .errors import (BelowGapError, ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError)
 from .gaussian import default_spinor_basis, grid_for_basis
-from .hardy import hardy_quotient_min
+from .hardy import HardyScanRow, scan_row
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
 from .radial import RadialGrid, schrodinger_ground_radial
@@ -228,13 +228,12 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
 def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     """One gap solve; solver failures are recorded, not raised.
 
-    The atoms are put in canonical order first (see _canonical_basis).
     `diagnostics` goes to the manifest: the root find's iterations,
     residual and final bracket width and the keys of _grid_diagnostics;
     or the solver's error message.
     """
     try:
-        mu, basis = _canonical_basis(mu, cfg.basis)
+        basis = default_spinor_basis(mu, **cfg.basis)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
         res = solve_gap(basis, mu, grid, cfg.gap)
     except (NoGapEigenvalueError, IllConditionedBasisError,
@@ -264,18 +263,6 @@ def _grid_diagnostics(basis, grid) -> dict:
             "basis_size": basis.scalar.n, "grid_points": grid.size,
             "grid_kind": grid.kind,
             "partition_residual": grid.partition_residual}
-
-
-def _canonical_basis(mu: ChargeDistribution, basis_keys: dict):
-    """The atoms in canonical order and the default basis built on them
-    from the set [basis] keys.
-
-    The basis follows the atom order, and a permuted atom list would
-    otherwise move every 3D result in its last digits and so change the
-    CSV and JSON bytes.
-    """
-    mu = charges.sorted_canonical(mu)
-    return mu, default_spinor_basis(mu, **basis_keys)
 
 
 def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
@@ -420,7 +407,7 @@ def _schrodinger_energy(mu: ChargeDistribution,
                         cfg: ExperimentConfig) -> tuple[float, bool]:
     if mu.radially_symmetric:
         return schrodinger_ground_radial(mu, cfg.radial_grid)
-    mu, basis = _canonical_basis(mu, cfg.basis)
+    basis = default_spinor_basis(mu, **cfg.basis)
     return schrodinger_ground_gaussian(basis, mu)
 
 
@@ -467,21 +454,15 @@ def _schrodinger_compare(cfg: ExperimentConfig):
 def _hardy_sweep(cfg: ExperimentConfig):
     """Per-charge quotient constants c(mu) with the published floor; each
     row's `diagnostics` (_grid_diagnostics) goes to the manifest."""
-    family = _scan_family(cfg)
-
-    def solve_one(item):
-        mu, basis = _canonical_basis(item[1], cfg.basis)
+    def solve_one(indexed):
+        index, (_, mu) = indexed
+        basis = default_spinor_basis(mu, **cfg.basis)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
-        return (hardy_quotient_min(basis, mu, grid),
-                _grid_diagnostics(basis, grid))
-    solved = _run_ordered(solve_one, family, cfg.workers)
-    rows = [{"family_index": idx, "nu_total": mu.total_charge,
-             "geometry_descriptor": charge_descriptor(mu),
-             "eta_min": res.eta_min, "c_mu": res.c_mu,
-             "basis_size": res.basis_size, "converged": True, "flags": "ok",
-             "diagnostics": diagnostics}
-            for idx, ((_, mu), (res, diagnostics))
-            in enumerate(zip(family, solved))]
+        return {**asdict(scan_row(index, mu, basis, grid)),
+                "converged": True, "flags": "ok",
+                "diagnostics": _grid_diagnostics(basis, grid)}
+    rows = _run_ordered(solve_one, list(enumerate(_scan_family(cfg))),
+                        cfg.workers)
     c_min = min(r["c_mu"] for r in rows)
     floor = 0.90033 - 1e-6
     summary = {
@@ -490,9 +471,7 @@ def _hardy_sweep(cfg: ExperimentConfig):
         "floor": floor,
         "exit_code": EXIT_MARGIN if c_min < floor else EXIT_OK,
     }
-    columns = ("family_index", "nu_total", "geometry_descriptor",
-               "eta_min", "c_mu", "basis_size")
-    return columns, rows, summary
+    return tuple(f.name for f in fields(HardyScanRow)), rows, summary
 
 
 # each kind returns (columns, rows, summary)

@@ -39,18 +39,18 @@ from .gaussian import (GridEvaluation, QuadratureGrid, SpinorBasis,
 
 @dataclass(frozen=True)
 class HardyResult:
-    """Minimum of the weighted quotient over one basis/grid pair."""
+    """Minimum of the weighted quotient over one basis/grid pair;
+    basis_size counts the basis's scalar primitives."""
 
     eta_min: float
     c_mu: float
     basis_size: int
-    grid_points: int
-    n_radial: int
-    angular_order: int
 
 
 @dataclass(frozen=True)
 class HardyScanRow:
+    """One family member's row; its fields are the hardy-sweep CSV columns."""
+
     family_index: int
     nu_total: float
     geometry_descriptor: str
@@ -98,9 +98,18 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
             "weighted quotient minimum is not positive; quadrature is "
             "degenerate for this basis/grid pair")
     return HardyResult(eta_min=eta, c_mu=nu * math.sqrt(eta),
-                       basis_size=basis.size, grid_points=grid.size,
-                       n_radial=grid.n_radial,
-                       angular_order=grid.angular_order)
+                       basis_size=basis.scalar.n)
+
+
+def scan_row(index: int, mu: ChargeDistribution, basis: SpinorBasis,
+             grid: QuadratureGrid | None = None) -> HardyScanRow:
+    """The scan row of family member `index`: hardy_quotient_min on the
+    given basis and grid (default grid_for_basis)."""
+    res = hardy_quotient_min(basis, mu, grid)
+    return HardyScanRow(family_index=index, nu_total=mu.total_charge,
+                        geometry_descriptor=charge_descriptor(mu),
+                        eta_min=res.eta_min, c_mu=res.c_mu,
+                        basis_size=res.basis_size)
 
 
 def nu1_scan(family, basis_rule=None) -> list[HardyScanRow]:
@@ -112,16 +121,8 @@ def nu1_scan(family, basis_rule=None) -> list[HardyScanRow]:
     """
     if basis_rule is None:
         basis_rule = default_spinor_basis
-    rows = []
-    for idx, mu in enumerate(family):
-        basis = basis_rule(mu)
-        res = hardy_quotient_min(basis, mu)
-        rows.append(HardyScanRow(
-            family_index=idx, nu_total=mu.total_charge,
-            geometry_descriptor=charge_descriptor(mu),
-            eta_min=res.eta_min, c_mu=res.c_mu,
-            basis_size=res.basis_size))
-    return rows
+    return [scan_row(idx, mu, basis_rule(mu))
+            for idx, mu in enumerate(family)]
 
 
 def scan_minimum(rows) -> float:

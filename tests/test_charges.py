@@ -154,7 +154,13 @@ def test_mix_and_combine():
     assert len(both.points) == 1 and len(both.layers) == 1
 
 
-def test_sorted_canonical_is_order_insensitive():
+def test_charge_stores_one_canonical_order():
     a = charges.atoms([(1, 0, 0), (0, 0, 0)], [0.2, 0.3])
     b = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.2])
-    assert charges.sorted_canonical(a) == charges.sorted_canonical(b)
+    assert a == b and a.points == b.points
+    assert [p.position for p in a.points] == [(0, 0, 0), (1, 0, 0)]
+    layers = (charges.RadialLayer("uniform-ball", 2.0, 0.1),
+              charges.RadialLayer("sphere-shell", 1.0, 0.2))
+    assert (charges.ChargeDistribution(layers=layers).layers
+            == charges.ChargeDistribution(layers=layers[::-1]).layers
+            == layers[::-1])

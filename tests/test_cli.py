@@ -217,9 +217,13 @@ def test_bad_radial_shell_count_exits_1(tmp_path, capsys, command, text,
         "kind = conjecture-sweep", "kind = conjecture-sweep\nworkers = two")),
     ("conjecture-sweep", FAST_SWEEP + "\n[output]\ncsv = 5\n"),
     ("radial", RADIAL_SHELL + "\n[solver]\nlam_tol = 1e-8 1e-9\n"),
-    ("radial", RADIAL_SHELL.replace("n = 3000", "n = 4000.9"))],
+    ("radial", RADIAL_SHELL.replace("n = 3000", "n = 4000.9")),
+    ("conjecture-sweep", FAST_SWEEP.replace(
+        "thetas", "margin_budget = nan\nthetas")),
+    ("multicenter", MULTI + "\n[solver]\nlam_tol = nan\n"),
+    ("radial", RADIAL_SHELL.replace("r_max = 100", "r_max = inf"))],
     ids=["n_s-word", "n_s-real", "workers-word", "csv-int", "lam_tol-list",
-         "n-real"])
+         "n-real", "margin_budget-nan", "lam_tol-nan", "r_max-inf"])
 def test_wrongly_typed_config_values_exit_1(tmp_path, capsys, command, text):
     cfg = write(tmp_path, "bad.cfg", text)
     assert cli.main([command, "--config", cfg]) == 1

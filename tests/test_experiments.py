@@ -272,9 +272,13 @@ def test_hardy_sweep_columns_fixed():
     assert report.summary["c_min"] >= report.summary["floor"]
     assert report.exit_code == 0
     # the gap rows' basis and grid diagnostics, in the manifest only
-    assert [set(d) for d in report.manifest()["row_diagnostics"]] == [
+    diagnostics = report.manifest()["row_diagnostics"]
+    assert [set(d) for d in diagnostics] == [
         {"retained_rank", "basis_size", "grid_points", "grid_kind",
          "partition_residual"}] * 2
+    # one meaning of basis_size: scalar primitives in the CSV and manifest
+    assert [r["basis_size"] for r in report.rows] == [
+        d["basis_size"] for d in diagnostics]
 
 
 def test_exit_code_solver_error(monkeypatch):

@@ -71,7 +71,9 @@ def test_result_reports_grid_and_basis_shape():
     basis = gaussian.default_spinor_basis(mu, n_s=6)
     grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
     res = hardy.hardy_quotient_min(basis, mu, grid)
-    assert res.basis_size == basis.size
-    assert res.n_radial == 48 and res.angular_order == 17
-    assert res.grid_points == grid.size
+    # scalar primitives, as in the manifest's row_diagnostics
+    assert res.basis_size == basis.scalar.n == 6
     assert res.c_mu > 0.0 and res.eta_min > 0.0
+    row = hardy.scan_row(3, mu, basis, grid)
+    assert (row.family_index, row.eta_min, row.c_mu, row.basis_size) == (
+        3, res.eta_min, res.c_mu, res.basis_size)

@@ -113,6 +113,27 @@ def test_translation_moves_lambda1_by_roundoff_only(mu, offset):
     assert abs(small_lambda1(moved) - small_lambda1(mu)) <= 1e-12
 
 
+def three_solver_values(mu):
+    """lambda1, the Hardy eta_min and the Schrodinger energy with n_s = 6,
+    the first two on a 48 x 17 grid."""
+    basis = basis_for(mu, n_s=6)
+    grid = gaussian.grid_for_basis(basis, 48, 17)
+    return (multicenter.solve_gap(basis, mu, grid).lambda1,
+            hardy.hardy_quotient_min(basis, mu, grid).eta_min,
+            multicenter.schrodinger_ground_gaussian(basis, mu)[0])
+
+
+@given(mu=small_molecules(), order=st.permutations(range(3)))
+@INVARIANCE
+def test_permutation_leaves_lambda1_unchanged(mu, order):
+    # the charge stores its atoms in one canonical order, so every 3D
+    # solver gives the same bits for any listing of the atoms
+    order = [i for i in order if i < len(mu.points)]
+    assume(order != sorted(order))
+    listed = charges.ChargeDistribution(points=[mu.points[i] for i in order])
+    assert three_solver_values(listed) == three_solver_values(mu)
+
+
 def rotated(mu, axis, angle):
     a = np.asarray(axis)
     assume(np.linalg.norm(a) >= 0.1)
@@ -137,7 +158,7 @@ def test_rotation_moves_pair_lambda1_by_roundoff_only(mu, axis, angle):
 
 @given(mu=small_molecules(sizes=(3,)), **ROTATIONS)
 @INVARIANCE
-def test_rotation_moves_lambda1_by_quadrature_error_only(mu, axis, angle):
+def test_rotation_moves_triangle_lambda1_by_roundoff_only(mu, axis, angle):
     # A triangle's mirror grid turns with its plane and lays azimuth 0
     # along its longest edge, so the quadrature error of this coarse
     # 48 x 17 grid turns with the triangle and cancels: lambda1 moves by
