@@ -480,12 +480,15 @@ def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
     vector least aligned with it, made perpendicular; sites in one plane
     give "mirror" with the normal e1 x (s_j - s_0) of the site s_j
     farthest from that line; any other set gives "full" and no frame.
-    A mirror frame then lays e1 along the longest edge, so its azimuths
-    turn with the sites, unless s_-1 - s_0 is as long within the
-    tolerance; the sign of e1 is immaterial, as the order + 1 azimuths of
-    a ring are symmetric under a half turn.  The frame rows are
-    (e1, axis x e1, axis).  A line along z or a plane in z = 0 whose
-    longest edge lies on +x keeps the lab frame.
+    A mirror frame then lays e1 along the longest edge, or along the
+    bisector of the two longest if exactly two tie within the tolerance
+    and meet at a site (an isosceles triangle with its apex under 60
+    degrees), so its azimuths turn with the sites; other ties keep
+    s_-1 - s_0 if it is as long within the tolerance (an equilateral
+    triangle, whose three edges are alike).  The sign of e1 is
+    immaterial, as the order + 1 azimuths of a ring are symmetric under a
+    half turn.  The frame rows are (e1, axis x e1, axis).  A line along z
+    or a plane in z = 0 whose longest edge lies on +x keeps the lab frame.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if len(sites) == 1:
@@ -508,8 +511,17 @@ def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
         edges = sites[:, None, :] - sites[None, :, :]
         lengths = np.linalg.norm(edges, axis=2)
         a, b = np.unravel_index(np.argmax(lengths), lengths.shape)
-        if lengths[a, b] - reach[-1] > tol:
-            e1 = edges[a, b] - (edges[a, b] @ normal) * normal
+        longest = np.argwhere(np.triu(lengths >= lengths[a, b] - tol, 1))
+        apex = np.intersect1d(*longest) if len(longest) == 2 else ()
+        d = None
+        if len(apex) == 1:
+            far = np.setdiff1d(longest, apex)
+            d = np.sum(edges[far, apex[0]]
+                       / lengths[far, apex[0]][:, None], axis=0)
+        elif lengths[a, b] - reach[-1] > tol:
+            d = edges[a, b]
+        if d is not None:
+            e1 = d - (d @ normal) * normal
             e1 = e1 / np.linalg.norm(e1)
         return "mirror", np.array([e1, np.cross(normal, e1), normal])
     return "full", None

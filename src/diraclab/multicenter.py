@@ -15,10 +15,11 @@ and steps by Newton on the Hellmann-Feynman slope
 
     mu'(lam) = -int w (1 + lam + v)^-2 |sigma.grad psi|^2,
 
-evaluated from the eigenvector psi of that sample on the tabulated basis
-values, without another weighted Gram.  The eigenvector returned is
-the one of the sample at the root.  A converged solve typically builds
-two or three weighted Grams, one per sample.
+evaluated from the eigenvector psi that mu_min returns with each sample,
+on the tabulated basis values, without another weighted Gram.  The
+result's vector is the eigenvector of the sample at the root.  A
+converged solve typically builds two or three weighted Grams, one per
+sample.
 
 On the symmetry-reduced grid that grid_for_basis builds for atoms on a
 line or in a plane, each mu_min is the lowest eigenvalue of one n x n
@@ -60,52 +61,27 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GapSolveConfig:
+class GapSolveConfig(_rootfind.SolveConfig):
     lam_tol: float = 1e-8
     residual_tol: float = 1e-8
-    max_iterations: int = 60
     n_radial: int = N_RADIAL
     angular_order: int = ANGULAR_ORDER
     crosscheck: bool = False
 
-    def __post_init__(self):
-        if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
-            raise ConfigError("tolerances must be positive")
-        if self.max_iterations < 4:
-            raise ConfigError("iteration budget too small")
-        if self.n_radial < 2 or self.angular_order < 1 \
-                or self.angular_order % 2 == 0:
-            raise ConfigError("grid needs n_radial >= 2 and an odd positive "
-                              "angular_order")
-
 
 @dataclass
-class GapResult:
-    """Root-solve outcome: eigenvalue, eigenvector, and diagnostics."""
+class GapResult(_rootfind.GapSolution):
+    """A 3D gap solve: `vector` is the S-normalised lowest eigenvector in
+    the primitive spinor basis, with the cross-check and flags."""
 
-    lambda1: float
-    coefficients: np.ndarray | None
-    residual: float
-    iterations: int
-    below_gap: bool
-    converged: bool
-    bracket: tuple[float, float]
-    trace: tuple[tuple[float, float], ...]
-    widths: tuple[float, ...]
     crosscheck_lambda1: float | None = None
     crosscheck_gap: float | None = None
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "below_gap": self.below_gap,
-            "crosscheck_lambda1": self.crosscheck_lambda1,
-            "flags": list(self.flags),
-            "converged": self.converged,
-        }
+        return {**super().to_json(),
+                "crosscheck_lambda1": self.crosscheck_lambda1,
+                "flags": list(self.flags)}
 
 
 def _require_atomic(mu: ChargeDistribution, what: str) -> None:
@@ -117,9 +93,9 @@ def _require_atomic(mu: ChargeDistribution, what: str) -> None:
 class _GapEngine:
     """Cached static matrices and grid tables for repeated mu_min evals.
 
-    Each mu_min(lam) keeps the lowest eigenvector of its pencil, so the
-    slope at a sampled lam and the eigenvector of the returned root need
-    no further weighted Gram.
+    Each mu_min(lam) returns the lowest eigenvector of its pencil next to
+    the eigenvalue, so the slope at that lam and the eigenvector of the
+    returned root need no further weighted Gram.
 
     The pencil is cut to the block its grid needs (grid_matrix); on a
     reduced grid its lowest eigenvector phi gives psi = phi (x) chi_+.
@@ -139,7 +115,6 @@ class _GapEngine:
         self.bstat = sc.overlap_matrix() + sc.potential_matrix(mu)
         self.x = basis.orthogonalizer
         self.spin = None if grid.axis is None else spin_along(grid.axis)
-        self.vectors: dict[float, np.ndarray] = {}
 
     def _projected_pencil(self, lam: float) -> np.ndarray:
         if lam <= -1.0:
@@ -150,24 +125,20 @@ class _GapEngine:
         return grid_matrix(self.grid, x.T @ (dot + self.bstat) @ x,
                            [x.T @ m @ x for m in cross])
 
-    def mu_min(self, lam: float) -> float:
+    def mu_min(self, lam: float) -> tuple[float, np.ndarray]:
+        """Lowest eigenvalue of the pencil at lam, and its S-normalised
+        eigenvector in the primitive spinor basis."""
         evals, vecs = np.linalg.eigh(self._projected_pencil(lam))
         vec = vecs[:, 0] if self.spin is None else np.kron(vecs[:, 0],
                                                            self.spin)
-        self.vectors[lam] = self.basis.expand_scalar_spinor(_fix_phase(vec))
-        return float(evals[0])
+        return (float(evals[0]),
+                self.basis.expand_scalar_spinor(_fix_phase(vec)))
 
-    def eigenvector(self, lam: float) -> np.ndarray:
-        """S-normalised lowest eigenvector in the primitive spinor basis."""
-        if lam not in self.vectors:
-            self.mu_min(lam)
-        return self.vectors[lam]
-
-    def slope(self, lam: float) -> float:
+    def slope(self, lam: float, psi: np.ndarray) -> float:
         """mu'(lam) = -int w (1+lam+v)^-2 |sigma.grad psi|^2, psi the
-        eigenvector of mu_min(lam) (Hellmann-Feynman)."""
+        eigenvector mu_min(lam) returned (Hellmann-Feynman)."""
         c = self.grid.weights / (1.0 + lam + self.vpot) ** 2
-        return -self.evaluation.weighted_sigma_grad(c, self.eigenvector(lam))
+        return -self.evaluation.weighted_sigma_grad(c, psi)
 
 
 def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
@@ -185,34 +156,17 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
     engine = _GapEngine(basis, mu, grid)
     root = _rootfind.solve_monotone_gap(
-        engine.mu_min, *_BRACKET,
-        lam_tol=config.lam_tol, residual_tol=config.residual_tol,
-        max_iter=config.max_iterations,
-        start=mu.merged_lambda, slope=engine.slope)
-
-    flags = []
-    if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):
-        flags.append(ACCURACY_FLAG)
-
+        engine.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
+        slope=engine.slope)
     if root.status == _rootfind.NO_ROOT:
         raise NoGapEigenvalueError(
             "no eigenvalue has entered the gap for this charge and basis")
-    if root.status == _rootfind.BELOW_GAP:
-        return GapResult(
-            lambda1=_BRACKET[0], coefficients=None,
-            residual=root.residual, iterations=root.iterations,
-            below_gap=True, converged=False, bracket=root.bracket,
-            trace=tuple(root.trace),
-            widths=tuple(root.widths), flags=tuple(flags))
 
-    result = GapResult(
-        lambda1=root.lam, coefficients=engine.eigenvector(root.lam),
-        residual=root.residual, iterations=root.iterations,
-        below_gap=False, converged=root.converged, bracket=root.bracket,
-        trace=tuple(root.trace),
-        widths=tuple(root.widths), flags=tuple(flags))
-
-    if config.crosscheck:
+    result = GapResult(**vars(root))
+    flags = []
+    if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):
+        flags.append(ACCURACY_FLAG)
+    if config.crosscheck and not result.below_gap:
         gap_evs = rkb_cross_check(basis, mu, grid, engine.evaluation)
         if len(gap_evs):
             result.crosscheck_lambda1 = float(gap_evs[0])
@@ -222,7 +176,7 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
                 flags.append(POLLUTION_FLAG)
         else:
             flags.append(POLLUTION_FLAG)
-        result.flags = tuple(flags)
+    result.flags = tuple(flags)
     return result
 
 

@@ -187,7 +187,7 @@ def _lowest(B: sp.csr_matrix, mdiag: np.ndarray
 
 class _ChannelProblem:
     """Grid matrices of the eliminated form for one (mu, kappa, grid); each
-    mu_min(lam) keeps its eigenvector for the slope at that lam."""
+    mu_min(lam) returns its eigenvector for the slope at that lam."""
 
     def __init__(self, mu: ChargeDistribution, kappa: int, grid: RadialGrid):
         kappa = _check_channel(kappa)
@@ -212,7 +212,6 @@ class _ChannelProblem:
         self._wq = 0.5 * self.eps * _LEG_W
         self._vq = radial_profile(smooth, self._rq)
         self._sq = (self._rq / self.eps) ** (2.0 * self.gamma)
-        self.vectors: dict[float, np.ndarray] = {}
 
     def stub_terms(self, lam: float) -> tuple[float, float, float]:
         """Mass and B-matrix contribution of the origin-matched profile,
@@ -243,17 +242,14 @@ class _ChannelProblem:
         mdiag[0] += m_stub
         return (K + sp.diags(bdiag)).tocsr(), mdiag
 
-    def mu_min(self, lam: float) -> float:
-        """Lowest eigenvalue of the pencil (B(lam), M), certified."""
-        mu, self.vectors[lam] = _lowest(*self.pencil(lam))
-        return mu
+    def mu_min(self, lam: float) -> tuple[float, np.ndarray]:
+        """Lowest eigenvalue of the pencil (B(lam), M), certified, and its
+        M-normalised eigenvector."""
+        return _lowest(*self.pencil(lam))
 
-    def slope(self, lam: float) -> float:
-        """mu'(lam) = g^T B'(lam) g, g the M-normalised eigenvector of
-        mu_min(lam) (Hellmann-Feynman)."""
-        if lam not in self.vectors:
-            self.mu_min(lam)
-        g = self.vectors[lam]
+    def slope(self, lam: float, g: np.ndarray) -> float:
+        """mu'(lam) = g^T B'(lam) g, g the M-normalised eigenvector
+        mu_min(lam) returned (Hellmann-Feynman)."""
         ag = self.A @ g
         c = self.grid.w / (self.grid.r * (1.0 + lam + self.vpot) ** 2)
         return float(self.stub_terms(lam)[2] * g[0] ** 2 - ag @ (c * ag))
@@ -282,40 +278,22 @@ _BRACKET = (-1.0 + 1e-9, 1.0)
 
 
 @dataclass(frozen=True)
-class RadialSolveConfig:
+class RadialSolveConfig(_rootfind.SolveConfig):
     lam_tol: float = 1e-10
     # the roundoff floor of h near the nu = 1 root on RadialGrid(1e-8, 100,
     # ~8000) (scatter up to 8.8e-12); as h' <= -1, |lam - root| <= 1e-11
     residual_tol: float = 1e-11
-    max_iterations: int = 60
-
-    def __post_init__(self):
-        if self.lam_tol <= 0.0 or self.residual_tol <= 0.0:
-            raise ConfigError("tolerances must be positive")
-        if self.max_iterations < 4:
-            raise ConfigError("iteration budget too small")
 
 
 @dataclass
-class RadialGapResult:
-    lambda1: float
-    residual: float
-    iterations: int
-    below_gap: bool
+class RadialGapResult(_rootfind.GapSolution):
+    """A kappa-channel gap solve; `vector` is the M-normalised eigenvector
+    g on the grid."""
+
     kappa: int
-    converged: bool
-    bracket: tuple[float, float]
-    trace: list[tuple[float, float]]
 
     def to_json(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "below_gap": self.below_gap,
-            "kappa": self.kappa,
-            "converged": self.converged,
-        }
+        return {**super().to_json(), "kappa": self.kappa}
 
 
 def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
@@ -327,20 +305,13 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
     config = config or RadialSolveConfig()
     prob = _ChannelProblem(mu, kappa, grid)
     rs = _rootfind.solve_monotone_gap(
-        prob.mu_min, *_BRACKET,
-        lam_tol=config.lam_tol, residual_tol=config.residual_tol,
-        max_iter=config.max_iterations,
-        start=mu.merged_lambda, slope=prob.slope)
+        prob.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
+        slope=prob.slope)
     if rs.status == _rootfind.NO_ROOT:
         raise NoGapEigenvalueError(
             f"no gap eigenvalue in channel kappa={prob.kappa}: "
-            f"h({rs.lam}) = {rs.residual} > 0")
-    below = rs.status == _rootfind.BELOW_GAP
-    return RadialGapResult(
-        lambda1=rs.lam, residual=rs.residual, iterations=rs.iterations,
-        below_gap=below, kappa=prob.kappa,
-        converged=rs.converged and not below,
-        bracket=rs.bracket, trace=rs.trace)
+            f"h({rs.lambda1}) = {rs.residual} > 0")
+    return RadialGapResult(**vars(rs), kappa=prob.kappa)
 
 
 # Shallower ground states than this are reported as unbound.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diraclab import cli, multicenter, radial
+from diraclab import _rootfind, cli, multicenter, radial
 from diraclab.configio import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -159,8 +159,8 @@ def test_radial_defaults_come_from_solve_config(monkeypatch, capsys):
 
     def fake_solve(mu, kappa, grid, config):
         seen.append((grid, config))
-        return radial.RadialGapResult(0.5, 0.0, 1, False, kappa, True,
-                                      (0.5, 0.5), [])
+        return radial.RadialGapResult(_rootfind.OK, 0.5, 0.0, ((0.5, 0.0),),
+                                      (0.5, 0.5), True, (), None, kappa)
 
     monkeypatch.setattr(cli, "lowest_gap_eigenvalue_radial", fake_solve)
     assert cli.main(["radial", "--nu", "0.5"]) == 0
@@ -173,8 +173,8 @@ def test_multicenter_defaults_come_from_gap_config(tmp_path, monkeypatch,
 
     def fake_solve(basis, mu, grid, config):
         seen.append(config)
-        return multicenter.GapResult(0.5, None, 0.0, 1, False, True,
-                                     (0.5, 0.5), 0.0, 0.0, (), ())
+        return multicenter.GapResult(_rootfind.OK, 0.5, 0.0, ((0.5, 0.0),),
+                                     (0.5, 0.5), True, (), None)
 
     monkeypatch.setattr(cli, "solve_gap", fake_solve)
     monkeypatch.setattr(cli, "grid_for_basis", lambda *args: None)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -156,15 +156,26 @@ def test_rotation_moves_pair_lambda1_by_roundoff_only(mu, axis, angle):
     assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 1e-13
 
 
+# apex of 50 degrees (strength 0.2) at the origin: the two legs tie for
+# the longest edge
+HALF_APEX = math.radians(25.0)
+ISOSCELES = charges.atoms(
+    [(0.0, 0.0, 0.0), (math.cos(HALF_APEX), math.sin(HALF_APEX), 0.0),
+     (math.cos(HALF_APEX), -math.sin(HALF_APEX), 0.0)], [0.2, 0.1, 0.15])
+
+
 @given(mu=small_molecules(sizes=(3,)), **ROTATIONS)
+@example(mu=ISOSCELES, axis=(1.0, 1.0, 1.0), angle=1.0)
 @INVARIANCE
 def test_rotation_moves_triangle_lambda1_by_roundoff_only(mu, axis, angle):
     # A triangle's mirror grid turns with its plane and lays azimuth 0
-    # along its longest edge, so the quadrature error of this coarse
-    # 48 x 17 grid turns with the triangle and cancels: lambda1 moves by
-    # round-off only.  In three runs of 300 random draws of 2-3 atoms
-    # (384 triangles) the move was at most 2.9e-15; the bound leaves 30x
-    # margin, where the old in-plane azimuth needed 2e-4.
+    # along its longest edge, or along the bisector of its two legs where
+    # those tie for longest (the isosceles example, whose lambda1 moved by
+    # 9.2e-8 when the tie went by site order), so the quadrature error of
+    # this coarse 48 x 17 grid turns with the triangle and cancels:
+    # lambda1 moves by round-off only.  In three runs of 300 random draws
+    # of 2-3 atoms (384 triangles) the move was at most 2.9e-15; the bound
+    # leaves 30x margin, where the old in-plane azimuth needed 2e-4.
     turned = rotated(mu, axis, angle)
     assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 1e-13
 
@@ -198,11 +209,10 @@ def test_reduced_solve_equals_the_lab_solve(name):
     assert np.max(np.abs(evs - lab_evs[::2])) <= 1e-12
     # psi = phi (x) chi solves the 2n pencil of the reduced grid as well
     engine = multicenter._GapEngine(basis, mu, reduced)
-    psi = engine.eigenvector(got.lambda1)
+    mu_min, psi = engine.mu_min(got.lambda1)
     s = gaussian.spinor_matrix(basis.scalar.overlap_matrix())
     a = weighted_w(got.lambda1, basis, mu, reduced) + s + gaussian.spinor_matrix(
         basis.scalar.potential_matrix(mu))
-    mu_min = engine.mu_min(got.lambda1)
     assert np.linalg.norm(a @ psi - mu_min * (s @ psi)) <= 1e-9 * np.linalg.norm(
         a @ psi)
 
@@ -230,9 +240,11 @@ def test_slope_matches_central_differences(m):
     engine = multicenter._GapEngine(basis, mu, grid)
     eps = 1e-4
     for lam in (0.3, 0.9):
-        diff = (engine.mu_min(lam + eps) - engine.mu_min(lam - eps)) / (2 * eps)
-        assert engine.slope(lam) == pytest.approx(diff, rel=1e-6)
-        assert engine.slope(lam) < 0.0
+        diff = (engine.mu_min(lam + eps)[0]
+                - engine.mu_min(lam - eps)[0]) / (2 * eps)
+        slope = engine.slope(lam, engine.mu_min(lam)[1])
+        assert slope == pytest.approx(diff, rel=1e-6)
+        assert slope < 0.0
 
 
 def test_two_atom_solve_builds_at_most_three_grams(monkeypatch):
@@ -249,7 +261,7 @@ def test_two_atom_solve_builds_at_most_three_grams(monkeypatch):
     basis = basis_for(mu, n_s=8)
     res = multicenter.solve_gap(basis, mu,
                                 gaussian.grid_for_basis(basis, 64, 17))
-    assert res.converged and res.coefficients is not None
+    assert res.converged and res.vector is not None
     # one Gram per sample; the eigenvector of lambda1 needs none of its own
     assert len(calls) == res.iterations <= 3
 
@@ -262,7 +274,7 @@ def test_eigenvector_satisfies_pencil_equation():
     s = gaussian.spinor_matrix(basis.scalar.overlap_matrix())
     m_v = gaussian.spinor_matrix(basis.scalar.potential_matrix(mu))
     a = weighted_w(res.lambda1, basis, mu, grid) + s + m_v
-    c = res.coefficients
+    c = res.vector
     r = a @ c - res.lambda1 * (s @ c)
     # the Rayleigh residual inherits the root residual, not machine eps
     denom = float(np.real(c.conj() @ s @ c))
@@ -360,7 +372,7 @@ def test_below_gap_status_when_root_under_bracket():
     mu = charges.atoms([(0, 0, 0), (0.05, 0, 0)], [1.0, 1.0])
     res = multicenter.solve_gap(basis_for(mu, n_s=6), mu)
     assert res.below_gap and not res.converged
-    assert res.coefficients is None
+    assert res.vector is None
 
 
 def test_layered_charge_is_rejected():
@@ -375,11 +387,15 @@ def test_config_validation():
         multicenter.GapSolveConfig(lam_tol=0.0)
     with pytest.raises(ConfigError):
         multicenter.GapSolveConfig(max_iterations=2)
+    # grid orders are checked where the grid is built
+    mu = charges.atom((0, 0, 0), 0.5)
+    basis = basis_for(mu, n_s=4)
     for grid in ({"n_radial": 1}, {"n_radial": 0}, {"n_radial": -3},
                  {"angular_order": 8}, {"angular_order": 0},
                  {"angular_order": -3}):
         with pytest.raises(ConfigError):
-            multicenter.GapSolveConfig(**grid)
+            multicenter.solve_gap(basis, mu,
+                                  config=multicenter.GapSolveConfig(**grid))
 
 
 def test_result_json_fields():

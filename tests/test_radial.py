@@ -75,7 +75,7 @@ def sliced_pencils(mu, channel):
         pencil = radial._schrodinger_pencil(mu, SMALL)
         return [(pencil, radial._lowest(*pencil)[0])]
     prob = radial._ChannelProblem(mu, channel, SMALL)
-    return [(prob.pencil(lam), prob.mu_min(lam))
+    return [(prob.pencil(lam), prob.mu_min(lam)[0])
             for lam in (-1.0 + 1e-9, 0.0, 0.9, 1.0)]
 
 
@@ -96,19 +96,21 @@ def test_slope_matches_central_differences(name, kappa):
     signs = []
     # one lam on each side of the root
     for lam in (0.0, 0.99):
-        signs.append(prob.mu_min(lam) > lam)
-        diff = (prob.mu_min(lam + eps) - prob.mu_min(lam - eps)) / (2 * eps)
-        assert prob.slope(lam) == pytest.approx(diff, rel=1e-7)
-        assert prob.slope(lam) < 0.0
+        mu_lam, g = prob.mu_min(lam)
+        signs.append(mu_lam > lam)
+        diff = (prob.mu_min(lam + eps)[0]
+                - prob.mu_min(lam - eps)[0]) / (2 * eps)
+        assert prob.slope(lam, g) == pytest.approx(diff, rel=1e-7)
+        assert prob.slope(lam, g) < 0.0
     assert signs == [True, False]
 
 
 def test_mu_min_is_deterministic():
     prob = radial._ChannelProblem(point(0.5), -1, SMALL)
-    first = [prob.mu_min(lam) for lam in (0.0, 0.9)]
-    assert [prob.mu_min(lam) for lam in (0.0, 0.9)] == first
+    first = [prob.mu_min(lam)[0] for lam in (0.0, 0.9)]
+    assert [prob.mu_min(lam)[0] for lam in (0.0, 0.9)] == first
     again = radial._ChannelProblem(point(0.5), -1, SMALL)
-    assert [again.mu_min(lam) for lam in (0.0, 0.9)] == first
+    assert [again.mu_min(lam)[0] for lam in (0.0, 0.9)] == first
 
 
 @pytest.mark.parametrize("solve", [
@@ -131,6 +133,23 @@ def test_trace_h_values_strictly_decrease():
     for (l1, h1), (l2, h2) in zip(samples, samples[1:]):
         assert h1 > h2
     assert res.iterations <= 40
+
+
+@pytest.mark.parametrize("mu", [point(0.5), charges.shell(0.5, 1.0)],
+                         ids=["point", "shell"])
+def test_solve_runs_one_eigen_step_per_sample(monkeypatch, mu):
+    # the slope and the result reuse each sample's eigenvector
+    calls = []
+    lowest = radial._lowest
+
+    def counted(*args):
+        calls.append(args)
+        return lowest(*args)
+
+    monkeypatch.setattr(radial, "_lowest", counted)
+    res = radial.lowest_gap_eigenvalue_radial(mu, grid=SMALL)
+    assert res.converged and len(res.vector) == SMALL.n - 1
+    assert len(calls) == res.iterations
 
 
 def test_shell_lambda_above_point_bound_and_monotone():
