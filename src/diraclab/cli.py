@@ -99,7 +99,9 @@ def _cmd_radial(args) -> int:
                                        doc.build(RadialSolveConfig, "solver"))
     if args.verbose:
         print(f"kappa={args.kappa} lambda1={res.lambda1:.12g} "
-              f"iterations={res.iterations}", file=sys.stderr)
+              f"iterations={res.iterations} residual={res.residual:.3g} "
+              f"bracket_width={res.bracket[1] - res.bracket[0]:.3g}",
+              file=sys.stderr)
     _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
     return 0
 

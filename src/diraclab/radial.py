@@ -10,15 +10,24 @@ quadratic form
 is strictly decreasing in lam, and the lowest gap eigenvalue is the root
 of h(lam) = mu_min(B(lam)) - lam, where B(lam) is the matrix of the
 lam-frozen part of Q on a log-uniform grid and mu_min its smallest
-eigenvalue against the radial mass matrix.
+eigenvalue against the radial mass matrix.  B is A^T diag(c) A plus a
+diagonal, assembled in banded storage straight from the row table of
+the stencil of A = d/dt + kappa.
 
 mu_min comes from spectrum slicing: by Sylvester's law of inertia the
 banded Cholesky factorisation of B - sigma*M succeeds exactly when sigma
-lies below the whole spectrum.  Bisection on that test brackets mu_min,
-inverse iteration with the factor at the bracket's lower end supplies the
-last digits, and one more successful factorisation just below the result
-certifies that no lower eigenvalue exists.  No random start vector and
-no dense or banded eigensolver is involved.
+lies below the whole spectrum, so each factorisation that holds is a
+lower bound and each that fails an upper one.  The slicing is seeded:
+the gap equation is mu(lam) = lam, so near the root mu_min(lam) lies
+within |h| of lam, and the first shifts probed sit just below lam.
+Inverse iteration with the factor at the lower bound then narrows the
+bracket from above by its Rayleigh quotients, each an upper bound, while
+further factorisations, at the quotients' extrapolated limit or the
+bracket's midpoint, raise the lower end.  Once the quotient stalls, one
+more successful factorisation just below it certifies that no lower
+eigenvalue exists, and one inverse step with that factor polishes the
+eigenvector.  No random start vector and no dense or banded eigensolver
+is involved.
 
 The root find starts at the merged-charge value sqrt(1 - nu^2), the
 root for a point charge in kappa = -1, and takes Newton steps on the
@@ -37,8 +46,10 @@ quadrature.  A plain Dirichlet cut at r_min would leave an O(r_min^{2*gamma})
 truncation error, fatal for strong charges.
 
 The radial Schroedinger ground state (l = 0) is the lowest eigenvalue of
-the same kind of pencil, found by the same spectrum slicing: the kappa = -1
-form with 1/(1 + lam + v) replaced by its nonrelativistic value 1/2,
+the same kind of pencil, found by the same spectrum slicing without a
+seed (the first lower bound steps down from the smallest diagonal ratio
+of the pencil): the kappa = -1 form with 1/(1 + lam + v) replaced by its
+nonrelativistic value 1/2,
 
     E(u) = int (u' - u/r)^2 / 2 dr - int v u^2 dr,   u = r R,
 
@@ -49,9 +60,10 @@ needed; what the cut leaves out is O(r_min^2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,13 +78,16 @@ from .errors import (BelowGapError, ConfigError, NoGapEigenvalueError,
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
 # A returned mu_min is certified by a successful Cholesky factorisation of
 # B - (mu - delta) M with delta = _CERT_REL * max(1, |mu|): no eigenvalue of
-# the pencil lies below mu - delta.  Bisection narrows the bracket to
-# _BISECT_REL in the same scale before inverse iteration takes over.
+# the pencil lies below mu - delta.
 _CERT_REL = 1e-9
-_BISECT_REL = 1e-8
-# Inverse iteration stops once the Rayleigh quotient moves less than this,
-# relative: the roundoff level of the quotient on the graded pencil.
+# Inverse iteration stops once the Rayleigh quotient falls by less than
+# this, relative (below the spectrum it never rises but by roundoff).
 _RQ_STALL = 1e-14
+# A seeded slice first probes this far below its seed, relative, and then
+# 16 times farther per failed probe.
+_PROBE_REL = 1e-6
+# Inverse steps of one slice before its quotient must be certified.
+_MAX_STEPS = 40
 
 
 @dataclass
@@ -104,15 +119,16 @@ def derivative_matrix(n: int, h: float) -> sp.csr_matrix:
     """d/dt on a uniform grid: 4th order inside, one-sided at the ends."""
     interior = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     skew = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / h
-    ends = np.zeros((4, n))
-    ends[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / h
-    ends[1, 0:5] = skew
-    ends[2, n - 5:n] = -skew[::-1]
-    ends[3, n - 3:n] = np.array([0.5, -2.0, 1.5]) / h
-    ends = sp.csr_matrix(ends)
-    # row k of the middle block is grid row k + 2, stencil on k .. k + 4
-    middle = sp.diags(list(interior), [0, 1, 3, 4], shape=(n - 4, n))
-    return sp.vstack([ends[:2], middle, ends[2:]], format="csr")
+    data = np.concatenate([np.array([-1.5, 2.0, -0.5]) / h, skew,
+                           np.tile(interior, n - 4), -skew[::-1],
+                           np.array([0.5, -2.0, 1.5]) / h])
+    # row k, 2 <= k <= n - 3, reaches k - 2, k - 1, k + 1, k + 2
+    middle = np.arange(2, n - 2)[:, None] + np.array([-2, -1, 1, 2])
+    indices = np.concatenate([np.arange(3), np.arange(5), middle.ravel(),
+                              np.arange(n - 5, n), np.arange(n - 3, n)])
+    counts = np.concatenate([[3, 5], np.full(n - 4, 4), [5, 3]])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _check_channel(kappa) -> int:
@@ -121,25 +137,68 @@ def _check_channel(kappa) -> int:
     return int(kappa)
 
 
-def _channel_operator(grid: RadialGrid, kappa: int) -> sp.csr_matrix:
-    """d/dt + kappa on the grid, Dirichlet at r_max (last column dropped)."""
-    D = derivative_matrix(grid.n, grid.h)
-    A = (D + kappa * sp.identity(grid.n, format="csr")).tocsr()
-    return A[:, :-1].tocsr()
+class _BandOperator:
+    """A = d/dt + kappa on the grid, Dirichlet at r_max (last column
+    dropped), held as the table T[o + 3, j] = A[j, j + o], o = -3 .. 3, of
+    the stencil of derivative_matrix; gram(c) gives A^T diag(c) A in
+    upper band storage, apply(g) gives A g."""
+
+    def __init__(self, grid: RadialGrid, kappa: int):
+        n = self.n = grid.n
+        D = derivative_matrix(n, grid.h)
+        rows = np.repeat(np.arange(n), np.diff(D.indptr))
+        keep = D.indices < n - 1
+        table = np.zeros((7, n))
+        table[D.indices[keep] - rows[keep] + 3, rows[keep]] = D.data[keep]
+        table[3, :n - 1] += kappa
+        self.table = table
+
+    def gram(self, c: np.ndarray) -> np.ndarray:
+        """(5, n - 1) upper band storage of A^T diag(c) A."""
+        n, table = self.n, self.table
+        # row j adds c_j T[i, j] T[k, j] to B[j + i - 3, j + k - 3], that is
+        # to superdiagonal k - i <= 4 at band column j + k - 3, stored at
+        # j + k so that out-of-range entries (all zero) land in the padding
+        band = np.zeros((5, n + 6))
+        for i in range(7):
+            weighted = c * table[i]
+            for k in range(i, min(i + 5, 7)):
+                band[4 - (k - i), k:k + n] += weighted * table[k]
+        return band[:, 3:n + 2]
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """A g for g on the n - 1 free nodes."""
+        n = self.n
+        padded = np.zeros(n + 6)
+        padded[3:n + 2] = g
+        return sum(self.table[i] * padded[i:i + n] for i in range(7))
 
 
-def _lowest(B: sp.csr_matrix, mdiag: np.ndarray
+def _band_quadratic(ab: np.ndarray, v: np.ndarray) -> float:
+    """v^T B v for B in (5, n) upper band storage.  B v is summed row by
+    row first: its large terms cancel within each row, where summing each
+    diagonal over the whole vector would lose digits on a graded B."""
+    bv = ab[4] * v
+    for k in range(1, 5):
+        bv[:-k] += ab[4 - k, k:] * v[k:]
+        bv[k:] += ab[4 - k, k:] * v[:-k]
+    return float(v @ bv)
+
+
+def _lowest(ab: np.ndarray, mdiag: np.ndarray, guess: float | None = None,
+            energy: Callable[[np.ndarray], float] | None = None
             ) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing,
     with its M-normalised eigenvector from the inverse iteration.
 
-    B must be symmetric with bandwidth 4.  Raises UncertifiedEigenvalueError
-    when the inertia test does not confirm the result as the lowest
-    eigenvalue.
+    B comes in (5, n) upper band storage (bandwidth 4).  `guess`, a value
+    expected near the eigenvalue, seeds the first shifts; without it the
+    slice starts cold.  `energy(v)`, if given, evaluates v^T B v more
+    accurately than the band can.  Raises UncertifiedEigenvalueError when
+    the inertia test does not confirm the result as the lowest eigenvalue.
     """
-    ab = np.zeros((5, B.shape[0]))  # upper band storage, bandwidth 4
-    for k in range(5):
-        ab[4 - k, k:] = B.diagonal(k)
+    if energy is None:
+        energy = functools.partial(_band_quadratic, ab)
 
     def factor(sigma: float):
         shifted = ab.copy()
@@ -149,39 +208,67 @@ def _lowest(B: sp.csr_matrix, mdiag: np.ndarray
         except sla.LinAlgError:
             return None
 
+    def inverse_step(chol, v):
+        y = sla.cho_solve_banded((chol, False), mdiag * v)
+        y /= math.sqrt(y @ (mdiag * y))
+        return y, energy(y) / float(y @ (mdiag * y))
+
     # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
-    # step down from it in doubling steps until a factorisation holds
+    # probe below the seed (or, cold, below that bound) in growing steps
+    # until a factorisation holds: that shift is the lower end
     hi = float(np.min(ab[4] / mdiag))
-    step = max(1.0, abs(hi))
+    if guess is None:
+        base, step, growth = hi, max(1.0, abs(hi)), 2.0
+    else:
+        base, step, growth = guess, _PROBE_REL * max(1.0, abs(guess)), 16.0
     for _ in range(64):
-        lo = hi - step
+        lo = base - step
         chol = factor(lo)
         if chol is not None:
             break
-        hi, step = lo, 2.0 * step
+        hi, step = min(hi, lo), growth * step
     else:
         raise UncertifiedEigenvalueError(
             f"no positive definite shift of the pencil below {hi}")
-    while hi - lo > _BISECT_REL * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        trial = factor(mid)
-        if trial is None:
-            hi = mid
-        else:
-            lo, chol = mid, trial
-    # lo sits within the bracket width of the lowest eigenvalue, far
-    # closer than to the next, so each inverse step gains many digits
+    # each M-normalised Rayleigh quotient is an upper bound; until they
+    # stall, one more factorisation per step raises lo (or lowers hi) at
+    # the quotients' extrapolated limit, or at the midpoint
     v = np.ones(len(mdiag))
-    mu = hi
-    for _ in range(8):
-        y = sla.cho_solve_banded((chol, False), mdiag * v)
-        v = y / math.sqrt(y @ (mdiag * y))
-        prev, mu = mu, float((v @ (B @ v)) / (v @ (mdiag * v)))
-        if abs(prev - mu) <= _RQ_STALL * max(1.0, abs(mu)):
+    quotients: list[float] = []
+    for _ in range(_MAX_STEPS):
+        v, mu = inverse_step(chol, v)
+        hi = min(hi, mu)
+        quotients.append(mu)
+        # below the spectrum inverse iteration only lowers the quotient,
+        # so one that falls no further has reached its roundoff level
+        if len(quotients) > 1 and (quotients[-2] - mu
+                                   <= _RQ_STALL * max(1.0, abs(mu))):
             break
-    if factor(mu - _CERT_REL * max(1.0, abs(mu))) is None:
+        if hi - lo <= _CERT_REL * max(1.0, abs(hi)):
+            continue  # lo is as close as the certificate needs
+        shift = 0.5 * (lo + hi)
+        if len(quotients) > 2:
+            q1, q2, q3 = quotients[-3:]
+            ratio = (q3 - q2) / (q2 - q1)  # > 0: both steps fell
+            if ratio < 1.0:
+                err = (q2 - q3) * ratio / (1.0 - ratio)
+                limit = hi - 2.0 * err - _CERT_REL * max(1.0, abs(hi))
+                if shift < limit < hi:
+                    shift = limit
+        trial = factor(shift)
+        if trial is None:
+            hi = shift
+        else:
+            lo, chol = shift, trial
+    cert = factor(mu - _CERT_REL * max(1.0, abs(mu)))
+    if cert is None:
         raise UncertifiedEigenvalueError(
             f"inertia test finds an eigenvalue of the pencil below {mu}")
+    # a last inverse step with the certifying factor polishes the vector;
+    # the quotient only falls, unless by roundoff, which is refused
+    polished, mu_polished = inverse_step(cert, v)
+    if mu_polished <= mu:
+        return mu_polished, polished
     return mu, v
 
 
@@ -202,7 +289,7 @@ class _ChannelProblem:
         self.grid = grid
         self.vpot = radial_profile(mu, grid.r)
         self.mass = grid.w * grid.r
-        self.A = _channel_operator(grid, kappa)
+        self.A = _BandOperator(grid, kappa)
         self.eps = grid.r_min
         self.nu_pt = nu_pt
         self.gamma = math.sqrt(kappa * kappa - nu_pt * nu_pt)
@@ -231,26 +318,45 @@ class _ChannelProblem:
         b_stub = kin + m_stub - float(np.sum(wq * sq * vq))
         return m_stub, b_stub, float(dkin)
 
-    def pencil(self, lam: float) -> tuple[sp.csr_matrix, np.ndarray]:
+    def _coefficients(self, lam: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """c with B(lam) = A^T diag(c) A + diag(bdiag), bdiag, and the
+        diagonal of M."""
         g = self.grid
-        c = g.w / (g.r * (1.0 + lam + self.vpot))
-        K = (self.A.T @ sp.diags(c) @ self.A).tocsr()
         m_stub, b_stub, _ = self.stub_terms(lam)
         bdiag = self.mass[:-1] * (1.0 - self.vpot[:-1])
         bdiag[0] += b_stub
         mdiag = self.mass[:-1].copy()
         mdiag[0] += m_stub
-        return (K + sp.diags(bdiag)).tocsr(), mdiag
+        return g.w / (g.r * (1.0 + lam + self.vpot)), bdiag, mdiag
+
+    def pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """B(lam) in (5, n - 1) upper band storage, and the diagonal of M."""
+        c, bdiag, mdiag = self._coefficients(lam)
+        ab = self.A.gram(c)
+        ab[4] += bdiag
+        return ab, mdiag
 
     def mu_min(self, lam: float) -> tuple[float, np.ndarray]:
         """Lowest eigenvalue of the pencil (B(lam), M), certified, and its
-        M-normalised eigenvector."""
-        return _lowest(*self.pencil(lam))
+        M-normalised eigenvector; lam seeds the slice (mu = lam at the
+        root)."""
+        c, bdiag, mdiag = self._coefficients(lam)
+        ab = self.A.gram(c)
+        ab[4] += bdiag
+
+        def energy(v: np.ndarray) -> float:
+            # a sum of squares: the large terms of B, which cancel in
+            # v^T B v read from the band, never meet
+            av = self.A.apply(v)
+            return float(av @ (c * av) + bdiag @ (v * v))
+
+        return _lowest(ab, mdiag, lam, energy)
 
     def slope(self, lam: float, g: np.ndarray) -> float:
         """mu'(lam) = g^T B'(lam) g, g the M-normalised eigenvector
         mu_min(lam) returned (Hellmann-Feynman)."""
-        ag = self.A @ g
+        ag = self.A.apply(g)
         c = self.grid.w / (self.grid.r * (1.0 + lam + self.vpot) ** 2)
         return float(self.stub_terms(lam)[2] * g[0] ** 2 - ag @ (c * ag))
 
@@ -280,8 +386,8 @@ _BRACKET = (-1.0 + 1e-9, 1.0)
 @dataclass(frozen=True)
 class RadialSolveConfig(_rootfind.SolveConfig):
     lam_tol: float = 1e-10
-    # the roundoff floor of h near the nu = 1 root on RadialGrid(1e-8, 100,
-    # ~8000) (scatter up to 8.8e-12); as h' <= -1, |lam - root| <= 1e-11
+    # near the nu = 1 root on RadialGrid(~1e-8, 100, ~8000) h scatters by
+    # up to 3.9e-14, far below this; as h' <= -1, |lam - root| <= 1e-11
     residual_tol: float = 1e-11
 
 
@@ -324,15 +430,16 @@ class SchrodingerResult(NamedTuple):
 
 
 def _schrodinger_pencil(mu: ChargeDistribution, grid: RadialGrid
-                        ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The l=0 pencil: the kappa = -1 form with 1/(1 + lam + v) -> 1/2."""
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The l=0 pencil: the kappa = -1 form with 1/(1 + lam + v) -> 1/2,
+    in (5, n - 1) upper band storage, and the diagonal of its mass."""
     if not mu.radially_symmetric:
         raise ConfigError("Schroedinger radial solver needs radial symmetry")
     vpot = radial_profile(mu, grid.r)
     mass = (grid.w * grid.r)[:-1]
-    A = _channel_operator(grid, -1)
-    K = A.T @ sp.diags(grid.w / (2.0 * grid.r)) @ A
-    return (K - sp.diags(mass * vpot[:-1])).tocsr(), mass
+    ab = _BandOperator(grid, -1).gram(grid.w / (2.0 * grid.r))
+    ab[4] -= mass * vpot[:-1]
+    return ab, mass
 
 
 def schrodinger_ground_radial(mu: ChargeDistribution,

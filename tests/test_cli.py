@@ -84,6 +84,20 @@ def test_multicenter_verbose_reports_the_grid(tmp_path, capsys):
     assert "grid_points=1152 grid_kind=axial" in err
 
 
+def test_radial_verbose_reports_residual_and_bracket(tmp_path, capsys):
+    cfg = write(tmp_path, "shell.cfg", RADIAL_SHELL)
+    assert cli.main(["radial", "--config", cfg, "--verbose"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(item.split("=") for item in captured.err.split())
+    solver = radial.RadialSolveConfig()
+    assert 0.0 <= float(fields["residual"]) <= solver.residual_tol
+    assert 0.0 <= float(fields["bracket_width"]) <= solver.lam_tol
+    # the JSON output does not carry them
+    assert set(json.loads(captured.out)) == {
+        "lambda1", "residual", "iterations", "below_gap", "kappa",
+        "converged"}
+
+
 def test_radial_rejects_nonsymmetric_charge(tmp_path, capsys):
     cfg = write(tmp_path, "multi.cfg", MULTI.replace(
         "position = 0 0 0", "position = 1 0 0"))

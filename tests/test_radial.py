@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import scipy.linalg as sla
 
 import oracles
 from diraclab import charges, radial
+from diraclab.configio import load_config
 from diraclab.errors import (ConfigError, NoGapEigenvalueError,
                              UncertifiedEigenvalueError)
 
 SQ75 = math.sqrt(0.75)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def point(nu):
@@ -46,8 +49,8 @@ def test_point_charge_critical_needs_finer_grid():
 
 @pytest.mark.parametrize("n", [7996, 7998, 8000, 8002, 8004, 8010])
 def test_point_charge_critical_converges_through_noise(n):
-    # h scatters by about +-1e-11 near this root; the radial residual_tol
-    # sits at that floor, so Newton steps converge on every nearby grid
+    # h is noisiest near this root (it scatters by about 4e-14); Newton
+    # steps converge within the radial residual_tol on every nearby grid
     grid = radial.RadialGrid(1e-8, 100.0, n)
     res = radial.lowest_gap_eigenvalue_radial(point(1.0), grid=grid)
     assert res.converged and res.residual <= 1e-11
@@ -68,6 +71,14 @@ SLICE_CHARGES = {"free": charges.ChargeDistribution(), "nu=0.5": point(0.5),
                  "nu=0.99": point(0.99), "shell": charges.shell(0.5, 1.0)}
 
 
+def band_to_dense(ab):
+    """The symmetric matrix whose (5, n) upper band storage is ab."""
+    dense = np.diag(ab[4])
+    for k in range(1, 5):
+        dense += np.diag(ab[4 - k, k:], k) + np.diag(ab[4 - k, k:], -k)
+    return dense
+
+
 def sliced_pencils(mu, channel):
     """(pencil, its sliced lowest eigenvalue) for a Dirac channel kappa at
     four lam, or for the Schroedinger pencil."""
@@ -83,8 +94,88 @@ def sliced_pencils(mu, channel):
 @pytest.mark.parametrize("kappa", [-2, -1, 1, 2, "schrodinger"])
 def test_mu_min_is_lowest_dense_eigenvalue(name, kappa):
     for (B, mdiag), lowest in sliced_pencils(SLICE_CHARGES[name], kappa):
-        dense = sla.eigh(B.toarray(), np.diag(mdiag), eigvals_only=True)
+        dense = sla.eigh(band_to_dense(B), np.diag(mdiag),
+                         eigvals_only=True)
         assert lowest == pytest.approx(dense[0], rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("name", ["nu=0.5", "shell"])
+@pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+def test_band_pencil_matches_dense_product(name, kappa):
+    # the band assembly against A^T diag(c) A built densely from the one
+    # stencil source, plus the diagonal of the mass and potential terms
+    prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
+    lam = 0.3
+    n = SMALL.n
+    A = radial.derivative_matrix(n, SMALL.h).toarray() + kappa * np.eye(n)
+    A = A[:, :-1]
+    c = SMALL.w / (SMALL.r * (1.0 + lam + prob.vpot))
+    bdiag = prob.mass[:-1] * (1.0 - prob.vpot[:-1])
+    bdiag[0] += prob.stub_terms(lam)[1]
+    dense = A.T @ np.diag(c) @ A + np.diag(bdiag)
+    ab, _ = prob.pencil(lam)
+    np.testing.assert_allclose(band_to_dense(ab), dense, rtol=1e-13,
+                               atol=1e-13 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("name", ["nu=0.5", "shell"])
+@pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+def test_seed_changes_speed_only(name, kappa):
+    # a seed near, off by 1e-6 or far from the eigenvalue, or none, gives
+    # the same certified eigenvalue and an M-normalised vector
+    prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
+    for lam in (0.0, 0.9):
+        ab, mdiag = prob.pencil(lam)
+        mu, _ = radial._lowest(ab, mdiag)
+        for guess in (mu - 10.0, mu - 1e-6, mu + 1e-6, mu + 10.0):
+            again, v = radial._lowest(ab, mdiag, guess)
+            assert again == pytest.approx(mu, rel=1e-12)
+            assert v @ (mdiag * v) == pytest.approx(1.0, rel=1e-12)
+
+
+class _CountingLinalg:
+    """scipy.linalg as radial sees it, counting banded factorisations."""
+
+    def __init__(self):
+        self.factorisations = 0
+
+    def cholesky_banded(self, *args, **kwargs):
+        self.factorisations += 1
+        return sla.cholesky_banded(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(sla, name)
+
+
+WORKLOAD_GRID = radial.RadialGrid(1e-6, 100.0, 4000)
+# the charges of the benchmark's radial workload
+WORKLOAD_CHARGES = {f"nu={nu}": point(nu)
+                    for nu in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)}
+WORKLOAD_CHARGES["radial_shell"] = load_config(
+    CONFIG_DIR / "radial_shell.cfg").charge()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CHARGES))
+def test_factorisation_budget(monkeypatch, name):
+    # measured: seeded at the root a slice takes 4-5 factorisations (31
+    # when each call bisected from a cold bracket), at lam = -1, 0 or 1
+    # 7-17, and cold (Schroedinger) 9-17
+    mu = WORKLOAD_CHARGES[name]
+    root = radial.lowest_gap_eigenvalue_radial(mu, grid=WORKLOAD_GRID)
+    prob = radial._ChannelProblem(mu, -1, WORKLOAD_GRID)
+    counter = _CountingLinalg()
+    monkeypatch.setattr(radial, "sla", counter)
+
+    def factorisations(solve):
+        counter.factorisations = 0
+        solve()
+        return counter.factorisations
+
+    assert factorisations(lambda: prob.mu_min(root.lambda1)) <= 6
+    for lam in (-1.0 + 1e-9, 0.0, 1.0):
+        assert factorisations(lambda: prob.mu_min(lam)) <= 20
+    assert factorisations(
+        lambda: radial.schrodinger_ground_radial(mu, WORKLOAD_GRID)) <= 24
 
 
 @pytest.mark.parametrize("name", ["nu=0.5", "nu=0.99", "shell", "ball"])
