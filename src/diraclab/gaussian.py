@@ -353,20 +353,30 @@ SYMMETRY_TOL = 1e-10
 
 def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Smoothed Voronoi partition weights, rows normalized to sum to 1."""
+    return _becke_cells(_center_distances(pts, centers), centers)
+
+
+def _center_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distances (points, centers) of every point from every center."""
+    return np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+
+
+def _becke_cells(d: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """becke_weights from the point-center distances d."""
     m_ctr = len(centers)
     if m_ctr == 1:
-        return np.ones((len(pts), 1))
-    d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
-    cell = np.ones((len(pts), m_ctr))
+        return np.ones((len(d), 1))
+    cell = np.ones_like(d)
+    # each cell takes its factors in center order, as a loop over all
+    # ordered pairs would; f_ji = -f_ij exactly, so one pass serves both
     for i in range(m_ctr):
-        for j in range(m_ctr):
-            if i == j:
-                continue
+        for j in range(i + 1, m_ctr):
             rij = np.linalg.norm(centers[i] - centers[j])
             f = (d[:, i] - d[:, j]) / rij
             for _ in range(BECKE_ORDER):
                 f = 0.5 * f * (3.0 - f * f)
             cell[:, i] *= 0.5 * (1.0 - f)
+            cell[:, j] *= 0.5 * (1.0 + f)
     return cell / np.sum(cell, axis=1, keepdims=True)
 
 
@@ -454,16 +464,15 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     pts = np.concatenate(pts_parts)
     w = np.concatenate(w_parts)
 
-    cell = becke_weights(pts, centers)
+    d = _center_distances(pts, centers)
+    cell = _becke_cells(d, centers)
     residual = float(np.max(np.abs(np.sum(cell, axis=1) - 1.0)))
     per_center = np.concatenate([
         w[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs)]
         * cell[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs), i]
         for i in range(len(centers))])
 
-    dmin = np.min(np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2),
-                  axis=1)
-    keep = dmin > EXCLUSION_RADIUS
+    keep = np.min(d, axis=1) > EXCLUSION_RADIUS
     return QuadratureGrid(points=pts[keep], weights=per_center[keep],
                           centers=centers, n_radial=n_radial,
                           angular_order=angular_order,

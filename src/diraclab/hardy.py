@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .charges import ChargeDistribution, potential_grid
 from .configio import charge_descriptor
@@ -86,6 +85,7 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
     scale = 1.0 / np.sqrt(d)
     a = a * scale[:, None] * scale[None, :]
     n = n * scale[:, None] * scale[None, :]
+    import scipy.linalg as sla  # here, so that importing diraclab skips scipy
     try:
         evals = sla.eigh(a, n, eigvals_only=True)
     except sla.LinAlgError as exc:

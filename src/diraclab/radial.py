@@ -61,19 +61,37 @@ needed; what the cut leaves out is O(r_min^2).
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # unused here; perfbench/spans.py wraps it
 
 from . import _rootfind
 from .charges import ChargeDistribution, radial_profile
 from .errors import (BelowGapError, ConfigError, NoGapEigenvalueError,
                      UncertifiedEigenvalueError)
+
+
+class _LazyModule:
+    """A module that is imported at its first attribute access.
+
+    scipy loads only once a radial solve needs it, so importing diraclab
+    and the 3D paths, which never call this module's solvers, load numpy
+    alone."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sla = _LazyModule("scipy.linalg")
+sp = _LazyModule("scipy.sparse")
+# unused here: kept only as a lazy attribute that perfbench/spans.py reads
+spla = _LazyModule("scipy.sparse.linalg")
 
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
 # A returned mu_min is certified by a successful Cholesky factorisation of
