@@ -78,6 +78,9 @@ class ChargeDistribution:
     """A finite collection of atoms and origin-centered radial layers,
     stored sorted (points by position and strength, layers by kind, radius
     and strength), so that no result depends on the order they are listed in.
+
+    Two atoms are either coincident or farther apart than MERGE_TOL; a
+    closer pair is refused, since no grid or basis can resolve it.
     """
 
     points: tuple[PointCharge, ...] = ()
@@ -89,6 +92,12 @@ class ChargeDistribution:
         object.__setattr__(self, "layers", tuple(sorted(
             self.layers,
             key=lambda l: (LAYER_KINDS.index(l.kind), l.radius, l.strength))))
+        for i, p in enumerate(self.points):
+            for q in self.points[i + 1:]:
+                if 0.0 < math.dist(p.position, q.position) <= MERGE_TOL:
+                    raise ChargeModelError(
+                        f"atoms at {p.position} and {q.position} are closer "
+                        f"than {MERGE_TOL} without coinciding")
 
     @property
     def total_charge(self) -> float:

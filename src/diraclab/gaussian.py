@@ -24,7 +24,11 @@ On a grid the basis is tabulated once as values, with every value below
 VALUE_FLOOR stored as 0, plus the displacements of the points from the
 distinct centers.  No gradient is formed: since grad g = -2a (x - A) g,
 the weighted gradient Gram and the sigma.grad slope integral are
-computed from the values, block by block of BLOCK points.
+computed from the values, block by block of BLOCK points.  Each center's
+own points are radial shells times one sphere rule, and there that
+center's primitives depend on the shell radius alone (Becke, J. Chem.
+Phys. 88, 2547 (1988)), so the Gram sums them shell by shell: its weight
+is first summed over each shell's ring of nodes.
 """
 from __future__ import annotations
 
@@ -316,6 +320,11 @@ class QuadratureGrid:
     `kind` is "full", "axial" or "mirror" (see the module docstring) and
     `axis` the unit symmetry axis of a reduced grid: the line of an axial
     grid, the plane normal of a mirror one; None for a full grid.
+
+    Every center's points are its `radii` shells times one sphere rule of
+    `ring` nodes, shell-major.  `runs` holds per center the index of the
+    point at which its complete shells x ring run starts, or None if
+    EXCLUSION_RADIUS dropped a node of it.
     """
 
     points: np.ndarray
@@ -324,6 +333,9 @@ class QuadratureGrid:
     n_radial: int
     angular_order: int
     partition_residual: float
+    radii: np.ndarray
+    ring: int
+    runs: tuple[int | None, ...]
     kind: str = "full"
     axis: np.ndarray | None = None
 
@@ -473,11 +485,17 @@ def build_grid(centers, n_radial: int = N_RADIAL,
         for i in range(len(centers))])
 
     keep = np.min(d, axis=1) > EXCLUSION_RADIUS
+    kept = keep.reshape(len(centers), -1)
+    count = kept.sum(axis=1)
+    starts = np.cumsum(count) - count
     return QuadratureGrid(points=pts[keep], weights=per_center[keep],
                           centers=centers, n_radial=n_radial,
                           angular_order=angular_order,
-                          partition_residual=residual, kind=kind,
-                          axis=None if frame is None else frame[2])
+                          partition_residual=residual, radii=rr,
+                          ring=len(dirs),
+                          runs=tuple(int(a) if k.all() else None
+                                     for a, k in zip(starts, kept)),
+                          kind=kind, axis=None if frame is None else frame[2])
 
 
 def symmetry_frame(sites) -> tuple[str, np.ndarray | None]:
@@ -566,13 +584,24 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
                       kind=kind, frame=frame)
 
 
+def _ring_contract(w: np.ndarray, vals: np.ndarray, ring: int) -> np.ndarray:
+    """q[e, j, k] = sum over the ring of shell k of w[e] vals[j], for
+    weights w (E, b) and values vals (n, b) on b points laid shell-major;
+    one small product per shell."""
+    per_shell = vals.reshape(len(vals), -1, ring).transpose(1, 0, 2)
+    q = per_shell @ w.reshape(len(w), -1, ring).transpose(1, 2, 0)
+    return q.transpose(2, 1, 0)
+
+
 class GridEvaluation:
     """Basis values (m, n) and site displacements (m, 3, k) on a grid.
 
-    The kernels work from these two tables alone.  The gradient of a
-    primitive i at site s is -2a_i (x - A_s) g_i, so every gradient
-    integral is 4 a_i a_j times a weighted integral of values, with the
-    factors applied to the finished matrices.
+    The kernels work from these two tables, and the weighted gradient
+    Gram also from each site's floored values g_i(r_k) on the shells of
+    the grid center at that site.  The gradient of a primitive i at site
+    s is -2a_i (x - A_s) g_i, so every gradient integral is 4 a_i a_j
+    times a weighted integral of values, with the factors applied to the
+    finished matrices.
     """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
@@ -590,6 +619,17 @@ class GridEvaluation:
             d = sc.sites[s] - sc.sites[t]
             e = grid.live_directions(d)
             self._pairs.append((s, t, e, np.cross(d, e)))
+        # per grid center that is a site s and kept all its nodes, the
+        # start of its shells x ring run and s; per site its primitives'
+        # values on the shells, each below VALUE_FLOOR set to 0
+        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
+        self._homes = [(a, site_at[tuple(x)])
+                       for x, a in zip(grid.centers, grid.runs)
+                       if a is not None and tuple(x) in site_at]
+        shell = sc.norms[:, None] * np.exp(-sc.alphas[:, None]
+                                           * grid.radii ** 2)
+        shell[shell < VALUE_FLOOR] = 0.0
+        self._shell_vals = [shell[i] for i in self._cols]
 
     def _blocks(self):
         """Per block of BLOCK points: its slice, values (n, b) and
@@ -615,8 +655,29 @@ class GridEvaluation:
             out += rows @ rows.T
         return out
 
+    def _gram_chunks(self):
+        """The grid in point order as (slice, home site h, shells): the
+        run of each center that is a site h in chunks of
+        max(1, BLOCK // ring) whole shells, every other point in blocks
+        of up to BLOCK points with h and shells None."""
+        grid = self.grid
+        step = max(1, BLOCK // grid.ring)
+        done = 0
+        for start, h in self._homes + [(grid.size, None)]:
+            for a in range(done, start, BLOCK):
+                yield slice(a, min(a + BLOCK, start)), None, None
+            if h is None:
+                return
+            for k in range(0, grid.n_radial, step):
+                ks = slice(k, min(k + step, grid.n_radial))
+                yield (slice(start + ks.start * grid.ring,
+                             start + ks.stop * grid.ring), h, ks)
+            done = start + grid.n_radial * grid.ring
+
     def gram_operands(self, c: np.ndarray):
-        """Per grid block, the value operands of the weighted gradient Gram.
+        """Per chunk (see _gram_chunks), the value operands of the weighted
+        gradient Gram: each block gets lhs @ rhs^T (batched over a
+        leading axis of rhs), reshaped to the block.
 
         For each site s, the rows sqrt(c) |x - A_s| g_i of its primitives,
         whose symmetric rank-k update is the (s, s) block.  For each site
@@ -624,13 +685,29 @@ class GridEvaluation:
         w = (x - A_s).(x - A_t) and ((x - A_s) x D).e for each live
         direction e of the pair, and the values g_j (j at t) they
         multiply.
+
+        On the points of the home site h's own grid its primitives are
+        g_i(r_k) of the shell radius r_k alone.  Its rows there are
+        g_i(r_k) r_k sqrt(C_k), with C_k the sum of c over the ring of
+        shell k, one per shell, and a pair block of h takes the floored
+        shell values g_i(r_k) times the ring contraction
+        q[e, j, k] = sum over the ring of c w_e g_j of the other site's
+        values: one product over shells instead of over points.
         """
         root = np.sqrt(c)
-        for sl, vals, disp in self._blocks():
+        vals_t, disp_t = self.vals.T, self.disp.T
+        ring = self.grid.ring
+        for sl, h, ks in self._gram_chunks():
+            vals, disp = vals_t[:, sl], disp_t[:, :, sl]
             b = vals.shape[1]
             cols = [vals[i] for i in self._cols]
-            radius = np.sqrt(np.einsum("kab,kab->kb", disp, disp))
-            rows = [v * r for v, r in zip(cols, radius * root[sl])]
+            if h is not None:
+                home = self._shell_vals[h][:, ks]
+                ring_c = c[sl].reshape(-1, ring).sum(axis=1)
+                home_rows = home * (self.grid.radii[ks] * np.sqrt(ring_c))
+            rows = [home_rows if s == h else
+                    v * (np.sqrt(np.einsum("ab,ab->b", dx, dx)) * root[sl])
+                    for s, (v, dx) in enumerate(zip(cols, disp))]
             pairs = []
             for s, t, _, dxe in self._pairs:
                 w = np.empty((1 + len(dxe), b))
@@ -638,8 +715,14 @@ class GridEvaluation:
                 # ((x - A_s) x D).e = (x - A_s).(D x e)
                 np.matmul(dxe, disp[s], out=w[1:])
                 w *= c[sl]
-                pairs.append(((w[:, None, :] * cols[s]).reshape(-1, b),
-                              cols[t]))
+                if h == s:
+                    pairs.append((home, _ring_contract(w, cols[t], ring)))
+                elif h == t:
+                    q = _ring_contract(w, cols[s], ring)
+                    pairs.append((q.reshape(-1, q.shape[2]), home))
+                else:
+                    pairs.append(((w[:, None, :] * cols[s]).reshape(-1, b),
+                                  cols[t]))
             yield rows, pairs
 
     def weighted_grad_blocks(self, c: np.ndarray):
@@ -655,9 +738,10 @@ class GridEvaluation:
         QuadratureGrid.live_directions) are formed: two on a full grid,
         the plane normal on a mirror grid, none on an axial grid, where
         the others integrate to exactly 0.  One weighted product per
-        site pair and live direction, one more for dot (see
-        gram_operands), and one symmetric rank-k update per site give
-        everything.  The (t, s) blocks are the (anti)transposes of the
+        site pair and live direction, one more for dot, and one symmetric
+        rank-k update per site give everything, summed over the chunks
+        of gram_operands: on a site's own grid over its shells, elsewhere
+        over points.  The (t, s) blocks are the (anti)transposes of the
         (s, t) ones, so dot is exactly symmetric and each cross_k
         exactly antisymmetric.  Returns dot and the three lab-frame
         components cross_k.
@@ -673,7 +757,7 @@ class GridEvaluation:
             for acc, r in zip(same, rows):
                 acc += r @ r.T
             for acc, (lhs, rhs) in zip(off, pairs):
-                acc += lhs @ rhs.T
+                acc += (lhs @ np.swapaxes(rhs, -1, -2)).reshape(acc.shape)
         dot = np.zeros((sc.n, sc.n))
         cross = np.zeros((3, sc.n, sc.n))
         for i, acc in zip(idx, same):

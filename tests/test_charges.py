@@ -154,6 +154,20 @@ def test_mix_and_combine():
     assert len(both.points) == 1 and len(both.layers) == 1
 
 
+def test_near_coincident_atoms_are_refused():
+    # 1e-17 apart they stay two basis sites, and the grid's partition
+    # weights divide by their distance
+    with pytest.raises(ChargeModelError, match="closer than"):
+        charges.atoms([(0, 0, 0), (1e-17, 0, 0)], [0.2, 0.2])
+    with pytest.raises(ChargeModelError):
+        charges.atoms([(1, 1, 1), (1, 1, 1 + 0.5 * charges.MERGE_TOL)],
+                      [0.2, 0.2])
+    # coincident atoms, and atoms just beyond the tolerance, are kept
+    assert len(charges.atoms([(0, 0, 0)] * 2, [0.2, 0.2]).points) == 2
+    assert len(charges.atoms([(0, 0, 0), (2 * charges.MERGE_TOL, 0, 0)],
+                             [0.2, 0.2]).points) == 2
+
+
 def test_charge_stores_one_canonical_order():
     a = charges.atoms([(1, 0, 0), (0, 0, 0)], [0.2, 0.3])
     b = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.2])

@@ -161,6 +161,15 @@ def test_radial_rejects_too_small_iteration_budget(tmp_path, capsys, budget):
     assert captured.out == ""
 
 
+def test_multicenter_rejects_near_coincident_atoms(tmp_path, capsys):
+    cfg = write(tmp_path, "multi.cfg", MULTI + "\n[charge.point]\n"
+                "position = 1e-17 0 0\ntheta = 0.2\n")
+    assert cli.main(["multicenter", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "closer than" in captured.err
+    assert captured.out == ""
+
+
 def test_multicenter_rejects_non_boolean_crosscheck(tmp_path, capsys):
     cfg = write(tmp_path, "multi.cfg",
                 MULTI + "\n[solver]\ncrosscheck = false-ish\n")

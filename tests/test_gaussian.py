@@ -289,10 +289,55 @@ def test_grid_reproduces_analytic_attraction():
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
-def test_weighted_grad_blocks_consistency(monkeypatch):
-    monkeypatch.setattr(gaussian, "BLOCK", 1000)
+def spread_basis(positions):
+    mu = charges.atoms(positions, [0.1] * len(positions))
+    return gaussian.default_spinor_basis(mu, n_s=4, alpha0=0.05, beta=3.0)
+
+
+def axial_pair():
     basis = two_center_basis(n_s=4)
-    grid = gaussian.grid_for_basis(basis, n_radial=48, angular_order=17)
+    return basis, gaussian.grid_for_basis(basis, 48, 17)
+
+
+def mirror_triangle():
+    basis = spread_basis([(0, 0, 0), (1.4, 0, 0), (0.7, 1.2, 0)])
+    return basis, gaussian.grid_for_basis(basis, 48, 17)
+
+
+def full_four_sites():
+    basis = spread_basis([(0, 0, 0), (1.4, 0, 0), (0.7, 1.2, 0),
+                          (0.5, 0.4, 1.1)])
+    return basis, gaussian.grid_for_basis(basis, 48, 17)
+
+
+def ghost_center():
+    # one center is a site, one is not, and one site has no center
+    basis = two_center_basis(n_s=4)
+    grid = gaussian.build_grid([(0, 0, 0), (0.6, 0.5, -0.3)], 48, 17,
+                               *gaussian.radial_window(basis))
+    return basis, grid
+
+
+def excluded_node():
+    # the second atom sits on a node of the first atom's rule, and so the
+    # first on the antipodal node of the second's: EXCLUSION_RADIUS drops
+    # one node of each, and only the third atom keeps all its shells
+    one = gaussian.build_grid([(0, 0, 0)], 48, 17, 1e-3, 12.0)
+    node = one.points[np.argmin(np.abs(np.linalg.norm(one.points, axis=1)
+                                       - 1.4))]
+    centers = [(0, 0, 0), tuple(node), (0.3, -0.9, 0.5)]
+    grid = gaussian.build_grid(centers, 48, 17, 1e-3, 12.0)
+    assert grid.runs[:2] == (None, None) and grid.runs[2] is not None
+    return spread_basis(centers), grid
+
+
+@pytest.mark.parametrize("make", [axial_pair, mirror_triangle,
+                                  full_four_sites, ghost_center,
+                                  excluded_node])
+def test_weighted_grad_blocks_consistency(monkeypatch, make):
+    # each center's 48 shells span several chunks of whole shells
+    monkeypatch.setattr(gaussian, "BLOCK", 400)
+    basis, grid = make()
     ev = gaussian.GridEvaluation(basis, grid)
     c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
     dot, cross = ev.weighted_grad_blocks(c)
@@ -339,14 +384,19 @@ def test_weighted_gradient_rows_make_no_subnormal_products():
         a = np.abs(a)
         return np.min(a[a > 0.0])
 
-    blocks = 0
+    # on each atom's own grid its rows are one per shell, and the pair
+    # block multiplies its shell values with the ring-contracted factors
+    chunks = 0
     for rows, pairs in gaussian.GridEvaluation(basis, grid).gram_operands(c):
+        assert sorted(r.shape[1] for r in rows) == [grid.n_radial,
+                                                    grid.n_radial * grid.ring]
         for r in rows:
             assert not np.any((np.abs(r) > 0.0) & (np.abs(r) < small))
         for lhs, rhs in pairs:
             assert smallest(lhs) * smallest(rhs) >= tiny
-        blocks += 1
-    assert blocks == -(-grid.size // gaussian.BLOCK)
+        chunks += 1
+    # one chunk of all 48 shells of 18 nodes per atom
+    assert chunks == 2
 
 
 def test_weighted_grad_blocks_rejects_negative_weights():
