@@ -452,6 +452,8 @@ def build_grid(centers, n_radial: int = N_RADIAL,
         raise ConfigError("angular order must be an odd positive integer")
     if n_radial < 2:
         raise ConfigError("grid needs at least two radial shells")
+    if not (0.0 < r_lo < r_hi < math.inf):
+        raise ConfigError(f"need finite 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
     if kind not in GRID_KINDS or (kind == "full") != (frame is None):
         raise ConfigError(f"grid kind must be one of {GRID_KINDS}, with a "
                           "frame unless it is full")

@@ -33,7 +33,8 @@ from .charges import ChargeDistribution, potential_grid
 from .configio import charge_descriptor
 from .errors import ConfigError, IllConditionedBasisError
 from .gaussian import (GridEvaluation, QuadratureGrid, SpinorBasis,
-                       default_spinor_basis, grid_for_basis, grid_matrix)
+                       default_spinor_basis, filtered_orthogonalizer,
+                       grid_for_basis, grid_matrix)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,14 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
                        grid: QuadratureGrid | None = None) -> HardyResult:
     """Minimize the weighted quotient over the basis span.
 
-    Raises IllConditionedBasisError when the quadrature mass matrix N is
-    not positive definite (degenerate grid) and ConfigError for zero mu.
+    N is a positive-weight quadrature of v |phi|^2, so it is positive
+    semidefinite by construction: the shared filtered orthogonalizer
+    drops only its numerically null directions, and the minimum over the
+    span that remains is still a certified upper estimate.
+
+    Raises IllConditionedBasisError when N has no positive eigenvalue or
+    the minimum is not positive (a degenerate grid), and ConfigError for
+    zero mu.
     """
     nu = mu.total_charge
     if nu <= 0.0:
@@ -77,22 +84,9 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
     a = grid_matrix(grid, adot, across)
     n = grid_matrix(grid, evaluation.weighted_overlap(grid.weights * vpot))
 
-    # symmetric diagonal balancing keeps wide exponent spans solvable
-    d = np.diag(n).real.copy()
-    if np.any(d <= 0.0):
-        raise IllConditionedBasisError(
-            "quadrature mass matrix is not positive definite")
-    scale = 1.0 / np.sqrt(d)
-    a = a * scale[:, None] * scale[None, :]
-    n = n * scale[:, None] * scale[None, :]
-    import scipy.linalg as sla  # here, so that importing diraclab skips scipy
-    try:
-        evals = sla.eigh(a, n, eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            f"quadrature mass matrix is not positive definite: {exc}"
-        ) from exc
-    eta = float(evals[0])
+    x = filtered_orthogonalizer(
+        n, "quadrature mass matrix has no positive eigenvalue")
+    eta = float(np.linalg.eigvalsh(x.conj().T @ a @ x)[0])
     if eta <= 0.0:
         raise IllConditionedBasisError(
             "weighted quotient minimum is not positive; quadrature is "

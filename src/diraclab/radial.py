@@ -60,7 +60,6 @@ needed; what the cut leaves out is O(r_min^2).
 """
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 from dataclasses import dataclass, field
@@ -89,7 +88,6 @@ class _LazyModule:
 
 
 sla = _LazyModule("scipy.linalg")
-sp = _LazyModule("scipy.sparse")
 # unused here: kept only as a lazy attribute that perfbench/spans.py reads
 spla = _LazyModule("scipy.sparse.linalg")
 
@@ -133,20 +131,27 @@ class RadialGrid:
         self.w[-1] *= 0.5
 
 
-def derivative_matrix(n: int, h: float) -> sp.csr_matrix:
-    """d/dt on a uniform grid: 4th order inside, one-sided at the ends."""
-    interior = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+def derivative_matrix(n: int, h: float) -> np.ndarray:
+    """d/dt on a uniform grid, 4th order inside and one-sided at the ends,
+    as the (7, n) table T[o + 3, j] = D[j, j + o], o = -3 .. 3."""
+    table = np.zeros((7, n))
+    table[3:6, 0] = np.array([-1.5, 2.0, -0.5]) / h
     skew = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0]) / h
-    data = np.concatenate([np.array([-1.5, 2.0, -0.5]) / h, skew,
-                           np.tile(interior, n - 4), -skew[::-1],
-                           np.array([0.5, -2.0, 1.5]) / h])
+    table[2:, 1] = skew
     # row k, 2 <= k <= n - 3, reaches k - 2, k - 1, k + 1, k + 2
-    middle = np.arange(2, n - 2)[:, None] + np.array([-2, -1, 1, 2])
-    indices = np.concatenate([np.arange(3), np.arange(5), middle.ravel(),
-                              np.arange(n - 5, n), np.arange(n - 3, n)])
-    counts = np.concatenate([[3, 5], np.full(n - 4, 4), [5, 3]])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    interior = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    table[[1, 2, 4, 5], 2:n - 2] = interior[:, None]
+    table[:5, n - 2] = -skew[::-1]
+    table[1:4, n - 1] = np.array([0.5, -2.0, 1.5]) / h
+    return table
+
+
+def _band_apply(table: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """D g for the (7, n) table of D, g taken as zero beyond its end."""
+    n = table.shape[1]
+    padded = np.zeros(n + 6)
+    padded[3:3 + len(g)] = g
+    return sum(table[i] * padded[i:i + n] for i in range(7))
 
 
 def _check_channel(kappa) -> int:
@@ -157,17 +162,14 @@ def _check_channel(kappa) -> int:
 
 class _BandOperator:
     """A = d/dt + kappa on the grid, Dirichlet at r_max (last column
-    dropped), held as the table T[o + 3, j] = A[j, j + o], o = -3 .. 3, of
-    the stencil of derivative_matrix; gram(c) gives A^T diag(c) A in
-    upper band storage, apply(g) gives A g."""
+    dropped), held in the table layout of derivative_matrix; gram(c)
+    gives A^T diag(c) A in upper band storage, apply(g) gives A g."""
 
     def __init__(self, grid: RadialGrid, kappa: int):
         n = self.n = grid.n
-        D = derivative_matrix(n, grid.h)
-        rows = np.repeat(np.arange(n), np.diff(D.indptr))
-        keep = D.indices < n - 1
-        table = np.zeros((7, n))
-        table[D.indices[keep] - rows[keep] + 3, rows[keep]] = D.data[keep]
+        table = derivative_matrix(n, grid.h)
+        # column n - 1 holds T[o + 3, n - 1 - o], o = 0 .. 3
+        table[3 + np.arange(4), n - 1 - np.arange(4)] = 0.0
         table[3, :n - 1] += kappa
         self.table = table
 
@@ -186,38 +188,38 @@ class _BandOperator:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g for g on the n - 1 free nodes."""
-        n = self.n
-        padded = np.zeros(n + 6)
-        padded[3:n + 2] = g
-        return sum(self.table[i] * padded[i:i + n] for i in range(7))
+        return _band_apply(self.table, g)
 
 
-def _band_quadratic(ab: np.ndarray, v: np.ndarray) -> float:
-    """v^T B v for B in (5, n) upper band storage.  B v is summed row by
-    row first: its large terms cancel within each row, where summing each
-    diagonal over the whole vector would lose digits on a graded B."""
-    bv = ab[4] * v
-    for k in range(1, 5):
-        bv[:-k] += ab[4 - k, k:] * v[k:]
-        bv[k:] += ab[4 - k, k:] * v[:-k]
-    return float(v @ bv)
+def _pencil(op: _BandOperator, c: np.ndarray, bdiag: np.ndarray,
+            mdiag: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], float]]:
+    """B = A^T diag(c) A + diag(bdiag) in (5, n - 1) upper band storage,
+    the diagonal of M, and v -> v^T B v as the sum of squares
+    (A v).(c A v) + bdiag.v^2, in which the large terms of B, which
+    cancel in v^T B v read from the band, never meet."""
+    band = op.gram(c)
+    band[4] += bdiag
+
+    def energy(v: np.ndarray) -> float:
+        av = op.apply(v)
+        return float(av @ (c * av) + bdiag @ (v * v))
+
+    return band, mdiag, energy
 
 
-def _lowest(ab: np.ndarray, mdiag: np.ndarray, guess: float | None = None,
-            energy: Callable[[np.ndarray], float] | None = None
-            ) -> tuple[float, np.ndarray]:
+def _lowest(ab: np.ndarray, mdiag: np.ndarray,
+            energy: Callable[[np.ndarray], float],
+            guess: float | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing,
     with its M-normalised eigenvector from the inverse iteration.
 
-    B comes in (5, n) upper band storage (bandwidth 4).  `guess`, a value
-    expected near the eigenvalue, seeds the first shifts; without it the
-    slice starts cold.  `energy(v)`, if given, evaluates v^T B v more
-    accurately than the band can.  Raises UncertifiedEigenvalueError when
-    the inertia test does not confirm the result as the lowest eigenvalue.
+    B comes in (5, n) upper band storage (bandwidth 4) with `energy(v)`,
+    v^T B v, as _pencil returns them.  `guess`, a value expected near the
+    eigenvalue, seeds the first shifts; without it the slice starts cold.
+    Raises UncertifiedEigenvalueError when the inertia test does not
+    confirm the result as the lowest eigenvalue.
     """
-    if energy is None:
-        energy = functools.partial(_band_quadratic, ab)
-
     def factor(sigma: float):
         shifted = ab.copy()
         shifted[4] -= sigma * mdiag
@@ -336,40 +338,22 @@ class _ChannelProblem:
         b_stub = kin + m_stub - float(np.sum(wq * sq * vq))
         return m_stub, b_stub, float(dkin)
 
-    def _coefficients(self, lam: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """c with B(lam) = A^T diag(c) A + diag(bdiag), bdiag, and the
-        diagonal of M."""
+    def pencil(self, lam: float):
+        """_pencil of B(lam) = A^T diag(c) A + diag(bdiag) against M."""
         g = self.grid
         m_stub, b_stub, _ = self.stub_terms(lam)
         bdiag = self.mass[:-1] * (1.0 - self.vpot[:-1])
         bdiag[0] += b_stub
         mdiag = self.mass[:-1].copy()
         mdiag[0] += m_stub
-        return g.w / (g.r * (1.0 + lam + self.vpot)), bdiag, mdiag
-
-    def pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """B(lam) in (5, n - 1) upper band storage, and the diagonal of M."""
-        c, bdiag, mdiag = self._coefficients(lam)
-        ab = self.A.gram(c)
-        ab[4] += bdiag
-        return ab, mdiag
+        return _pencil(self.A, g.w / (g.r * (1.0 + lam + self.vpot)),
+                       bdiag, mdiag)
 
     def mu_min(self, lam: float) -> tuple[float, np.ndarray]:
         """Lowest eigenvalue of the pencil (B(lam), M), certified, and its
         M-normalised eigenvector; lam seeds the slice (mu = lam at the
         root)."""
-        c, bdiag, mdiag = self._coefficients(lam)
-        ab = self.A.gram(c)
-        ab[4] += bdiag
-
-        def energy(v: np.ndarray) -> float:
-            # a sum of squares: the large terms of B, which cancel in
-            # v^T B v read from the band, never meet
-            av = self.A.apply(v)
-            return float(av @ (c * av) + bdiag @ (v * v))
-
-        return _lowest(ab, mdiag, lam, energy)
+        return _lowest(*self.pencil(lam), lam)
 
     def slope(self, lam: float, g: np.ndarray) -> float:
         """mu'(lam) = g^T B'(lam) g, g the M-normalised eigenvector
@@ -390,7 +374,7 @@ def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
         raise ValueError("trial is identically zero")
     if lam <= -1.0:
         raise ValueError(f"q_form_radial needs lam > -1, got {lam}")
-    a = derivative_matrix(grid.n, grid.h) @ g + kappa * g
+    a = _band_apply(derivative_matrix(grid.n, grid.h), g) + kappa * g
     vpot = radial_profile(mu, grid.r)
     kinetic = float(np.sum(grid.w * a * a / (grid.r * (1.0 + lam + vpot))))
     rest = float(np.sum(grid.w * grid.r * (1.0 - vpot - lam) * g * g))
@@ -447,17 +431,15 @@ class SchrodingerResult(NamedTuple):
     bound: bool
 
 
-def _schrodinger_pencil(mu: ChargeDistribution, grid: RadialGrid
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The l=0 pencil: the kappa = -1 form with 1/(1 + lam + v) -> 1/2,
-    in (5, n - 1) upper band storage, and the diagonal of its mass."""
+def _schrodinger_pencil(mu: ChargeDistribution, grid: RadialGrid):
+    """_pencil of the l=0 problem: the kappa = -1 form with
+    1/(1 + lam + v) -> 1/2."""
     if not mu.radially_symmetric:
         raise ConfigError("Schroedinger radial solver needs radial symmetry")
     vpot = radial_profile(mu, grid.r)
     mass = (grid.w * grid.r)[:-1]
-    ab = _BandOperator(grid, -1).gram(grid.w / (2.0 * grid.r))
-    ab[4] -= mass * vpot[:-1]
-    return ab, mass
+    return _pencil(_BandOperator(grid, -1), grid.w / (2.0 * grid.r),
+                   -mass * vpot[:-1], mass)
 
 
 def schrodinger_ground_radial(mu: ChargeDistribution,

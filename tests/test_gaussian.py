@@ -548,6 +548,12 @@ def test_grid_validation():
             gaussian.build_grid([(0, 0, 0)], n_radial=n_radial)
     with pytest.raises(ConfigError):
         gaussian.build_grid(np.empty((0, 3)))
+    # a reversed window would give negative weights, r_lo = 0 a math
+    # domain error
+    for r_lo, r_hi in ((9.0, 2e-4), (0.0, 9.0), (-1.0, 9.0), (2e-4, 2e-4),
+                       (2e-4, math.inf), (math.nan, 9.0)):
+        with pytest.raises(ConfigError):
+            gaussian.build_grid([(0, 0, 0)], r_lo=r_lo, r_hi=r_hi)
 
 
 # --- symmetry-reduced grids ------------------------------------------------

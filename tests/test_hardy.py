@@ -1,6 +1,7 @@
 """Certified lower-bound constant: overestimate property and invariances."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from diraclab import charges, gaussian, hardy
 from diraclab.errors import ConfigError
@@ -77,3 +78,38 @@ def test_result_reports_grid_and_basis_shape():
     row = hardy.scan_row(3, mu, basis, grid)
     assert (row.family_index, row.eta_min, row.c_mu, row.basis_size) == (
         3, res.eta_min, res.c_mu, res.basis_size)
+
+
+def balanced_pencil_minimum(basis, mu, grid):
+    """The lowest eigenvalue of A u = eta N u from scipy's generalized
+    eigh on the diagonally balanced pencil, with A and N built from the
+    same GridEvaluation blocks as hardy_quotient_min."""
+    vpot = charges.potential_grid(mu, grid.points)
+    evaluation = gaussian.GridEvaluation(basis, grid)
+    a = gaussian.grid_matrix(
+        grid, *evaluation.weighted_grad_blocks(grid.weights / vpot))
+    n = gaussian.grid_matrix(
+        grid, evaluation.weighted_overlap(grid.weights * vpot))
+    scale = 1.0 / np.sqrt(np.diag(n).real)
+    a = a * scale[:, None] * scale[None, :]
+    n = n * scale[:, None] * scale[None, :]
+    return sla.eigh(a, n, eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize("mu, n_s, grid_kw, kind", [
+    # cond(N) is about 1.9e7 here
+    (charges.atom((0, 0, 0), 1.0), 24, {}, "axial"),
+    (charges.atoms([(0, 0, 0), (0.5, 0, 0)], [0.5, 0.5]), 16, {}, "axial"),
+    (charges.atoms([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                   [0.25, 0.2, 0.3, 0.15]), 6,
+     {"n_radial": 48, "angular_order": 17}, "full"),
+], ids=["point", "pair", "non-planar"])
+def test_eta_min_matches_generalized_eigh(mu, n_s, grid_kw, kind):
+    # the filtered orthogonalizer against scipy's generalized eigh on the
+    # diagonally balanced pencil, an independent route to the minimum
+    basis = gaussian.default_spinor_basis(mu, n_s=n_s)
+    grid = gaussian.grid_for_basis(basis, **grid_kw)
+    assert grid.kind == kind
+    eta = hardy.hardy_quotient_min(basis, mu, grid).eta_min
+    assert eta == pytest.approx(balanced_pencil_minimum(basis, mu, grid),
+                                rel=1e-11)

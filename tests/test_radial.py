@@ -79,9 +79,20 @@ def band_to_dense(ab):
     return dense
 
 
+def table_to_dense(table):
+    """The n x n matrix D with D[j, j + o] = table[o + 3, j]."""
+    n = table.shape[1]
+    dense = np.zeros((n, n))
+    for o in range(-3, 4):
+        j = np.arange(max(0, -o), min(n, n - o))
+        dense[j, j + o] = table[o + 3, j]
+    return dense
+
+
 def sliced_pencils(mu, channel):
     """(pencil, its sliced lowest eigenvalue) for a Dirac channel kappa at
-    four lam, or for the Schroedinger pencil."""
+    four lam, or for the Schroedinger pencil; each pencil is the band, the
+    mass diagonal and the energy that _pencil returns."""
     if channel == "schrodinger":
         pencil = radial._schrodinger_pencil(mu, SMALL)
         return [(pencil, radial._lowest(*pencil)[0])]
@@ -93,7 +104,7 @@ def sliced_pencils(mu, channel):
 @pytest.mark.parametrize("name", sorted(SLICE_CHARGES))
 @pytest.mark.parametrize("kappa", [-2, -1, 1, 2, "schrodinger"])
 def test_mu_min_is_lowest_dense_eigenvalue(name, kappa):
-    for (B, mdiag), lowest in sliced_pencils(SLICE_CHARGES[name], kappa):
+    for (B, mdiag, _), lowest in sliced_pencils(SLICE_CHARGES[name], kappa):
         dense = sla.eigh(band_to_dense(B), np.diag(mdiag),
                          eigvals_only=True)
         assert lowest == pytest.approx(dense[0], rel=1e-11, abs=1e-11)
@@ -107,13 +118,14 @@ def test_band_pencil_matches_dense_product(name, kappa):
     prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
     lam = 0.3
     n = SMALL.n
-    A = radial.derivative_matrix(n, SMALL.h).toarray() + kappa * np.eye(n)
+    A = table_to_dense(radial.derivative_matrix(n, SMALL.h)) \
+        + kappa * np.eye(n)
     A = A[:, :-1]
     c = SMALL.w / (SMALL.r * (1.0 + lam + prob.vpot))
     bdiag = prob.mass[:-1] * (1.0 - prob.vpot[:-1])
     bdiag[0] += prob.stub_terms(lam)[1]
     dense = A.T @ np.diag(c) @ A + np.diag(bdiag)
-    ab, _ = prob.pencil(lam)
+    ab, _, _ = prob.pencil(lam)
     np.testing.assert_allclose(band_to_dense(ab), dense, rtol=1e-13,
                                atol=1e-13 * np.abs(dense).max())
 
@@ -125,10 +137,10 @@ def test_seed_changes_speed_only(name, kappa):
     # the same certified eigenvalue and an M-normalised vector
     prob = radial._ChannelProblem(SLICE_CHARGES[name], kappa, SMALL)
     for lam in (0.0, 0.9):
-        ab, mdiag = prob.pencil(lam)
-        mu, _ = radial._lowest(ab, mdiag)
+        ab, mdiag, energy = prob.pencil(lam)
+        mu, _ = radial._lowest(ab, mdiag, energy)
         for guess in (mu - 10.0, mu - 1e-6, mu + 1e-6, mu + 10.0):
-            again, v = radial._lowest(ab, mdiag, guess)
+            again, v = radial._lowest(ab, mdiag, energy, guess)
             assert again == pytest.approx(mu, rel=1e-12)
             assert v @ (mdiag * v) == pytest.approx(1.0, rel=1e-12)
 
@@ -289,9 +301,11 @@ def test_derivative_matrix_matches_stencil_loop():
             ref[k, k - 2:k + 3] = interior
         ref[n - 2, n - 5:n] = -skew[::-1]
         ref[n - 1, n - 3:n] = np.array([0.5, -2.0, 1.5]) / h
-        D = radial.derivative_matrix(n, h)
-        assert np.array_equal(D.toarray(), ref)
-        assert D.nnz == np.count_nonzero(ref)
+        table = radial.derivative_matrix(n, h)
+        assert table.shape == (7, n)
+        assert np.array_equal(table_to_dense(table), ref)
+        # nothing in the table falls outside the matrix
+        assert np.count_nonzero(table) == np.count_nonzero(ref)
 
 
 def test_channel_validation():
@@ -323,11 +337,15 @@ def test_import_leaves_scipy_optimize_out():
 
 def test_3d_commands_leave_scipy_unloaded(tmp_path):
     # a 3D command loads numpy alone; the first radial solve after it
-    # loads scipy and still meets the closed form
+    # loads scipy.linalg and still meets the closed form, and neither
+    # the gap solve nor the Schroedinger solve loads scipy.sparse
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text((CONFIG_DIR / "conjecture_m2.cfg").read_text()
                      .replace("separations = 0.25 0.5 1 2 4 8",
                               "separations = 1"))
+    hardy = tmp_path / "hardy.cfg"
+    hardy.write_text((CONFIG_DIR / "hardy_sweep.cfg").read_text()
+                     .replace("separations = 0.5 1 2 4", "separations = 1"))
     pair = CONFIG_DIR / "multicenter_example.cfg"
     _run_fresh(f"""
 import math, sys
@@ -336,12 +354,18 @@ assert cli.main(["multicenter", "--config", {str(pair)!r},
                  "--out", {str(tmp_path / "pair.json")!r}]) == 0
 assert cli.main(["conjecture-sweep", "--config", {str(sweep)!r},
                  "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+assert cli.main(["hardy-sweep", "--config", {str(hardy)!r},
+                 "--out", {str(tmp_path / "hardy.csv")!r}]) == 0
 loaded = [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
 assert not loaded, loaded
-res = radial.lowest_gap_eigenvalue_radial(charges.atom((0.0, 0.0, 0.0), 0.5))
+atom = charges.atom((0.0, 0.0, 0.0), 0.5)
+res = radial.lowest_gap_eigenvalue_radial(atom)
 assert abs(res.lambda1 - math.sqrt(1.0 - 0.5 ** 2)) < 1e-6, res.lambda1
+assert radial.schrodinger_ground_radial(atom).bound
+assert "scipy.sparse" not in sys.modules
 """)
-    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
+    for name in ("sweep.csv", "hardy.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 2
 
 
 def test_schrodinger_point_matches_hydrogenic():
