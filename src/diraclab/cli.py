@@ -65,11 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_doc(args) -> ConfigDoc:
+    """The command's config: a point charge for `radial --nu`, else the
+    file --config names."""
+    if getattr(args, "nu", None) is not None:
+        return doc_from_charge(charges.atom((0.0, 0.0, 0.0), args.nu))
     if args.config is None:
         raise ConfigError(f"{args.command} needs --config")
-    doc = load_config(args.config)
-    doc.check_keys()
-    return doc
+    return load_config(args.config)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -82,14 +84,7 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_radial(args) -> int:
-    if args.nu is not None:
-        doc = doc_from_charge(charges.atom((0.0, 0.0, 0.0), args.nu))
-    else:
-        doc = _load_doc(args)
-    if args.print_config:
-        _write_text(emit_config(doc), args.out)
-        return 0
+def _cmd_radial(args, doc: ConfigDoc) -> int:
     mu = doc.charge()
     if not mu.radially_symmetric:
         raise ConfigError("charge is not radially symmetric; "
@@ -106,13 +101,9 @@ def _cmd_radial(args) -> int:
     return 0
 
 
-def _cmd_multicenter(args) -> int:
-    doc = _load_doc(args)
-    if args.print_config:
-        _write_text(emit_config(doc), args.out)
-        return 0
+def _cmd_multicenter(args, doc: ConfigDoc) -> int:
     mu = doc.charge()
-    basis = default_spinor_basis(mu, **doc.typed("basis"))
+    basis = default_spinor_basis(mu, **doc.sections.get("basis", {}))
     gcfg = doc.build(GapSolveConfig, "solver", "grid")
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)
@@ -124,11 +115,7 @@ def _cmd_multicenter(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    doc = _load_doc(args)
-    if args.print_config:
-        _write_text(emit_config(doc), args.out)
-        return 0
+def _cmd_experiment(args, doc: ConfigDoc) -> int:
     cfg = config_from_doc(doc, kind=args.command, workers=args.workers,
                           out_csv=args.out)
     report = run_experiment(cfg)
@@ -149,11 +136,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "radial":
-            return _cmd_radial(args)
-        if args.command == "multicenter":
-            return _cmd_multicenter(args)
-        return _cmd_experiment(args)
+        doc = _load_doc(args)
+        if args.print_config:
+            _write_text(emit_config(doc), args.out)
+            return 0
+        run = {"radial": _cmd_radial, "multicenter": _cmd_multicenter}
+        return run.get(args.command, _cmd_experiment)(args, doc)
     except (ConfigError, ChargeModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

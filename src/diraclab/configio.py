@@ -3,7 +3,9 @@
 Grammar: INI-like sections.  `[charge.point]` and `[charge.layer]` may
 repeat, one block per charge piece; every other section holds scalar
 `key = value` pairs and may appear once.  `#` starts a comment.  The
-writer is canonical: charge blocks in the charge's own stored order,
+reader converts each value to the type SECTION_KEYS declares for its
+key as it reads the line, so a parsed document holds typed values only.
+The writer is canonical: charge blocks in the charge's own stored order,
 floats at 17 significant digits, so write -> parse round-trips
 bit-exactly.
 """
@@ -15,8 +17,10 @@ from dataclasses import dataclass, field, fields
 from .charges import ChargeDistribution, PointCharge, RadialLayer
 from .errors import ConfigError
 
-# value types of the keys
-INT, REAL, BOOL, NAME, REALS = "int", "real", "bool", "name", "reals"
+# value types of the keys, each spelt as an error message names it
+INT, REAL, BOOL, NAME, REALS = ("an integer", "a finite real number",
+                                "0, 1, true or false", "a name",
+                                "a list of finite real numbers")
 
 # every section and key any command reads, with its type
 SECTION_KEYS = {
@@ -38,67 +42,50 @@ def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _parse_scalar(raw: str):
-    """int if it looks like one, else float, else the bare string."""
+def _number(text: str):
+    """`text` as int() reads it, else as float() does."""
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+        return float(text)
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
+def _finite(text: str) -> float:
+    """`text` as a finite float: a nan tolerance passes every check."""
+    value = _number(text)
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(text)
+    return float(value)
+
+
+def _convert(kind: str, raw: str):
+    """The text of a value as `kind`; ValueError if it is not one.  Only a
+    list of reals splits on whitespace and commas; every other kind reads
+    the whole text, and a name is one that no number reading takes."""
     parts = raw.replace(",", " ").split()
-    if len(parts) > 1:
-        return tuple(_parse_scalar(p) for p in parts)
-    return _parse_scalar(raw)
-
-
-def _convert(kind: str, value, what: str):
-    """A parsed value as `kind`; ConfigError if it is not one.  A real
-    must fit a finite float: a nan tolerance passes every check."""
-    if kind == INT and isinstance(value, int):
-        return value
-    if kind == REAL and isinstance(value, (int, float)) \
-            and abs(value) <= sys.float_info.max:
-        return float(value)
-    if kind == BOOL and (value in ("true", "false") or (
-            isinstance(value, int) and value in (0, 1))):
-        return value in ("true", 1)
-    if kind == NAME and isinstance(value, str):
-        return value
     if kind == REALS:
-        items = value if isinstance(value, tuple) else (value,)
-        if all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-               for v in items):
-            return tuple(float(v) for v in items)
-    expected = {INT: "an integer", REAL: "a finite real number",
-                BOOL: "0, 1, true or false", NAME: "a name",
-                REALS: "a list of finite real numbers"}[kind]
-    raise ConfigError(f"{what} must be {expected}, got {value!r}")
-
-
-def _typed_block(section: str, block: dict[str, object]) -> dict[str, object]:
-    """The keys of one block of a declared section, each converted to its
-    type; ConfigError on an undeclared key or a value of the wrong type."""
-    declared = SECTION_KEYS[section]
-    out = {}
-    for key, value in block.items():
-        if key not in declared:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section}]; expected one "
-                f"of {', '.join(declared)}")
-        out[key] = _convert(declared[key], value, f"[{section}] {key}")
-    return out
+        return tuple(_finite(p) for p in (parts if len(parts) > 1 else [raw]))
+    if kind == INT:
+        return int(raw)
+    if kind == REAL:
+        return _finite(raw)
+    if kind == BOOL:
+        value = raw if raw in ("true", "false") else int(raw)
+        if value not in ("true", "false", 0, 1):
+            raise ValueError(raw)
+        return value in ("true", 1)
+    try:
+        _number(raw)
+    except ValueError:
+        if raw and len(parts) <= 1:
+            return raw
+    raise ValueError(raw)
 
 
 @dataclass
 class ConfigDoc:
-    """Parsed config: scalar sections plus an optional charge distribution."""
+    """Parsed config: scalar sections plus an optional charge distribution,
+    every value already of the type SECTION_KEYS declares for its key."""
 
     sections: dict[str, dict[str, object]] = field(default_factory=dict)
     point_blocks: list[dict[str, object]] = field(default_factory=list)
@@ -109,22 +96,18 @@ class ConfigDoc:
             raise ConfigError("config declares no charge blocks")
         points = []
         for blk in self.point_blocks:
-            blk = _typed_block("charge.point", blk)
-            pos = blk.get("position")
-            theta = blk.get("theta")
-            if pos is None or theta is None:
+            if not {"position", "theta"} <= blk.keys():
                 raise ConfigError("[charge.point] needs position and theta")
-            if len(pos) != 3:
-                raise ConfigError(f"position must be three reals, got {pos!r}")
-            points.append(PointCharge(pos, theta))
+            if len(blk["position"]) != 3:
+                raise ConfigError("position must be three reals, got "
+                                  f"{blk['position']!r}")
+            points.append(PointCharge(blk["position"], blk["theta"]))
         layers = []
         for blk in self.layer_blocks:
-            blk = _typed_block("charge.layer", blk)
-            kind = blk.get("kind")
-            theta = blk.get("theta")
-            if kind is None or theta is None:
+            if not {"kind", "theta"} <= blk.keys():
                 raise ConfigError("[charge.layer] needs kind and theta")
-            layers.append(RadialLayer(kind, blk.get("radius", 0.0), theta))
+            layers.append(RadialLayer(blk["kind"], blk.get("radius", 0.0),
+                                      blk["theta"]))
         return ChargeDistribution(points=tuple(points), layers=tuple(layers))
 
     def has_charge(self) -> bool:
@@ -133,34 +116,22 @@ class ConfigDoc:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def typed(self, section: str) -> dict[str, object]:
-        """The keys set in a scalar section, each converted to its type.
-
-        Raises ConfigError on an undeclared section or key and on a value
-        that is not of its key's type.
-        """
-        if section not in SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]; expected one "
-                              f"of {', '.join(SECTION_KEYS)}")
-        return _typed_block(section, self.sections.get(section, {}))
-
     def build(self, cls, *sections: str):
         """`cls(**keys)` from the keys set in `sections` that name its
         fields; every other field keeps the default `cls` declares."""
-        keys = {}
-        for section in sections:
-            keys.update(self.typed(section))
         names = {f.name for f in fields(cls) if f.init}
-        return cls(**{k: v for k, v in keys.items() if k in names})
-
-    def check_keys(self) -> None:
-        """Raise ConfigError on an undeclared section or key, or a value
-        of the wrong type, anywhere in the scalar sections."""
-        for section in self.sections:
-            self.typed(section)
+        return cls(**{k: v for section in sections
+                      for k, v in self.sections.get(section, {}).items()
+                      if k in names})
 
 
 def parse_config(text: str) -> ConfigDoc:
+    """The document `text` holds, each value converted to its key's type.
+
+    Raises ConfigError, naming the line, on a malformed line, an
+    undeclared section or key, a repeated one, or a value of the wrong
+    type.
+    """
     doc = ConfigDoc()
     current: dict[str, object] | None = None
     current_name = ""
@@ -172,8 +143,9 @@ def parse_config(text: str) -> ConfigDoc:
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: malformed section header {raw!r}")
             name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"line {lineno}: empty section name")
+            if name not in SECTION_KEYS:
+                raise ConfigError(f"line {lineno}: unknown section [{name}]; "
+                                  f"expected one of {', '.join(SECTION_KEYS)}")
             current_name = name
             current = {}
             if name == "charge.point":
@@ -190,12 +162,20 @@ def parse_config(text: str) -> ConfigDoc:
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, _, val = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+        key, val = key.strip(), val.strip()
+        declared = SECTION_KEYS[current_name]
+        if key not in declared:
+            raise ConfigError(
+                f"line {lineno}: unknown key {key!r} in [{current_name}]; "
+                f"expected one of {', '.join(declared)}")
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current_name}]")
-        current[key] = _parse_value(val)
+        try:
+            current[key] = _convert(declared[key], val)
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: [{current_name}] {key} must be "
+                f"{declared[key]}, got {val!r}") from None
     return doc
 
 
@@ -236,18 +216,21 @@ def emit_charge(mu: ChargeDistribution) -> str:
     return "\n".join(out)
 
 
+def _emit_sections(sections) -> list[str]:
+    """Lines of the scalar sections, sorted by name and by key."""
+    lines = []
+    for name in sorted(sections):
+        lines.append(f"[{name}]")
+        lines.extend(f"{key} = {_format_value(value)}"
+                     for key, value in sorted(sections[name].items()))
+        lines.append("")
+    return lines
+
+
 def emit_config(doc: ConfigDoc) -> str:
     """Canonical text for a whole document: charge first, sections sorted."""
-    parts = []
-    if doc.has_charge():
-        parts.append(emit_charge(doc.charge()))
-    for name in sorted(doc.sections):
-        body = doc.sections[name]
-        parts.append(f"[{name}]")
-        for key in sorted(body):
-            parts.append(f"{key} = {_format_value(body[key])}")
-        parts.append("")
-    return "\n".join(parts)
+    parts = [emit_charge(doc.charge())] if doc.has_charge() else []
+    return "\n".join(parts + _emit_sections(doc.sections))
 
 
 def charge_descriptor(mu: ChargeDistribution) -> str:
@@ -263,8 +246,7 @@ def charge_descriptor(mu: ChargeDistribution) -> str:
 
 
 def doc_from_charge(mu: ChargeDistribution, sections=None) -> ConfigDoc:
-    doc = parse_config(emit_charge(mu))
-    if sections:
-        for name, body in sections.items():
-            doc.sections[name] = dict(body)
-    return doc
+    """The document of `mu` plus scalar `sections` ({section: {key:
+    value}}), read back through parse_config so every value is checked."""
+    return parse_config("\n".join([emit_charge(mu),
+                                   *_emit_sections(sections or {})]))

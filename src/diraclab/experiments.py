@@ -108,22 +108,20 @@ def config_from_doc(doc: ConfigDoc, kind: str | None = None,
                     workers: int | None = None,
                     out_csv: str | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config document."""
-    doc.check_keys()
-    exp = doc.typed("experiment")
+    exp = dict(doc.sections.get("experiment", {}))
     exp["kind"] = kind or exp.get("kind")
     if not exp["kind"]:
         raise ConfigError("no experiment kind given")
     exp.setdefault("arrangement",
                    "triangle" if len(exp.get("thetas", ())) == 3 else "line")
     exp["workers"] = resolve_workers(workers, exp.get("workers"))
-    output = doc.typed("output")
     return ExperimentConfig(
         charge=doc.charge() if doc.has_charge() else None,
-        basis=doc.typed("basis"),
+        basis=dict(doc.sections.get("basis", {})),
         gap=doc.build(GapSolveConfig, "solver", "grid"),
         radial_grid=doc.build(RadialGrid, "grid"),
-        out_csv=out_csv or output.get("csv"),
-        out_manifest=output.get("manifest"),
+        out_csv=out_csv or doc.get("output", "csv"),
+        out_manifest=doc.get("output", "manifest"),
         config_echo=emit_config(doc),
         **exp)
 
@@ -265,25 +263,38 @@ def _grid_diagnostics(basis, grid) -> dict:
             "partition_residual": grid.partition_residual}
 
 
-def _solve_family(family, cfg: ExperimentConfig) -> list[dict]:
-    return _run_ordered(lambda item: _solve_point(item[1], cfg),
-                        family, cfg.workers)
+def _gap_rows(cfg: ExperimentConfig, family, key: str,
+              merged: ChargeDistribution | None = None):
+    """One gap solve per (value, charge) of `family`, as rows of
+    scan_index, `key` (the value), geometry and the solve's cells, with
+    bound and margin against `merged` when it is given (_against_merged);
+    and a summary of unconverged_rows, exit_code and _against_merged's
+    keys."""
+    solved = _run_ordered(lambda item: _solve_point(item[1], cfg),
+                          family, cfg.workers)
+    rows = [{"scan_index": idx, key: value,
+             "geometry": charge_descriptor(mu), **sol}
+            for idx, ((value, mu), sol) in enumerate(zip(family, solved))]
+    summary = {} if merged is None else _against_merged(merged, rows)
+    summary["unconverged_rows"] = sum(not r["converged"] for r in rows)
+    summary["exit_code"] = _aggregate_exit(
+        rows, None if merged is None else "margin", cfg.margin_budget)
+    return rows, summary
 
 
-def _against_merged(mu: ChargeDistribution, solved: list[dict]):
-    """Bound sqrt(1 - nu^2) of the merged charge, whether the rows are
-    conditional on the critical charge, and per-row bound cells."""
+def _against_merged(mu: ChargeDistribution, rows: list[dict]) -> dict:
+    """Add the bound sqrt(1 - nu^2) of the merged charge and the margin
+    to each row, flagging them when they are conditional on the critical
+    charge; return the bound and that condition."""
     bound = mu.merged_lambda
     conditional = mu.total_charge > CONDITIONAL_ABOVE
-    cells = []
-    for sol in solved:
-        flags = sol["flags"]
+    for row in rows:
         if conditional:
-            flags = ("conditional-on-nu1" if flags == "ok"
-                     else f"{flags} conditional-on-nu1")
-        cells.append({**sol, "bound": bound,
-                      "margin": sol["lambda1"] - bound, "flags": flags})
-    return bound, conditional, cells
+            row["flags"] = ("conditional-on-nu1" if row["flags"] == "ok"
+                            else f"{row['flags']} conditional-on-nu1")
+        row["bound"] = bound
+        row["margin"] = row["lambda1"] - bound
+    return {"bound": bound, "conditional_on_nu1": conditional}
 
 
 def _aggregate_exit(rows, margin_key: str | None, budget: float) -> int:
@@ -306,25 +317,15 @@ def _conjecture_sweep(cfg: ExperimentConfig):
     to solver and basis budgets.
     """
     family = _scan_family(cfg)
-    total = family[0][1].total_charge
-    if total > 1.0 + 1e-12:
+    if family[0][1].total_charge > 1.0 + 1e-12:
         raise ConfigError("conjecture sweep needs total charge <= 1")
-    bound, conditional, cells = _against_merged(
-        family[0][1], _solve_family(family, cfg))
-    rows = [{"scan_index": idx, "separation": sep,
-             "geometry": charge_descriptor(mu), "nu_total": mu.total_charge,
-             **cell}
-            for idx, ((sep, mu), cell) in enumerate(zip(family, cells))]
+    rows, summary = _gap_rows(cfg, family, "separation", family[0][1])
+    for row, (_, mu) in zip(rows, family):
+        row["nu_total"] = mu.total_charge
     margins = [r["margin"] for r in rows
                if r["converged"] and not math.isnan(r["margin"])]
-    summary = {
-        "bound": bound,
-        "conditional_on_nu1": conditional,
-        "margin_min": min(margins) if margins else None,
-        "margin_budget": cfg.margin_budget,
-        "unconverged_rows": sum(not r["converged"] for r in rows),
-        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
-    }
+    summary["margin_min"] = min(margins) if margins else None
+    summary["margin_budget"] = cfg.margin_budget
     columns = ("scan_index", "separation", "geometry", "nu_total",
                "lambda1", "bound", "margin", "flags")
     return columns, rows, summary
@@ -337,21 +338,13 @@ def _pes_scan(cfg: ExperimentConfig):
     if not cfg.separations:
         raise ConfigError("PES scan needs a separation list")
     family = _scan_family(cfg)
-    rows = []
-    for idx, ((sep, mu), sol) in enumerate(
-            zip(family, _solve_family(family, cfg))):
-        rep = _repulsion(mu)
-        rows.append({
-            "scan_index": idx, "separation": sep,
-            "geometry": charge_descriptor(mu), **sol, "repulsion": rep,
-            "pes": sol["lambda1"] + rep})
+    rows, summary = _gap_rows(cfg, family, "separation")
+    for row, (_, mu) in zip(rows, family):
+        row["repulsion"] = _repulsion(mu)
+        row["pes"] = row["lambda1"] + row["repulsion"]
     jumps = [abs(b["pes"] - a["pes"]) for a, b in zip(rows, rows[1:])
              if a["converged"] and b["converged"]]
-    summary = {
-        "continuity_max_jump": max(jumps) if jumps else None,
-        "unconverged_rows": sum(not r["converged"] for r in rows),
-        "exit_code": _aggregate_exit(rows, None, cfg.margin_budget),
-    }
+    summary["continuity_max_jump"] = max(jumps) if jumps else None
     columns = ("scan_index", "separation", "geometry", "lambda1",
                "repulsion", "pes", "flags")
     return columns, rows, summary
@@ -383,21 +376,11 @@ def _contraction_check(cfg: ExperimentConfig):
         raise ConfigError("scales must be strictly descending")
     eye = np.eye(3)
     family = [(s, charges.pushforward(cfg.charge, eye, s)) for s in scales]
-    bound, conditional, cells = _against_merged(
-        cfg.charge, _solve_family(family, cfg))
-    rows = [{"scan_index": idx, "scale": s, "geometry": charge_descriptor(mu),
-             **cell}
-            for idx, ((s, mu), cell) in enumerate(zip(family, cells))]
-    violations = [b["scan_index"] for a, b in zip(rows, rows[1:])
-                  if a["converged"] and b["converged"]
-                  and b["lambda1"] > a["lambda1"] + cfg.margin_budget]
-    summary = {
-        "bound": bound,
-        "conditional_on_nu1": conditional,
-        "monotonicity_violations": violations,
-        "unconverged_rows": sum(not r["converged"] for r in rows),
-        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
-    }
+    rows, summary = _gap_rows(cfg, family, "scale", cfg.charge)
+    summary["monotonicity_violations"] = [
+        b["scan_index"] for a, b in zip(rows, rows[1:])
+        if a["converged"] and b["converged"]
+        and b["lambda1"] > a["lambda1"] + cfg.margin_budget]
     columns = ("scan_index", "scale", "geometry", "lambda1", "bound",
                "margin", "flags")
     return columns, rows, summary

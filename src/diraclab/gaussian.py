@@ -641,12 +641,18 @@ class GridEvaluation:
             sl = slice(start, start + BLOCK)
             yield sl, vals[:, sl], disp[:, :, sl]
 
+    def _check_size(self, c: np.ndarray) -> None:
+        if len(c) != self.grid.size:
+            raise ValueError(f"{len(c)} weights for a grid of "
+                             f"{self.grid.size} points")
+
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         """int c g_i g_j for a weight c >= 0, exactly symmetric.
 
         rows rows^T of the sqrt(c)-scaled values, summed over grid
         blocks; numpy runs it as a symmetric rank-k update.
         """
+        self._check_size(c)
         if np.any(c < 0.0):
             raise ValueError("overlap weights must be nonnegative")
         root = np.sqrt(c)
@@ -748,6 +754,7 @@ class GridEvaluation:
         exactly antisymmetric.  Returns dot and the three lab-frame
         components cross_k.
         """
+        self._check_size(c)
         if np.any(c < 0.0):
             raise ValueError("gradient Gram weights must be nonnegative")
         sc = self.basis.scalar
@@ -785,6 +792,7 @@ class GridEvaluation:
         (4k x n)(n x points) product for the parts of every u_t and then
         per-point 2 x 2 algebra.
         """
+        self._check_size(c)
         sc = self.basis.scalar
         coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
         parts = np.zeros((4, len(sc.sites), sc.n))

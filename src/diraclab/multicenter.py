@@ -216,21 +216,22 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
     Diagnostic only: this discretization can in principle suffer spectral
     pollution, so it is restricted to total charge <= 0.9 where the risk
     is low.  A given
-    `evaluation` (the basis tabulated on `grid`) is reused, not rebuilt.
+    `evaluation` (the basis tabulated on a grid) is reused, not rebuilt,
+    and its grid is the one integrated over; `grid` is then unused.
     """
     _require_atomic(mu, "4-spinor cross-check")
     if mu.total_charge > 0.9 + 1e-12:
         raise ConfigError("4-spinor cross-check restricted to total "
                           "charge <= 0.9")
-    if grid is None:
-        grid = grid_for_basis(basis)
+    if evaluation is None:
+        evaluation = GridEvaluation(
+            basis, grid_for_basis(basis) if grid is None else grid)
+    grid = evaluation.grid
     sc = basis.scalar
     sdot = sc.overlap_matrix()
     mvdot = sc.potential_matrix(mu)
     tdot = sc.grad_dot_matrix()
     vpot = potential_grid(mu, grid.points)
-    if evaluation is None:
-        evaluation = GridEvaluation(basis, grid)
     # P is the negated Gram of the nonnegative weight w v
     pdot, pcross = evaluation.weighted_grad_blocks(grid.weights * vpot)
 

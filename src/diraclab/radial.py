@@ -119,8 +119,8 @@ class RadialGrid:
     h: float = field(init=False, compare=False, default=0.0)
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ConfigError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ConfigError(f"need finite 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.n < 16:
             raise ConfigError(f"radial grid needs n >= 16, got {self.n}")
         self.t = np.linspace(math.log(self.r_min), math.log(self.r_max), self.n)

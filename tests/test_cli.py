@@ -273,6 +273,31 @@ def test_print_config_is_fixed_point(tmp_path, capsys):
     assert capsys.readouterr().out == echoed
 
 
+@pytest.mark.parametrize("command,text", [
+    ("radial", None), ("multicenter", MULTI),
+    ("conjecture-sweep", FAST_SWEEP), ("hardy-sweep", FAST_SWEEP)],
+    ids=["radial-nu", "multicenter", "sweep", "hardy"])
+def test_print_config_solves_nothing(tmp_path, monkeypatch, capsys, command,
+                                     text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--print-config ran a solve")
+    for name in ("lowest_gap_eigenvalue_radial", "solve_gap",
+                 "run_experiment"):
+        monkeypatch.setattr(cli, name, refuse)
+    source = (["--nu", "0.5"] if text is None
+              else ["--config", write(tmp_path, "c.cfg", text)])
+    assert cli.main([command, *source, "--print-config"]) == 0
+    echoed = capsys.readouterr().out
+    assert echoed.startswith("[charge.point]" if text != FAST_SWEEP
+                             else "[basis]")
+
+
+def test_print_config_echoes_a_boolean_as_a_word(tmp_path, capsys):
+    cfg = write(tmp_path, "multi.cfg", MULTI + "\n[solver]\ncrosscheck = 1\n")
+    assert cli.main(["multicenter", "--config", cfg, "--print-config"]) == 0
+    assert "crosscheck = true\n" in capsys.readouterr().out
+
+
 def test_sweep_writes_csv_and_manifest(tmp_path, capsys):
     cfg = write(tmp_path, "sweep.cfg", FAST_SWEEP)
     out = tmp_path / "sweep.csv"

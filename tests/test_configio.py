@@ -52,10 +52,12 @@ def test_parse_rejects_malformed_input():
         configio.parse_config("[unterminated\nkey = 1")
     with pytest.raises(ConfigError):
         configio.parse_config("key = 1")  # outside any section
-    with pytest.raises(ConfigError):
-        configio.parse_config("[a]\nk = 1\nk = 2")
-    with pytest.raises(ConfigError):
-        configio.parse_config("[a]\nnot a pair")
+    with pytest.raises(ConfigError, match="line 3: duplicate key"):
+        configio.parse_config("[basis]\nn_s = 1\nn_s = 2")
+    with pytest.raises(ConfigError, match="line 2: expected key = value"):
+        configio.parse_config("[basis]\nnot a pair")
+    with pytest.raises(ConfigError, match="line 3: duplicate section"):
+        configio.parse_config("[basis]\nn_s = 1\n[basis]")
 
 
 def test_emit_parse_round_trip():
@@ -101,11 +103,11 @@ def test_format_float_17g():
 def test_bool_keys_accept_only_0_1_true_false():
     def crosscheck(text):
         doc = configio.parse_config(f"[solver]\ncrosscheck = {text}\n")
-        return doc.typed("solver")["crosscheck"]
+        return doc.get("solver", "crosscheck")
 
     assert [crosscheck(t) for t in ("0", "1", "true", "false")] == [
         False, True, True, False]
-    assert configio.parse_config("[solver]\n").typed("solver") == {}
+    assert configio.parse_config("[solver]\n").sections == {"solver": {}}
     for text in ("yes", "2", "1.0", "False"):
         with pytest.raises(ConfigError, match="crosscheck"):
             crosscheck(text)
@@ -115,12 +117,12 @@ def test_typed_reader_converts_each_declared_type():
     doc = configio.parse_config(
         "[experiment]\nkind = pes-scan\nthetas = 0.2, 1\nscales = 1\n"
         "margin_budget = 1\nworkers = 2\n[grid]\nn = 4000\n")
-    assert doc.typed("experiment") == {
+    assert doc.sections["experiment"] == {
         "kind": "pes-scan", "thetas": (0.2, 1.0), "scales": (1.0,),
         "margin_budget": 1.0, "workers": 2}
-    assert type(doc.typed("experiment")["margin_budget"]) is float
-    assert doc.typed("grid") == {"n": 4000}
-    assert doc.typed("basis") == {}
+    assert type(doc.get("experiment", "margin_budget")) is float
+    assert doc.sections["grid"] == {"n": 4000}
+    assert "basis" not in doc.sections
 
 
 @pytest.mark.parametrize("section,line", [
@@ -133,27 +135,58 @@ def test_typed_reader_converts_each_declared_type():
     ("experiment", "thetas = 0.2 1e400"),
     pytest.param("grid", "r_max = 1" + "0" * 400, id="grid-r_max-huge-int")])
 def test_typed_reader_rejects_wrong_types(section, line):
-    doc = configio.parse_config(f"[{section}]\n{line}\n")
-    with pytest.raises(ConfigError, match=line.split()[0]):
-        doc.typed(section)
-    with pytest.raises(ConfigError):
-        doc.check_keys()
+    key = line.split()[0]
+    with pytest.raises(ConfigError,
+                       match=rf"^line 2: \[{section}\] {key} must be"):
+        configio.parse_config(f"[{section}]\n{line}\n")
 
 
-def test_check_keys_rejects_unknown_sections_and_keys():
-    configio.parse_config(SAMPLE).check_keys()
-    for text in ("[grid]\nn_radail = 12\n", "[solver]\nlamtol = 1e-9\n",
-                 "[grids]\nn_radial = 12\n"):
-        doc = configio.parse_config(text)  # parsing itself stays generic
-        with pytest.raises(ConfigError, match="unknown"):
-            doc.check_keys()
+def test_reader_rejects_unknown_sections_and_keys():
+    configio.parse_config(SAMPLE)
+    for text, lineno in (("[grid]\nn_radail = 12\n", 2),
+                         ("[solver]\nlamtol = 1e-9\n", 2),
+                         ("[grids]\nn_radial = 12\n", 1)):
+        with pytest.raises(ConfigError, match=f"^line {lineno}: unknown"):
+            configio.parse_config(text)
 
 
 def test_shipped_configs_use_declared_keys():
     shipped = sorted(CONFIG_DIR.glob("*.cfg"))
     assert len(shipped) == 8
     for path in shipped:
-        configio.load_config(str(path)).check_keys()
+        configio.load_config(str(path))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("n_radail = 12", "line 4: unknown key 'n_radail' in [grid]"),
+    ("n_radial = 12.5", "line 4: [grid] n_radial must be an integer"),
+    ("n_radial =", "line 4: [grid] n_radial must be an integer, got ''")])
+def test_load_config_names_the_line_of_a_bad_value(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# a comment\n[basis]\n[grid]\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        configio.load_config(path)
+    assert str(info.value).startswith(message)
+
+
+def test_empty_value_is_an_error():
+    for text in ("[output]\ncsv =\n", "[experiment]\nthetas = \n"):
+        with pytest.raises(ConfigError, match="line 2"):
+            configio.parse_config(text)
+    assert configio.parse_config("[output]\ncsv = a.csv\n").get(
+        "output", "csv") == "a.csv"
+
+
+def test_doc_from_charge_reads_sections_back_typed():
+    mu = charges.atom((0.0, 0.0, 0.0), 0.5)
+    doc = configio.doc_from_charge(mu, {"basis": {"n_s": 16},
+                                        "grid": {"r_max": 100}})
+    assert doc.sections == {"basis": {"n_s": 16}, "grid": {"r_max": 100.0}}
+    assert type(doc.get("grid", "r_max")) is float and doc.charge() == mu
+    for sections in ({"basis": {"n_s": "x"}}, {"basis": {"nS": 16}},
+                     {"bases": {"n_s": 16}}):
+        with pytest.raises(ConfigError):
+            configio.doc_from_charge(mu, sections)
 
 
 @pytest.mark.parametrize("block", [

@@ -170,6 +170,20 @@ def test_grid_evaluation_holds_no_gradient_table():
     assert 3 * basis.scalar.n * grid.size not in sizes
 
 
+def test_weighted_kernels_need_one_weight_per_grid_point():
+    basis = two_center_basis(n_s=4)
+    grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
+    ev = gaussian.GridEvaluation(basis, grid)
+    psi = np.ones(2 * basis.scalar.n)
+    for size in (grid.size - 1, grid.size + 1):
+        c = np.ones(size)
+        for call in (lambda: ev.weighted_overlap(c),
+                     lambda: ev.weighted_grad_blocks(c),
+                     lambda: ev.weighted_sigma_grad(c, psi)):
+            with pytest.raises(ValueError, match="weights for a grid"):
+                call()
+
+
 def test_primitive_validation():
     with pytest.raises(ConfigError):
         gaussian.GaussianPrimitive((0, 0, 0), 0.0)

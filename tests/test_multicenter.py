@@ -338,6 +338,18 @@ def test_cross_check_reuses_the_solve_tabulation(monkeypatch):
         multicenter.rkb_cross_check(basis, mu, grid)[0])
 
 
+def test_cross_check_integrates_on_the_evaluation_grid():
+    # the weights and potential come from the evaluation's own grid, not
+    # from the default 96 x 29 one
+    mu = charges.atoms([(0, 0, 0), (1.5, 0, 0)], [0.25, 0.25])
+    basis = basis_for(mu, n_s=6)
+    grid = gaussian.grid_for_basis(basis, 48, 17)
+    ev = gaussian.GridEvaluation(basis, grid)
+    want = multicenter.rkb_cross_check(basis, mu, grid)
+    got = multicenter.rkb_cross_check(basis, mu, evaluation=ev)
+    assert np.array_equal(got, want)
+
+
 def test_cross_check_rejects_heavy_total():
     mu = charges.atoms([(0, 0, 0), (2, 0, 0)], [0.5, 0.5])
     with pytest.raises(ConfigError):

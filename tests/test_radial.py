@@ -408,6 +408,15 @@ def test_grid_validation():
         radial.RadialGrid(1.0, 0.5, 1000)
 
 
+@pytest.mark.parametrize("r_min,r_max", [
+    (1e-6, math.inf), (1e-6, math.nan), (math.nan, 100.0),
+    (-math.inf, 100.0)])
+def test_grid_refuses_non_finite_bounds(r_min, r_max):
+    # an infinite r_max would give a nan grid that fails later in scipy
+    with pytest.raises(ConfigError, match="finite"):
+        radial.RadialGrid(r_min, r_max, 100)
+
+
 def test_result_json_fields():
     res = radial.lowest_gap_eigenvalue_radial(point(0.5))
     out = res.to_json()
