@@ -21,6 +21,7 @@ SINGULAR_EPS = 1e-14
 MERGE_TOL = 1e-12
 
 LAYER_KINDS = ("point", "sphere-shell", "uniform-ball")
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,9 @@ class ChargeDistribution:
     and strength), so that no result depends on the order they are listed in.
 
     Two atoms are either coincident or farther apart than MERGE_TOL; a
-    closer pair is refused, since no grid or basis can resolve it.
+    closer pair is refused, since no grid or basis can resolve it.  The
+    point mass at one position (site_strengths) may not sum above 1, as
+    for a single atom.
     """
 
     points: tuple[PointCharge, ...] = ()
@@ -98,6 +101,10 @@ class ChargeDistribution:
                     raise ChargeModelError(
                         f"atoms at {p.position} and {q.position} are closer "
                         f"than {MERGE_TOL} without coinciding")
+        for pos, s in self.site_strengths.items():
+            if s > 1.0:
+                raise MergedAtomTooHeavyError(
+                    f"point mass at {pos} sums to strength {s} > 1")
 
     @property
     def total_charge(self) -> float:
@@ -113,14 +120,15 @@ class ChargeDistribution:
 
     @property
     def radially_symmetric(self) -> bool:
-        return all(p.position == (0.0, 0.0, 0.0) for p in self.points)
+        return all(p.position == ORIGIN for p in self.points)
 
     @property
-    def origin_point_strength(self) -> float:
-        """Combined strength of point mass at the origin (atoms + point layers)."""
-        tot = [p.strength for p in self.points if p.position == (0.0, 0.0, 0.0)]
-        tot += [l.strength for l in self.layers if l.kind == "point"]
-        return math.fsum(tot)
+    def site_strengths(self) -> dict[tuple[float, float, float], float]:
+        """Summed strength of the point mass at each position that has
+        any: the atoms there, and at the origin also the point layers."""
+        mass = [(p.position, p.strength) for p in self.points]
+        mass += [(ORIGIN, l.strength) for l in self.layers if l.kind == "point"]
+        return {x: math.fsum(s for y, s in mass if y == x) for x, _ in mass}
 
 
 def atom(position, strength) -> ChargeDistribution:

@@ -13,9 +13,8 @@ import sys
 
 from . import charges
 from .configio import ConfigDoc, doc_from_charge, emit_config, load_config
-from .errors import (BelowGapError, ChargeModelError, ConfigError,
-                     IllConditionedBasisError, NoGapEigenvalueError,
-                     UncertifiedEigenvalueError)
+from .errors import (ChargeModelError, ConfigError, IllConditionedBasisError,
+                     NoGapEigenvalueError, UncertifiedEigenvalueError)
 from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
                           run_experiment)
 from .gaussian import default_spinor_basis, grid_for_basis
@@ -53,14 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("multicenter", parents=[common],
                    help="single 3D gap solve for an atomic charge")
 
-    blurbs = {
-        "conjecture-sweep": "gap margins vs the merged-charge bound",
-        "pes-scan": "lambda1 plus nuclear repulsion vs separation",
-        "contraction-check": "lambda1 along uniform contractions",
-        "schrodinger": "nonrelativistic energies vs -nu^2/2",
-        "hardy-sweep": "quotient constants c(mu) over a family"}
-    for name in KINDS:
-        sub.add_parser(name, parents=[common], help=blurbs[name])
+    for name, (_, blurb) in KINDS.items():
+        sub.add_parser(name, parents=[common], help=blurb)
     return parser
 
 
@@ -145,7 +138,7 @@ def main(argv=None) -> int:
     except (ConfigError, ChargeModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoGapEigenvalueError, BelowGapError, IllConditionedBasisError,
+    except (NoGapEigenvalueError, IllConditionedBasisError,
             UncertifiedEigenvalueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

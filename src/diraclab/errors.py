@@ -10,11 +10,8 @@ class SingularLocationError(ChargeModelError):
 
 
 class MergedAtomTooHeavyError(ChargeModelError):
-    """A pushforward merged atoms into one of strength above 1."""
-
-
-class BelowGapError(RuntimeError):
-    """A trial function dives below the lower continuum edge."""
+    """Point mass at one position (coincident atoms, point layers at the
+    origin, or atoms a pushforward merged) sums to a strength above 1."""
 
 
 class NoGapEigenvalueError(RuntimeError):

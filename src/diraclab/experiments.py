@@ -27,16 +27,13 @@ import numpy as np
 from . import charges
 from .charges import ChargeDistribution
 from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
-from .errors import (BelowGapError, ConfigError, IllConditionedBasisError,
-                     NoGapEigenvalueError)
+from .errors import ConfigError, IllConditionedBasisError, NoGapEigenvalueError
 from .gaussian import default_spinor_basis, grid_for_basis
 from .hardy import HardyScanRow, scan_row
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
 from .radial import RadialGrid, schrodinger_ground_radial
 
-KINDS = ("conjecture-sweep", "pes-scan", "contraction-check",
-         "schrodinger", "hardy-sweep")
 WORKERS_ENV = "DIRACLAB_WORKERS"
 
 EXIT_OK = 0
@@ -107,9 +104,16 @@ class ExperimentConfig:
 def config_from_doc(doc: ConfigDoc, kind: str | None = None,
                     workers: int | None = None,
                     out_csv: str | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed config document."""
+    """Build an ExperimentConfig from a parsed config document.
+
+    A given `kind` (the command's) must match the document's
+    [experiment] kind, if it declares one.
+    """
     exp = dict(doc.sections.get("experiment", {}))
-    exp["kind"] = kind or exp.get("kind")
+    declared = exp.get("kind")
+    if kind and declared and kind != declared:
+        raise ConfigError(f"{kind} cannot run a config of kind {declared}")
+    exp["kind"] = kind or declared
     if not exp["kind"]:
         raise ConfigError("no experiment kind given")
     exp.setdefault("arrangement",
@@ -234,8 +238,7 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
         basis = default_spinor_basis(mu, **cfg.basis)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
         res = solve_gap(basis, mu, grid, cfg.gap)
-    except (NoGapEigenvalueError, IllConditionedBasisError,
-            BelowGapError) as exc:
+    except (NoGapEigenvalueError, IllConditionedBasisError) as exc:
         return {"lambda1": float("nan"), "converged": False,
                 "flags": "solver-error", "diagnostics": {"error": str(exc)}}
     words = []
@@ -457,20 +460,24 @@ def _hardy_sweep(cfg: ExperimentConfig):
     return tuple(f.name for f in fields(HardyScanRow)), rows, summary
 
 
-# each kind returns (columns, rows, summary)
-_RUNNERS = {
-    "conjecture-sweep": _conjecture_sweep,
-    "pes-scan": _pes_scan,
-    "contraction-check": _contraction_check,
-    "schrodinger": _schrodinger_compare,
-    "hardy-sweep": _hardy_sweep,
+# per kind its runner, which returns (columns, rows, summary), and the
+# help line of its command
+KINDS = {
+    "conjecture-sweep": (_conjecture_sweep,
+                         "gap margins vs the merged-charge bound"),
+    "pes-scan": (_pes_scan, "lambda1 plus nuclear repulsion vs separation"),
+    "contraction-check": (_contraction_check,
+                          "lambda1 along uniform contractions"),
+    "schrodinger": (_schrodinger_compare,
+                    "nonrelativistic energies vs -nu^2/2"),
+    "hardy-sweep": (_hardy_sweep, "quotient constants c(mu) over a family"),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment and stamp its report with start/finish times."""
     started = _utcnow()
-    columns, rows, summary = _RUNNERS[cfg.kind](cfg)
+    columns, rows, summary = KINDS[cfg.kind][0](cfg)
     return ExperimentReport(kind=cfg.kind, columns=columns, rows=rows,
                             summary=summary, config_echo=cfg.config_echo,
                             started_utc=started, finished_utc=_utcnow())

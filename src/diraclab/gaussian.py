@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charges import ChargeDistribution
+from .charges import MERGE_TOL, ChargeDistribution
 from .errors import ConfigError, IllConditionedBasisError
 
 PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -266,28 +266,27 @@ def filtered_orthogonalizer(S: np.ndarray, failure: str) -> np.ndarray:
 
 @dataclass
 class SpinorBasis:
-    """Scalar basis doubled by spin, with condition-filtered orthogonalizer."""
+    """Scalar basis doubled by spin, with its scalar overlap S, computed
+    once, and the orthogonalizer X of S: X^T S X = I on the retained,
+    condition-filtered scalar subspace."""
 
     scalar: ScalarBasis
-    _x: np.ndarray = field(init=False, repr=False)
+    overlap: np.ndarray = field(init=False, repr=False)
+    orthogonalizer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._x = filtered_orthogonalizer(self.scalar.overlap_matrix(),
-                                          "overlap matrix is not positive")
+        self.overlap = self.scalar.overlap_matrix()
+        self.orthogonalizer = filtered_orthogonalizer(
+            self.overlap, "overlap matrix is not positive")
 
     @property
     def size(self) -> int:
         return 2 * self.scalar.n
 
-    @property
-    def orthogonalizer(self) -> np.ndarray:
-        """X with X^T S X = I on the retained scalar subspace."""
-        return self._x
-
     def expand_scalar_spinor(self, v: np.ndarray) -> np.ndarray:
         """Map projected spinor coefficients back to the primitive basis."""
-        k = self._x.shape[1]
-        return (np.kron(self._x, np.eye(2)) @ v.reshape(2 * k, -1)).ravel()
+        x = self.orthogonalizer
+        return (np.kron(x, np.eye(2)) @ v.reshape(2 * x.shape[1], -1)).ravel()
 
 
 def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
@@ -443,11 +442,16 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     should pass explicit bounds (grid_for_basis does this automatically).
     A reduced `kind` ("axial" or "mirror") needs the orthonormal `frame`
     (rows e1, e2, axis) of symmetry_frame, in which its sphere rule is
-    laid: its azimuth 0 on e1, its pole on the axis.
+    laid: its azimuth 0 on e1, its pole on the axis.  Centers must lie
+    farther apart than charges.MERGE_TOL, as atoms do.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if len(centers) < 1:
         raise ConfigError("grid needs at least one center")
+    seps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    if np.any(seps[np.triu_indices(len(centers), 1)] <= MERGE_TOL):
+        raise ConfigError(f"grid centers must lie farther apart than "
+                          f"{MERGE_TOL}")
     if angular_order < 1 or angular_order % 2 == 0:
         raise ConfigError("angular order must be an odd positive integer")
     if n_radial < 2:

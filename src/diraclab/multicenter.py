@@ -84,14 +84,10 @@ class GapResult(_rootfind.GapSolution):
                 "flags": list(self.flags)}
 
 
-def _require_atomic(mu: ChargeDistribution, what: str) -> None:
-    if mu.layers:
-        raise ConfigError(
-            f"{what} needs an atomic charge, got radial layers")
-
-
-class _GapEngine:
-    """Cached static matrices and grid tables for repeated mu_min evals.
+class GapProblem:
+    """One 3D gap problem: the basis tabulated on the grid, v on the grid,
+    S + M_V and the orthogonalizer, built once for every mu_min of the
+    root find and for the cross-check.
 
     Each mu_min(lam) returns the lowest eigenvector of its pencil next to
     the eigenvalue, so the slope at that lam and the eigenvector of the
@@ -99,20 +95,18 @@ class _GapEngine:
 
     The pencil is cut to the block its grid needs (grid_matrix); on a
     reduced grid its lowest eigenvector phi gives psi = phi (x) chi_+.
+    A charge with radial layers is refused (ScalarBasis.potential_matrix)
+    before the basis is tabulated.
     """
 
     def __init__(self, basis: SpinorBasis, mu: ChargeDistribution,
                  grid: QuadratureGrid):
-        _require_atomic(mu, "3D gap solve")
-        if not mu.points:
-            raise ConfigError("3D gap solve needs at least one atom")
         self.basis = basis
         self.mu = mu
         self.grid = grid
+        self.bstat = basis.overlap + basis.scalar.potential_matrix(mu)
         self.evaluation = GridEvaluation(basis, grid)
         self.vpot = potential_grid(mu, grid.points)
-        sc = basis.scalar
-        self.bstat = sc.overlap_matrix() + sc.potential_matrix(mu)
         self.x = basis.orthogonalizer
         self.spin = None if grid.axis is None else spin_along(grid.axis)
 
@@ -144,30 +138,34 @@ class _GapEngine:
 def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
               grid: QuadratureGrid | None = None,
               config: GapSolveConfig | None = None) -> GapResult:
-    """Find the lowest gap eigenvalue; see the module docstring.
+    """Find the lowest gap eigenvalue of one GapProblem; see the module
+    docstring.  The cross-check, when asked for, reads the same problem.
 
-    Atoms with strength above 0.9 are allowed but the result carries an
-    accuracy-unverified flag (basis saturation is not guaranteed there).
+    Sites whose atoms sum to a strength above 0.9 are allowed but the
+    result carries an accuracy-unverified flag (basis saturation is not
+    guaranteed there).
     Raises NoGapEigenvalueError when no eigenvalue has entered the gap and
     returns a below-gap flagged result when the root has left it downward.
     """
     config = config if config is not None else GapSolveConfig()
+    if not mu.points:
+        raise ConfigError("3D gap solve needs at least one atom")
     if grid is None:
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
-    engine = _GapEngine(basis, mu, grid)
+    problem = GapProblem(basis, mu, grid)
     root = _rootfind.solve_monotone_gap(
-        engine.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
-        slope=engine.slope)
+        problem.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
+        slope=problem.slope)
     if root.status == _rootfind.NO_ROOT:
         raise NoGapEigenvalueError(
             "no eigenvalue has entered the gap for this charge and basis")
 
     result = GapResult(**vars(root))
     flags = []
-    if any(p.strength > NEAR_CRITICAL_STRENGTH for p in mu.points):
+    if any(s > NEAR_CRITICAL_STRENGTH for s in mu.site_strengths.values()):
         flags.append(ACCURACY_FLAG)
     if config.crosscheck and not result.below_gap:
-        gap_evs = rkb_cross_check(basis, mu, grid, engine.evaluation)
+        gap_evs = rkb_cross_check(problem)
         if len(gap_evs):
             result.crosscheck_lambda1 = float(gap_evs[0])
             result.crosscheck_gap = abs(result.crosscheck_lambda1
@@ -188,7 +186,6 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
     involved.  Returns (energy, bound); an unbound charge (no negative
     eigenvalue) reports energy 0.0.
     """
-    _require_atomic(mu, "Gaussian nonrelativistic solve")
     sc = basis.scalar
     h = 0.5 * sc.grad_dot_matrix() + sc.potential_matrix(mu)
     x = basis.orthogonalizer
@@ -199,10 +196,9 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
     return e0, True
 
 
-def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
-                    grid: QuadratureGrid | None = None,
-                    evaluation: GridEvaluation | None = None) -> np.ndarray:
-    """Gap eigenvalues of the kinetically balanced 4-spinor discretization.
+def rkb_cross_check(problem: GapProblem) -> np.ndarray:
+    """Gap eigenvalues of the kinetically balanced 4-spinor discretization
+    of the problem's charge, basis and grid.
 
     Large components span the spinor basis, small components the sigma.grad
     images of the same functions; the blocks are then
@@ -211,34 +207,26 @@ def rkb_cross_check(basis: SpinorBasis, mu: ChargeDistribution,
          [T,        P - T   ]]                 [0, T]]
 
     with P the small-side potential matrix by quadrature, each block cut
-    by grid_matrix.  Returns the eigenvalues strictly inside (-1, 1),
-    ascending, on a reduced grid each once, not as a Kramers pair.
-    Diagnostic only: this discretization can in principle suffer spectral
-    pollution, so it is restricted to total charge <= 0.9 where the risk
-    is low.  A given
-    `evaluation` (the basis tabulated on a grid) is reused, not rebuilt,
-    and its grid is the one integrated over; `grid` is then unused.
+    by grid_matrix.  S + M_V, v and the tabulated basis are the problem's;
+    only T, its orthogonalizer and P are built here.  Returns the
+    eigenvalues strictly inside (-1, 1), ascending, on a reduced grid
+    each once, not as a Kramers pair.  Diagnostic only: this
+    discretization can in principle suffer spectral pollution, so it is
+    restricted to total charge <= 0.9 where the risk is low.
     """
-    _require_atomic(mu, "4-spinor cross-check")
-    if mu.total_charge > 0.9 + 1e-12:
+    if problem.mu.total_charge > 0.9 + 1e-12:
         raise ConfigError("4-spinor cross-check restricted to total "
                           "charge <= 0.9")
-    if evaluation is None:
-        evaluation = GridEvaluation(
-            basis, grid_for_basis(basis) if grid is None else grid)
-    grid = evaluation.grid
-    sc = basis.scalar
-    sdot = sc.overlap_matrix()
-    mvdot = sc.potential_matrix(mu)
-    tdot = sc.grad_dot_matrix()
-    vpot = potential_grid(mu, grid.points)
+    grid = problem.grid
+    tdot = problem.basis.scalar.grad_dot_matrix()
     # P is the negated Gram of the nonnegative weight w v
-    pdot, pcross = evaluation.weighted_grad_blocks(grid.weights * vpot)
+    pdot, pcross = problem.evaluation.weighted_grad_blocks(
+        grid.weights * problem.vpot)
 
-    x = basis.orthogonalizer
+    x = problem.x
     y = filtered_orthogonalizer(tdot, "small-component metric collapsed")
 
-    ll = grid_matrix(grid, x.T @ (sdot + mvdot) @ x)
+    ll = grid_matrix(grid, x.T @ problem.bstat @ x)
     ls = grid_matrix(grid, x.T @ tdot @ y)
     ss = grid_matrix(grid, y.T @ (-pdot - tdot) @ y,
                      [y.T @ -m @ y for m in pcross])

@@ -68,8 +68,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _rootfind
-from .charges import ChargeDistribution, radial_profile
-from .errors import (BelowGapError, ConfigError, NoGapEigenvalueError,
+from .charges import ORIGIN, ChargeDistribution, radial_profile
+from .errors import (ConfigError, NoGapEigenvalueError,
                      UncertifiedEigenvalueError)
 
 
@@ -300,11 +300,8 @@ class _ChannelProblem:
         kappa = _check_channel(kappa)
         if not mu.radially_symmetric:
             raise ConfigError("radial solver needs a radially symmetric charge")
-        nu_pt = mu.origin_point_strength
-        if nu_pt > abs(kappa):
-            raise BelowGapError(
-                f"origin point strength {nu_pt} exceeds |kappa|={abs(kappa)}; "
-                "the channel has no gap eigenvalue")
+        # at most 1 <= |kappa| (ChargeDistribution), so gamma is real
+        nu_pt = mu.site_strengths.get(ORIGIN, 0.0)
         self.kappa = kappa
         self.grid = grid
         self.vpot = radial_profile(mu, grid.r)

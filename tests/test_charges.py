@@ -168,6 +168,17 @@ def test_near_coincident_atoms_are_refused():
                              [0.2, 0.2]).points) == 2
 
 
+def test_point_mass_at_one_position_may_not_sum_above_one():
+    with pytest.raises(MergedAtomTooHeavyError):
+        charges.atoms([(0, 0, 0)] * 2, [0.6, 0.6])
+    # point layers count at the origin, with the atoms there
+    with pytest.raises(MergedAtomTooHeavyError):
+        charges.combine(charges.atom((0, 0, 0), 0.6), charges.ChargeDistribution(
+            layers=(charges.RadialLayer("point", 0.0, 0.6),)))
+    kept = charges.atoms([(0, 0, 0)] * 2 + [(1, 0, 0)], [0.5, 0.5, 0.6])
+    assert kept.site_strengths == {(0.0, 0.0, 0.0): 1.0, (1.0, 0.0, 0.0): 0.6}
+
+
 def test_charge_stores_one_canonical_order():
     a = charges.atoms([(1, 0, 0), (0, 0, 0)], [0.2, 0.3])
     b = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.2])

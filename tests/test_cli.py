@@ -170,6 +170,18 @@ def test_multicenter_rejects_near_coincident_atoms(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["radial", "multicenter"])
+def test_supercritical_point_mass_at_one_position_exits_1(tmp_path, capsys,
+                                                         command):
+    cfg = write(tmp_path, "multi.cfg", MULTI.replace("theta = 0.5",
+                                                     "theta = 0.6")
+                + "\n[charge.point]\nposition = 0 0 0\ntheta = 0.6\n")
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "> 1" in captured.err
+    assert captured.out == ""
+
+
 def test_multicenter_rejects_non_boolean_crosscheck(tmp_path, capsys):
     cfg = write(tmp_path, "multi.cfg",
                 MULTI + "\n[solver]\ncrosscheck = false-ish\n")
@@ -333,6 +345,27 @@ def test_sweep_byte_identical_between_runs(tmp_path):
 def test_experiment_needs_config(capsys):
     assert cli.main(["pes-scan"]) == 1
     assert "needs --config" in capsys.readouterr().err
+
+
+def test_command_refuses_a_config_of_another_kind(tmp_path, capsys):
+    text = (CONFIG_DIR / "conjecture_m2.cfg").read_text()
+    cfg = write(tmp_path, "m2.cfg", text.replace(
+        "separations = 0.25 0.5 1 2 4 8", "separations = 1").replace(
+        "csv = conjecture_m2.csv", f"csv = {tmp_path / 'm2.csv'}"))
+    assert cli.main(["pes-scan", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "pes-scan" in err and "conjecture-sweep" in err
+    assert not (tmp_path / "m2.csv").exists()
+
+
+def test_experiment_subcommands_are_the_kinds(capsys):
+    from diraclab import experiments
+
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    for kind, (_, blurb) in experiments.KINDS.items():
+        assert kind in out and blurb in out
 
 
 def test_experiment_exit_code_passthrough(tmp_path, monkeypatch, capsys):

@@ -570,6 +570,20 @@ def test_grid_validation():
             gaussian.build_grid([(0, 0, 0)], r_lo=r_lo, r_hi=r_hi)
 
 
+def test_grid_refuses_centers_closer_than_the_merge_tolerance():
+    # 0.25 - 0.3 and -0.05 differ by 1.4e-17: two basis sites, whose grid
+    # weights summed to 3.6e81 before the refusal
+    prims = [gaussian.GaussianPrimitive((x, 0.0, 0.0), 1.0)
+             for x in (0.25 - 0.3, -0.05, 1.0)]
+    basis = gaussian.SpinorBasis(gaussian.ScalarBasis(prims))
+    assert len(basis.scalar.sites) == 3
+    with pytest.raises(ConfigError, match="farther apart"):
+        gaussian.grid_for_basis(basis, 48, 17)
+    with pytest.raises(ConfigError):
+        gaussian.build_grid([(0, 0, 0), (0, 0, 0)])
+    gaussian.build_grid([(0, 0, 0), (2 * charges.MERGE_TOL, 0, 0)], 4, 3)
+
+
 # --- symmetry-reduced grids ------------------------------------------------
 
 @pytest.mark.parametrize("sites,kind,axis", [

@@ -46,7 +46,7 @@ def test_assemble_w_decreases_with_lambda():
         w = weighted_w(lam, basis, mu, grid)
         vals.append(float((g.conj() @ w @ g).real))
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    engine = multicenter._GapEngine(basis, mu, grid)
+    engine = multicenter.GapProblem(basis, mu, grid)
     with pytest.raises(ValueError):
         engine.mu_min(-1.0)
 
@@ -203,12 +203,13 @@ def test_reduced_solve_equals_the_lab_solve(name):
     c_got = hardy.hardy_quotient_min(basis, mu, reduced).c_mu
     c_want = hardy.hardy_quotient_min(basis, mu, lab).c_mu
     assert abs(c_got - c_want) <= 1e-12 * c_want
-    evs = multicenter.rkb_cross_check(basis, mu, reduced)
-    lab_evs = multicenter.rkb_cross_check(basis, mu, lab)
+    engine = multicenter.GapProblem(basis, mu, reduced)
+    evs = multicenter.rkb_cross_check(engine)
+    lab_evs = multicenter.rkb_cross_check(
+        multicenter.GapProblem(basis, mu, lab))
     assert len(evs) > 0 and len(lab_evs) == 2 * len(evs)
     assert np.max(np.abs(evs - lab_evs[::2])) <= 1e-12
     # psi = phi (x) chi solves the 2n pencil of the reduced grid as well
-    engine = multicenter._GapEngine(basis, mu, reduced)
     mu_min, psi = engine.mu_min(got.lambda1)
     s = gaussian.spinor_matrix(basis.scalar.overlap_matrix())
     a = weighted_w(got.lambda1, basis, mu, reduced) + s + gaussian.spinor_matrix(
@@ -237,7 +238,7 @@ def test_slope_matches_central_differences(m):
     basis = basis_for(mu, n_s=6)
     grid = gaussian.grid_for_basis(basis, 48, 17)
     assert grid.kind == {2: "axial", 3: "mirror", 4: "full"}[m]
-    engine = multicenter._GapEngine(basis, mu, grid)
+    engine = multicenter.GapProblem(basis, mu, grid)
     eps = 1e-4
     for lam in (0.3, 0.9):
         diff = (engine.mu_min(lam + eps)[0]
@@ -333,33 +334,39 @@ def test_cross_check_reuses_the_solve_tabulation(monkeypatch):
     cfg = multicenter.GapSolveConfig(crosscheck=True)
     res = multicenter.solve_gap(basis, mu, grid, cfg)
     assert len(built) == 1
-    # a fresh tabulation gives the same cross-check value, bit for bit
+    # a fresh problem gives the same cross-check value, bit for bit
     assert res.crosscheck_lambda1 == float(
-        multicenter.rkb_cross_check(basis, mu, grid)[0])
+        multicenter.rkb_cross_check(multicenter.GapProblem(basis, mu, grid))[0])
 
 
 def test_cross_check_integrates_on_the_evaluation_grid():
-    # the weights and potential come from the evaluation's own grid, not
+    # the weights and potential come from the problem's own grid, not
     # from the default 96 x 29 one
     mu = charges.atoms([(0, 0, 0), (1.5, 0, 0)], [0.25, 0.25])
     basis = basis_for(mu, n_s=6)
     grid = gaussian.grid_for_basis(basis, 48, 17)
-    ev = gaussian.GridEvaluation(basis, grid)
-    want = multicenter.rkb_cross_check(basis, mu, grid)
-    got = multicenter.rkb_cross_check(basis, mu, evaluation=ev)
-    assert np.array_equal(got, want)
+    cfg = multicenter.GapSolveConfig(crosscheck=True)
+    res = multicenter.solve_gap(basis, mu, grid, cfg)
+    problem = multicenter.GapProblem(basis, mu, grid)
+    assert res.crosscheck_lambda1 == float(
+        multicenter.rkb_cross_check(problem)[0])
 
 
 def test_cross_check_rejects_heavy_total():
     mu = charges.atoms([(0, 0, 0), (2, 0, 0)], [0.5, 0.5])
+    basis = basis_for(mu, n_s=6)
+    problem = multicenter.GapProblem(basis, mu, gaussian.grid_for_basis(
+        basis, 32, 11))
     with pytest.raises(ConfigError):
-        multicenter.rkb_cross_check(basis_for(mu, n_s=6), mu)
+        multicenter.rkb_cross_check(problem)
 
 
 def test_rkb_free_basis_has_empty_gap():
     mu = charges.atom((0, 0, 0), 0.5)
     basis = basis_for(mu, n_s=6)
-    evs = multicenter.rkb_cross_check(basis, charges.ChargeDistribution())
+    problem = multicenter.GapProblem(basis, charges.ChargeDistribution(),
+                                     gaussian.grid_for_basis(basis))
+    evs = multicenter.rkb_cross_check(problem)
     assert len(evs) == 0  # free operator: nothing inside (-1, 1)
 
 
@@ -369,6 +376,21 @@ def test_near_critical_atom_is_flagged():
     assert multicenter.ACCURACY_FLAG in res.flags
     # still a genuine solve, just on thinner numerical ice
     assert res.lambda1 == pytest.approx(math.sqrt(1 - 0.95 ** 2), abs=5e-2)
+
+
+def test_coincident_atoms_are_flagged_by_their_summed_strength():
+    # 0.5 + 0.45 at one point is the atom 0.95, whose lambda1 the default
+    # basis misses by more than the conjecture sweep's 5e-3 budget
+    mu = charges.atoms([(0, 0, 0)] * 2, [0.5, 0.45])
+    basis = basis_for(mu, n_s=6)
+    res = multicenter.solve_gap(basis, mu,
+                                gaussian.grid_for_basis(basis, 32, 11))
+    assert multicenter.ACCURACY_FLAG in res.flags
+    light = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.5, 0.45])
+    basis = basis_for(light, n_s=6)
+    res = multicenter.solve_gap(basis, light,
+                                gaussian.grid_for_basis(basis, 32, 11))
+    assert multicenter.ACCURACY_FLAG not in res.flags
 
 
 def test_no_root_when_bracket_excludes_eigenvalue():
