@@ -17,10 +17,14 @@ bisection, all unconditionally safe:
   by the caller.  On a convex or concave h they approach from one side
   at full speed, so they are not interrupted.
 
-Every main-loop iteration is guaranteed to at least halve the bracket: a
-proposal that fails to do so is followed by one midpoint evaluation,
-which (with clamping) always does.  The post-iteration widths are recorded
-so callers can assert the contraction.
+h(lo) < 0 gives a below-gap result and h(hi) > 0 raises
+NoGapEigenvalueError.  Otherwise one loop samples h.  While the bracket
+is wider than lam_tol, a pass takes the Newton proposal (else the
+midpoint) and, when that fails to halve the bracket, one midpoint, which
+with clamping always does; the width after each such pass is recorded so
+callers can assert the contraction.  Inside lam_tol, a pass is one polish
+sample, at most MAX_POLISH of them, until the smallest residual meets
+residual_tol.
 
 Both gap solvers (radial and 3D) share this contract: the tolerances
 (SolveConfig, checked once here), the eigenvector of each sample and the
@@ -31,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, NoGapEigenvalueError
 
-OK = "ok"
-BELOW_GAP = "below-gap"
-NO_ROOT = "no-root"
+# Samples taken inside a lam_tol bracket to bring the residual down.
+MAX_POLISH = 8
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,12 @@ class SolveConfig:
 
 @dataclass
 class GapSolution:
-    """Outcome of one monotone root solve: `trace` holds every sample
-    (lam, h(lam)), `widths` the bracket width after each main-loop pass,
-    `vector` the eigenvector of the sample at lambda1 (None unless OK)."""
+    """Outcome of one monotone root solve: `below_gap` when h(lo) < 0,
+    `trace` holds every sample (lam, h(lam)), `widths` the bracket width
+    after each pass wider than lam_tol, `vector` the eigenvector of the
+    sample at lambda1 (None below the gap)."""
 
-    status: str
+    below_gap: bool
     lambda1: float
     residual: float
     trace: tuple[tuple[float, float], ...]
@@ -72,10 +76,6 @@ class GapSolution:
     @property
     def iterations(self) -> int:
         return len(self.trace)
-
-    @property
-    def below_gap(self) -> bool:
-        return self.status == BELOW_GAP
 
     def to_json(self) -> dict:
         keys = ("lambda1", "residual", "iterations", "below_gap", "converged")
@@ -90,14 +90,13 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], tuple[float, Any]],
 
     `mu_of_lambda(lam)` returns mu and its eigenvector, `slope(lam, vector)`
     mu'(lam) from the vector of that same sample.  `start` (ignored unless
-    lo < start < hi) is the first sample.
+    lo < start < hi) is the first sample.  Raises NoGapEigenvalueError
+    when h(hi) > 0: no eigenvalue has entered the gap.
     """
     vectors: dict[float, Any] = {}
     trace: list[tuple[float, float]] = []
     a, b = lo, hi
 
-    # every sample ends up on or outside the bracket, so a lam strictly
-    # inside it is new; other lams are checked against `vectors` first
     def step(lam: float) -> float:
         """Sample h at lam and clamp the bracket with it."""
         nonlocal a, b
@@ -119,59 +118,50 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], tuple[float, Any]],
     if a == lo:
         h_lo = step(lo)
         if h_lo < 0.0:
-            return GapSolution(BELOW_GAP, lo, abs(h_lo), tuple(trace),
-                               (lo, hi), False, (), None)
-    if not started or b == hi:
-        h_hi = step(hi)
-        if h_hi > 0.0:
-            return GapSolution(NO_ROOT, hi, abs(h_hi), tuple(trace),
-                               (lo, hi), False, (), None)
+            return GapSolution(True, lo, abs(h_lo), tuple(trace), (lo, hi),
+                               False, (), None)
+    if (not started or b == hi) and step(hi) > 0.0:
+        raise NoGapEigenvalueError(
+            f"no eigenvalue has entered the gap: h({hi}) = {trace[-1][1]} > 0")
 
     lam_tol, residual_tol = config.lam_tol, config.residual_tol
     max_iter = config.max_iterations
     guard = 1e-3 * lam_tol
     widths: list[float] = [b - a]
 
-    def propose() -> float | None:
+    def propose() -> float:
+        """Newton step from the last sample, or the midpoint when that
+        step leaves the bracket."""
         l2, h2 = trace[-1]
         cand = l2 + h2 / (1.0 - slope(l2, vectors[l2]))
         # with the exact slope the step lands in the clamp interval of its
         # own sample; there it is moved off the bracket ends
         if a <= cand <= b:
             cand = min(max(cand, a + 2.0 * guard), b - 2.0 * guard)
-        if a + guard < cand < b - guard and cand not in vectors:
+        if a + guard < cand < b - guard:
             return cand
-        return None
+        return 0.5 * (a + b)
 
-    while b - a > lam_tol and len(trace) < max_iter:
+    polish = 0
+    while len(trace) < max_iter:
         width = b - a
+        if width <= lam_tol:
+            if polish == MAX_POLISH or min(
+                    abs(hv) for _, hv in trace) <= residual_tol:
+                break
+            polish += 1
         cand = propose()
-        if cand is None:
-            cand = 0.5 * (a + b)
-            if cand in vectors:
-                cand = a + 0.37 * (b - a)
-                if cand in vectors or not a < cand < b:
-                    break
-        if step(cand) == 0.0:
-            widths.append(b - a)
+        # clamping leaves every sample on or outside the bracket, so only
+        # a midpoint rounded onto (or past) a sampled end repeats one
+        if cand in vectors:
             break
-        if b - a > 0.5 * width and b - a > lam_tol and len(trace) < max_iter:
-            step(0.5 * (a + b))
-        widths.append(b - a)
+        step(cand)
+        if width > lam_tol:
+            if b - a > max(0.5 * width, lam_tol) and len(trace) < max_iter:
+                step(0.5 * (a + b))
+            widths.append(b - a)
 
     best = min(trace, key=lambda s: abs(s[1]))
-    polish = 0
-    while abs(best[1]) > residual_tol and polish < 8 and len(trace) < max_iter:
-        cand = propose()
-        if cand is None:
-            cand = 0.5 * (a + b)
-            if cand in vectors:
-                break
-        hv = step(cand)
-        if abs(hv) < abs(best[1]):
-            best = (cand, hv)
-        polish += 1
-
     ok = (b - a) <= lam_tol and abs(best[1]) <= residual_tol
-    return GapSolution(OK, best[0], abs(best[1]), tuple(trace), (a, b), ok,
+    return GapSolution(False, best[0], abs(best[1]), tuple(trace), (a, b), ok,
                        tuple(widths), vectors[best[0]])

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
-from .errors import ConfigError, NoGapEigenvalueError
+from .errors import ConfigError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
                        QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
                        grid_for_basis, grid_matrix, spin_along)
@@ -52,6 +52,8 @@ POLLUTION_FLAG = "pollution-warning"
 # A four-spinor cross-check farther than this from lambda1 raises the
 # pollution flag.
 POLLUTION_GAP = 1e-2
+# The cross-check refuses charges whose total exceeds this.
+CROSSCHECK_MAX_CHARGE = 0.9
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -144,22 +146,22 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     Sites whose atoms sum to a strength above 0.9 are allowed but the
     result carries an accuracy-unverified flag (basis saturation is not
     guaranteed there).
-    Raises NoGapEigenvalueError when no eigenvalue has entered the gap and
-    returns a below-gap flagged result when the root has left it downward.
+    The root find raises NoGapEigenvalueError when no eigenvalue has
+    entered the gap and returns a below-gap result when the root has left
+    it downward.  With the cross-check on, a total charge above
+    CROSSCHECK_MAX_CHARGE is refused before anything is built.
     """
     config = config if config is not None else GapSolveConfig()
     if not mu.points:
         raise ConfigError("3D gap solve needs at least one atom")
+    if config.crosscheck:
+        _check_cross_check_charge(mu)
     if grid is None:
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
     problem = GapProblem(basis, mu, grid)
     root = _rootfind.solve_monotone_gap(
         problem.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
         slope=problem.slope)
-    if root.status == _rootfind.NO_ROOT:
-        raise NoGapEigenvalueError(
-            "no eigenvalue has entered the gap for this charge and basis")
-
     result = GapResult(**vars(root))
     flags = []
     if any(s > NEAR_CRITICAL_STRENGTH for s in mu.site_strengths.values()):
@@ -196,6 +198,12 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
     return e0, True
 
 
+def _check_cross_check_charge(mu: ChargeDistribution) -> None:
+    if mu.total_charge > CROSSCHECK_MAX_CHARGE + 1e-12:
+        raise ConfigError("4-spinor cross-check restricted to total "
+                          f"charge <= {CROSSCHECK_MAX_CHARGE}")
+
+
 def rkb_cross_check(problem: GapProblem) -> np.ndarray:
     """Gap eigenvalues of the kinetically balanced 4-spinor discretization
     of the problem's charge, basis and grid.
@@ -212,11 +220,10 @@ def rkb_cross_check(problem: GapProblem) -> np.ndarray:
     eigenvalues strictly inside (-1, 1), ascending, on a reduced grid
     each once, not as a Kramers pair.  Diagnostic only: this
     discretization can in principle suffer spectral pollution, so it is
-    restricted to total charge <= 0.9 where the risk is low.
+    restricted to total charge <= CROSSCHECK_MAX_CHARGE where the risk is
+    low.
     """
-    if problem.mu.total_charge > 0.9 + 1e-12:
-        raise ConfigError("4-spinor cross-check restricted to total "
-                          "charge <= 0.9")
+    _check_cross_check_charge(problem.mu)
     grid = problem.grid
     tdot = problem.basis.scalar.grad_dot_matrix()
     # P is the negated Gram of the nonnegative weight w v

@@ -69,8 +69,7 @@ import numpy as np
 
 from . import _rootfind
 from .charges import ORIGIN, ChargeDistribution, radial_profile
-from .errors import (ConfigError, NoGapEigenvalueError,
-                     UncertifiedEigenvalueError)
+from .errors import ConfigError, UncertifiedEigenvalueError
 
 
 class _LazyModule:
@@ -412,10 +411,6 @@ def lowest_gap_eigenvalue_radial(mu: ChargeDistribution, kappa: int = -1,
     rs = _rootfind.solve_monotone_gap(
         prob.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
         slope=prob.slope)
-    if rs.status == _rootfind.NO_ROOT:
-        raise NoGapEigenvalueError(
-            f"no gap eigenvalue in channel kappa={prob.kappa}: "
-            f"h({rs.lambda1}) = {rs.residual} > 0")
     return RadialGapResult(**vars(rs), kappa=prob.kappa)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diraclab import _rootfind, cli, multicenter, radial
+from diraclab import cli, multicenter, radial
 from diraclab.configio import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -194,7 +194,7 @@ def test_radial_defaults_come_from_solve_config(monkeypatch, capsys):
 
     def fake_solve(mu, kappa, grid, config):
         seen.append((grid, config))
-        return radial.RadialGapResult(_rootfind.OK, 0.5, 0.0, ((0.5, 0.0),),
+        return radial.RadialGapResult(False, 0.5, 0.0, ((0.5, 0.0),),
                                       (0.5, 0.5), True, (), None, kappa)
 
     monkeypatch.setattr(cli, "lowest_gap_eigenvalue_radial", fake_solve)
@@ -208,7 +208,7 @@ def test_multicenter_defaults_come_from_gap_config(tmp_path, monkeypatch,
 
     def fake_solve(basis, mu, grid, config):
         seen.append(config)
-        return multicenter.GapResult(_rootfind.OK, 0.5, 0.0, ((0.5, 0.0),),
+        return multicenter.GapResult(False, 0.5, 0.0, ((0.5, 0.0),),
                                      (0.5, 0.5), True, (), None)
 
     monkeypatch.setattr(cli, "solve_gap", fake_solve)

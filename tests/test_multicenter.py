@@ -361,6 +361,21 @@ def test_cross_check_rejects_heavy_total():
         multicenter.rkb_cross_check(problem)
 
 
+def test_solve_refuses_a_heavy_cross_check_before_the_root_find(
+        monkeypatch):
+    # the refusal comes before any weighted Gram is built
+    calls = []
+    mu_min = multicenter.GapProblem.mu_min
+    monkeypatch.setattr(multicenter.GapProblem, "mu_min",
+                        lambda self, lam: calls.append(lam)
+                        or mu_min(self, lam))
+    mu = charges.atoms([(0, 0, 0), (2, 0, 0)], [0.5, 0.5])
+    cfg = multicenter.GapSolveConfig(crosscheck=True)
+    with pytest.raises(ConfigError, match="cross-check"):
+        multicenter.solve_gap(basis_for(mu, n_s=6), mu, config=cfg)
+    assert calls == []
+
+
 def test_rkb_free_basis_has_empty_gap():
     mu = charges.atom((0, 0, 0), 0.5)
     basis = basis_for(mu, n_s=6)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import _rootfind
+from diraclab.errors import NoGapEigenvalueError
 
 CFG = _rootfind.SolveConfig(lam_tol=1e-10, residual_tol=1e-12,
                             max_iterations=60)
@@ -59,7 +60,7 @@ def check_trace_monotone(trace):
 def test_affine_curves_converge(root, slope):
     res = _rootfind.solve_monotone_gap(lo=-0.99, hi=0.999, start=0.5,
                                        **affine(root, slope), config=CFG)
-    assert res.status == _rootfind.OK
+    assert not res.below_gap
     assert res.converged
     assert res.lambda1 == pytest.approx(root, abs=1e-10)
     assert res.residual <= 1e-12
@@ -92,30 +93,49 @@ def test_root_at_bracket_ends():
     assert res.converged and res.lambda1 == lo
 
 
+def test_collapsed_bracket_samples_its_unsampled_end():
+    # a flat mu: the two end samples clamp the bracket onto mu itself,
+    # which no sample has hit yet; the midpoint of that zero-width
+    # bracket is the root and is sampled
+    res = _rootfind.solve_monotone_gap(lo=LO, hi=HI, start=LO,
+                                       **affine(-0.15, 0.0), config=CFG)
+    assert [lam for lam, _ in res.trace[:2]] == [LO, HI]
+    assert res.bracket[0] == res.bracket[1]
+    assert res.converged and res.iterations == 3
+    assert res.lambda1 == pytest.approx(-0.15, abs=1e-15)
+
+
 def test_below_gap_and_no_root_statuses():
     # a start anywhere, or on a gap end (where it is ignored), changes
-    # neither status
+    # neither outcome
     for start in (-0.99, -0.5, 0.0, 0.9, 0.999):
         res = _rootfind.solve_monotone_gap(
             lo=-0.99, hi=0.999, start=start, **affine(-2.0, 0.0),
             config=CFG)
-        assert res.status == _rootfind.BELOW_GAP
+        assert res.below_gap
         assert not res.converged and res.trace[-1][0] == -0.99
 
-        res = _rootfind.solve_monotone_gap(
-            lo=-0.99, hi=0.999, start=start, **affine(2.0, 0.0),
-            config=CFG)
-        assert res.status == _rootfind.NO_ROOT
-        assert not res.converged and res.trace[-1][0] == 0.999
+        samples = []
+        curve = affine(2.0, 0.0)
+
+        def mu_of_lambda(lam):
+            samples.append(lam)
+            return curve["mu_of_lambda"](lam)
+
+        with pytest.raises(NoGapEigenvalueError):
+            _rootfind.solve_monotone_gap(
+                mu_of_lambda, -0.99, 0.999, start=start,
+                slope=curve["slope"], config=CFG)
+        assert samples[-1] == 0.999
 
 
-@pytest.mark.parametrize("curve,status", [
-    (affine(0.4, -0.5), _rootfind.OK),
+@pytest.mark.parametrize("curve,outcome", [
+    (affine(0.4, -0.5), "ok"),
     (tagged(lambda lam: 0.3 - 2.0 * (lam - 0.3) ** 3,
-            lambda lam: -6.0 * (lam - 0.3) ** 2), _rootfind.OK),
-    (affine(-2.0, 0.0), _rootfind.BELOW_GAP),
-    (affine(2.0, 0.0), _rootfind.NO_ROOT)])
-def test_samples_vectors_and_slopes_follow_the_contract(curve, status):
+            lambda lam: -6.0 * (lam - 0.3) ** 2), "ok"),
+    (affine(-2.0, 0.0), "below-gap"),
+    (affine(2.0, 0.0), "no-root")])
+def test_samples_vectors_and_slopes_follow_the_contract(curve, outcome):
     samples, slopes = [], []
 
     def mu_of_lambda(lam):
@@ -126,19 +146,27 @@ def test_samples_vectors_and_slopes_follow_the_contract(curve, status):
         slopes.append((lam, vector))
         return curve["slope"](lam, vector)
 
-    res = _rootfind.solve_monotone_gap(mu_of_lambda, LO, HI, start=0.0,
-                                       slope=slope, config=CFG)
-    assert res.status == status
+    def solve():
+        return _rootfind.solve_monotone_gap(mu_of_lambda, LO, HI, start=0.0,
+                                            slope=slope, config=CFG)
+
+    if outcome == "no-root":
+        with pytest.raises(NoGapEigenvalueError):
+            solve()
+        # the start clamps a = 0, so only the upper end follows; no slope
+        assert samples == [0.0, HI] and not slopes
+        return
+    res = solve()
     # one evaluation per trace entry, none repeated
     assert samples == [lam for lam, _ in res.trace]
     assert res.iterations == len(samples) == len(set(samples))
     # each slope gets the vector of its own, earlier sample
     assert all(vector == lam and lam in samples for lam, vector in slopes)
-    if status == _rootfind.OK:
+    if outcome == "ok":
         assert slopes and res.vector == res.lambda1
     else:
         assert res.vector is None
-    assert res.below_gap == (status == _rootfind.BELOW_GAP)
+    assert res.below_gap == (outcome == "below-gap")
 
 
 def test_iteration_budget_is_respected():
@@ -148,6 +176,22 @@ def test_iteration_budget_is_respected():
         config=_rootfind.SolveConfig(lam_tol=1e-10, residual_tol=1e-12,
                                      max_iterations=7))
     assert res.iterations <= 7 and not res.converged
+
+
+def test_polish_stops_after_max_polish_samples():
+    # mu steps down by 2e-3 across the root, so |h| >= 1e-3 everywhere:
+    # 28 samples bring the bracket within lam_tol, then the polish takes
+    # its 8 samples and stops (without the cap, midpoints run on to 48)
+    root, jump = 0.3, 1e-3
+    res = _rootfind.solve_monotone_gap(
+        lo=LO, hi=HI, start=0.0,
+        **tagged(lambda lam: root + (jump if lam < root else -jump),
+                 lambda lam: 0.0),
+        config=_rootfind.SolveConfig(lam_tol=1e-10, residual_tol=1e-12,
+                                     max_iterations=200))
+    assert not res.converged
+    assert res.bracket[1] - res.bracket[0] <= 1e-10
+    assert res.iterations == 28 + _rootfind.MAX_POLISH == 36
 
 
 def test_width_count_matches_bisection_bound():
@@ -169,14 +213,16 @@ def test_random_monotone_curves(root, slope, curve, start):
     dmu = lambda lam: slope - 3.0 * curve * (lam - root) ** 2
     res = _rootfind.solve_monotone_gap(lo=LO, hi=HI, start=start,
                                        **tagged(mu, dmu), config=CFG)
-    assert res.status == _rootfind.OK
+    assert not res.below_gap
     assert res.converged
     assert res.lambda1 == pytest.approx(root, abs=2e-10)
     assert res.iterations <= 40
     check_halving(res.widths)
     check_trace_monotone(res.trace)
-    # one sample certifies each side its clamp closes
+    # no lambda is sampled twice
     sampled = {lam for lam, _ in res.trace}
+    assert len(sampled) == len(res.trace)
+    # one sample certifies each side its clamp closes
     assert res.trace[0][0] == start
     assert (LO in sampled) == (mu(start) <= LO)
     assert (HI in sampled) == (mu(start) >= HI)
