@@ -104,10 +104,14 @@ def solve_monotone_gap(mu_of_lambda: Callable[[float], tuple[float, Any]],
         hv = mu - lam
         trace.append((lam, hv))
         end = hv + lam  # mu as the trace records it
+        # the rounded end may pass the opposite one by an ulp; it stops
+        # there, so the bracket never inverts
         if hv > 0.0:
-            a, b = max(a, lam), min(b, end)
+            a = max(a, lam)
+            b = min(b, max(end, a))
         elif hv < 0.0:
-            a, b = max(a, end), min(b, lam)
+            b = min(b, lam)
+            a = max(a, min(end, b))
         else:
             a = b = lam
         return hv

@@ -189,13 +189,14 @@ def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.zeros(len(pts))
     for p in mu.points:
-        d = np.linalg.norm(pts - p.xyz[None, :], axis=1)
+        diff = pts - p.xyz
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if np.any(d < SINGULAR_EPS):
             raise SingularLocationError(
                 f"potential evaluated within {SINGULAR_EPS} of atom at {p.position}")
         out += p.strength / d
     if mu.layers:
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         for layer in mu.layers:
             if layer.kind == "point" and np.any(r < SINGULAR_EPS):
                 raise SingularLocationError(

@@ -288,8 +288,10 @@ def _gap_rows(cfg: ExperimentConfig, family, key: str,
 def _against_merged(mu: ChargeDistribution, rows: list[dict]) -> dict:
     """Add the bound sqrt(1 - nu^2) of the merged charge and the margin
     to each row, flagging them when they are conditional on the critical
-    charge; return the bound and that condition."""
-    bound = mu.merged_lambda
+    charge; return the bound and that condition.  Above nu = 1 the merged
+    charge has no gap eigenvalue to compare with: bound and margin are
+    NaN, which no exit code reads."""
+    bound = mu.merged_lambda if mu.total_charge <= 1.0 else math.nan
     conditional = mu.total_charge > CONDITIONAL_ABOVE
     for row in rows:
         if conditional:
@@ -335,21 +337,22 @@ def _conjecture_sweep(cfg: ExperimentConfig):
 
 
 def _pes_scan(cfg: ExperimentConfig):
-    """lambda1 plus exact nuclear repulsion along a separation scan."""
+    """lambda1 plus exact nuclear repulsion along a separation scan, with
+    each lambda1's margin against the merged-charge bound."""
     if len(cfg.thetas) < 2:
         raise ConfigError("PES scan needs at least two centers")
     if not cfg.separations:
         raise ConfigError("PES scan needs a separation list")
     family = _scan_family(cfg)
-    rows, summary = _gap_rows(cfg, family, "separation")
+    rows, summary = _gap_rows(cfg, family, "separation", family[0][1])
     for row, (_, mu) in zip(rows, family):
         row["repulsion"] = _repulsion(mu)
         row["pes"] = row["lambda1"] + row["repulsion"]
     jumps = [abs(b["pes"] - a["pes"]) for a, b in zip(rows, rows[1:])
              if a["converged"] and b["converged"]]
     summary["continuity_max_jump"] = max(jumps) if jumps else None
-    columns = ("scan_index", "separation", "geometry", "lambda1",
-               "repulsion", "pes", "flags")
+    columns = ("scan_index", "separation", "geometry", "lambda1", "bound",
+               "margin", "repulsion", "pes", "flags")
     return columns, rows, summary
 
 

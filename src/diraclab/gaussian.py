@@ -2,11 +2,14 @@
 
 Scalar primitives are s Gaussians exp(-a |x - A|^2).  Their overlap,
 gradient Gram and nuclear attraction matrices have closed forms (the
-attraction through the Boys function F_0) and are evaluated for all pairs
-at once as array expressions; see ScalarBasis.  Only the lam-dependent
-weighted integrals need the multi-center quadrature grid built here
-(per-center log radial shells times Gauss-Legendre-by-azimuth spheres,
-glued by smoothed Voronoi-style partition weights).
+attraction through the Boys function F_0, itself in closed form through
+erf) and are evaluated for all pairs at once as array expressions from
+pair terms formed once per basis; see ScalarBasis.  Only the
+lam-dependent weighted integrals need the multi-center quadrature grid
+built here (per-center log radial shells times Gauss-Legendre-by-azimuth
+spheres, glued by smoothed Voronoi-style partition weights).  The grid
+build works on a center-major table of point-center distances, one
+contiguous row per center, and each sphere rule is built once.
 
 grid_for_basis builds that rule in a frame attached to the distinct
 centers and keeps only what their symmetry needs: one azimuth of weight
@@ -21,8 +24,10 @@ cross parts perpendicular to the symmetry axis, are left out as exactly
 the symmetry of the centers.
 
 On a grid the basis is tabulated once as values, with every value below
-VALUE_FLOOR stored as 0, plus the displacements of the points from the
-distinct centers.  No gradient is formed: since grad g = -2a (x - A) g,
+VALUE_FLOOR stored as 0 (exp arguments are clamped at EXP_CLAMP first,
+off exp's slow underflowing path, which leaves the table as it was),
+plus the displacements of the points from the distinct centers.  No
+gradient is formed: since grad g = -2a (x - A) g,
 the weighted gradient Gram and the sigma.grad slope integral are
 computed from the values, block by block of BLOCK points.  Each center's
 own points are radial shells times one sphere rule, and there that
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +58,10 @@ BLOCK = 8192
 # made the gradient Gram about twice as slow on x86; on a shipped two-atom
 # geometry the dropped terms moved no Gram entry by more than 4.3e-109.
 VALUE_FLOOR = 1e-100
+# Below this exponent -a r^2 every primitive (exponent in EXPONENT_RANGE,
+# so norm < 7.2e8) is under VALUE_FLOOR / e; see _floored_values.
+EXP_CLAMP = (math.log(VALUE_FLOOR) - 1.0
+             - 0.75 * math.log(2.0 * EXPONENT_RANGE[1] / math.pi))
 # Default radial shell count and angular order of a 3D solve's grid.
 N_RADIAL = 96
 ANGULAR_ORDER = 29
@@ -67,22 +77,44 @@ def even_tempered(alpha0: float, beta: float, n: int) -> np.ndarray:
     return alpha0 * beta ** np.arange(n)
 
 
+# Below this t, F_0(t) = 1 - t/3 to within t^2/10, under half an ulp of
+# 1; the closed form would overflow in sqrt(pi/t) at a subnormal t.
+BOYS_SMALL_T = 1e-8
+
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _boys0(t: np.ndarray) -> np.ndarray:
+    """F_0(t) = sqrt(pi/t) erf(sqrt t) / 2, and 1 - t/3 below BOYS_SMALL_T."""
+    small = t < BOYS_SMALL_T
+    big = np.where(small, 1.0, t)
+    f = 0.5 * np.sqrt(np.pi / big) * _erf(np.sqrt(big)).astype(float)
+    return np.where(small, 1.0 - t / 3.0, f)
+
+
 def boys(m: int, t):
     """Boys function F_m(t) = int_0^1 u^{2m} exp(-t u^2) du, m = 0..4.
 
-    Series below t = 20 (all-positive terms, no cancellation), closed-form
-    F_0 with upward recursion above; absolute accuracy ~1e-14.
+    F_0 in closed form for every t (_boys0, math.erf applied elementwise;
+    relative error a few ulp).  F_m, m >= 1: series below t = 20
+    (all-positive terms, no cancellation), upward recursion from F_0
+    above; absolute accuracy ~1e-14.
     """
     if not 0 <= m <= 4:
         raise ConfigError(f"boys supports m in 0..4, got {m}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ConfigError("boys needs t >= 0")
-    out = np.empty_like(t_arr)
+    out = _boys0(t_arr) if m == 0 else _boys_upper(m, t_arr)
+    return float(out[0]) if np.isscalar(t) else out.reshape(np.shape(t))
 
-    small = t_arr < 20.0
+
+def _boys_upper(m: int, t: np.ndarray) -> np.ndarray:
+    """F_m(t), m >= 1, for a 1D array t >= 0; see boys."""
+    out = np.empty_like(t)
+    small = t < 20.0
     if np.any(small):
-        ts = t_arr[small]
+        ts = t[small]
         term = np.full_like(ts, 1.0 / (2 * m + 1))
         acc = term.copy()
         for k in range(1, 200):
@@ -93,14 +125,13 @@ def boys(m: int, t):
         out[small] = np.exp(-ts) * acc
 
     if np.any(~small):
-        tl = t_arr[~small]
-        f = 0.5 * np.sqrt(np.pi / tl) * np.array([math.erf(x) for x in np.sqrt(tl)])
+        tl = t[~small]
+        f = _boys0(tl)
         et = np.exp(-tl)
         for k in range(m):
             f = ((2 * k + 1) * f - et) / (2.0 * tl)
         out[~small] = f
-
-    return float(out[0]) if np.isscalar(t) else out.reshape(np.shape(t))
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,28 +183,30 @@ class ScalarBasis:
         self.site_columns = [np.flatnonzero(self.site_of == s)
                              for s in range(len(self.sites))]
 
-    def _pairs(self):
-        """p = a + b, q = ab/p, d^2 and N_i N_j exp(-q d^2), each (n, n)."""
+    @cached_property
+    def _pair_terms(self):
+        """p = a + b, q = ab/p, d^2, N_i N_j exp(-q d^2), each (n, n), and
+        the product centers P (n, n, 3); formed once per basis."""
         a = self.alphas
         p = a[:, None] + a[None, :]
         q = a[:, None] * a[None, :] / p
         d = self.centers[:, None, :] - self.centers[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", d, d)
-        return p, q, d2, np.outer(self.norms, self.norms) * np.exp(-q * d2)
+        wa = a[:, None] * self.centers
+        P = (wa[:, None, :] + wa[None, :, :]) / p[:, :, None]
+        return p, q, d2, np.outer(self.norms, self.norms) * np.exp(-q * d2), P
 
     def overlap_matrix(self) -> np.ndarray:
-        p, _, _, pref = self._pairs()
+        p, _, _, pref, _ = self._pair_terms
         return pref * (np.pi / p) ** 1.5
 
     def grad_dot_matrix(self) -> np.ndarray:
-        p, q, d2, pref = self._pairs()
+        p, q, d2, pref, _ = self._pair_terms
         return 2.0 * q * (3.0 - 2.0 * q * d2) * (pref * (np.pi / p) ** 1.5)
 
     def attraction_matrix(self, R, theta: float = 1.0) -> np.ndarray:
         """Positive integrals int g_i g_j theta/|x-R|; caller applies the sign."""
-        p, _, _, pref = self._pairs()
-        wa = self.alphas[:, None] * self.centers
-        P = (wa[:, None, :] + wa[None, :, :]) / p[:, :, None]
+        p, _, _, pref, P = self._pair_terms
         pc = P - np.asarray(R, dtype=float)
         t = p * np.einsum("ijk,ijk->ij", pc, pc)
         return theta * pref * (2.0 * np.pi / p) * boys(0, t)
@@ -200,16 +233,30 @@ class ScalarBasis:
         m = len(pts)
         vals = np.empty((self.n, m))
         disp = np.empty((len(self.sites), 3, m))
+        neg = -self.alphas[:, None]
         for start in range(0, m, BLOCK):
             sl = slice(start, start + BLOCK)
             dx = pts[sl].T[None, :, :] - self.sites[:, :, None]
             r2 = np.einsum("kab,kab->kb", dx, dx)
-            e = self.norms[:, None] * np.exp(-self.alphas[:, None]
-                                             * r2[self.site_of])
-            e[e < VALUE_FLOOR] = 0.0
-            vals[:, sl] = e
+            _floored_values(np.multiply(neg, r2[self.site_of],
+                                        out=vals[:, sl]), self.norms)
             disp[:, :, sl] = dx
         return vals.T, disp.T
+
+
+def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """norms[:, None] exp(arg), each below VALUE_FLOOR set to 0, written
+    over the exponents arg = -a r^2 (n, b).
+
+    Exponents are first raised to EXP_CLAMP: exp is several times slower
+    where its result underflows, and a clamped value is below VALUE_FLOOR
+    either way, so the table is the same bit for bit.
+    """
+    np.maximum(arg, EXP_CLAMP, out=arg)
+    np.exp(arg, out=arg)
+    arg *= norms[:, None]
+    arg[arg < VALUE_FLOOR] = 0.0
+    return arg
 
 
 def spinor_matrix(dot: np.ndarray, cross=None) -> np.ndarray:
@@ -363,41 +410,50 @@ SYMMETRY_TOL = 1e-10
 
 
 def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Smoothed Voronoi partition weights, rows normalized to sum to 1."""
-    return _becke_cells(_center_distances(pts, centers), centers)
+    """Smoothed Voronoi partition weights (points, centers), rows
+    normalized to sum to 1."""
+    return _becke_cells(_center_distances(pts, centers), centers).T
 
 
 def _center_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distances (points, centers) of every point from every center."""
-    return np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+    """Distances (centers, points) of every point from every center, one
+    contiguous row per center."""
+    d = np.empty((len(centers), len(pts)))
+    for row, c in zip(d, centers):
+        diff = pts - c
+        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=row)
+    return d
 
 
 def _becke_cells(d: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """becke_weights from the point-center distances d."""
+    """Partition weights (centers, points) from the center-point
+    distances d (centers, points); columns sum to 1."""
     m_ctr = len(centers)
     if m_ctr == 1:
-        return np.ones((len(d), 1))
+        return np.ones_like(d)
     cell = np.ones_like(d)
     # each cell takes its factors in center order, as a loop over all
     # ordered pairs would; f_ji = -f_ij exactly, so one pass serves both
     for i in range(m_ctr):
         for j in range(i + 1, m_ctr):
             rij = np.linalg.norm(centers[i] - centers[j])
-            f = (d[:, i] - d[:, j]) / rij
+            f = (d[i] - d[j]) / rij
             for _ in range(BECKE_ORDER):
                 f = 0.5 * f * (3.0 - f * f)
-            cell[:, i] *= 0.5 * (1.0 - f)
-            cell[:, j] *= 0.5 * (1.0 + f)
-    return cell / np.sum(cell, axis=1, keepdims=True)
+            cell[i] *= 0.5 * (1.0 - f)
+            cell[j] *= 0.5 * (1.0 + f)
+    return cell / np.sum(cell, axis=0)
 
 
 # nodes closer than this to a nucleus are dropped
 EXCLUSION_RADIUS = 1e-10
 
 
+@lru_cache(maxsize=None)
 def _sphere_rule(angular_order: int, kind: str):
     """Directions (k, 3) and weights (k,) of the sphere rule in its own
-    frame, cos(theta)-major.
+    frame, cos(theta)-major; built once per (angular_order, kind) and
+    returned as read-only arrays.
 
     The full rule has (order + 1) / 2 Gauss-Legendre nodes in cos(theta)
     times order + 1 azimuths.  An axial rule is the azimuth-0 ring, of
@@ -427,6 +483,7 @@ def _sphere_rule(angular_order: int, kind: str):
             dirs[k] = (s_one * math.cos(ph), s_one * math.sin(ph), c_one)
             wang[k] = w_one * (2.0 * np.pi / n_phi)
             k += 1
+    dirs.flags.writeable = wang.flags.writeable = False
     return dirs, wang
 
 
@@ -474,27 +531,25 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     if frame is not None:
         dirs = dirs @ frame
 
-    pts_parts, w_parts = [], []
-    for c in centers:
-        pts = (rr[:, None, None] * dirs[None, :, :] + c[None, None, :])
-        pts_parts.append(pts.reshape(-1, 3))
-        w_parts.append((wr[:, None] * wang[None, :]).reshape(-1))
-    pts = np.concatenate(pts_parts)
-    w = np.concatenate(w_parts)
-
+    # every center's shells x ring, center-major
+    pts = (rr[None, :, None, None] * dirs[None, None, :, :]
+           + centers[:, None, None, :]).reshape(-1, 3)
     d = _center_distances(pts, centers)
     cell = _becke_cells(d, centers)
-    residual = float(np.max(np.abs(np.sum(cell, axis=1) - 1.0)))
-    per_center = np.concatenate([
-        w[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs)]
-        * cell[i * len(rr) * len(dirs):(i + 1) * len(rr) * len(dirs), i]
-        for i in range(len(centers))])
+    residual = float(np.max(np.abs(np.sum(cell, axis=0) - 1.0)))
+    # each center's own points take its own cell weight
+    n_ctr = len(centers)
+    own = np.arange(n_ctr)
+    weights = ((wr[:, None] * wang[None, :]).reshape(-1)
+               * cell.reshape(n_ctr, n_ctr, -1)[own, own]).reshape(-1)
 
-    keep = np.min(d, axis=1) > EXCLUSION_RADIUS
-    kept = keep.reshape(len(centers), -1)
+    keep = np.min(d, axis=0) > EXCLUSION_RADIUS
+    kept = keep.reshape(n_ctr, -1)
     count = kept.sum(axis=1)
     starts = np.cumsum(count) - count
-    return QuadratureGrid(points=pts[keep], weights=per_center[keep],
+    if not keep.all():
+        pts, weights = pts[keep], weights[keep]
+    return QuadratureGrid(points=pts, weights=weights,
                           centers=centers, n_radial=n_radial,
                           angular_order=angular_order,
                           partition_residual=residual, radii=rr,
@@ -632,9 +687,8 @@ class GridEvaluation:
         self._homes = [(a, site_at[tuple(x)])
                        for x, a in zip(grid.centers, grid.runs)
                        if a is not None and tuple(x) in site_at]
-        shell = sc.norms[:, None] * np.exp(-sc.alphas[:, None]
-                                           * grid.radii ** 2)
-        shell[shell < VALUE_FLOOR] = 0.0
+        shell = _floored_values(-sc.alphas[:, None] * grid.radii ** 2,
+                                sc.norms)
         self._shell_vals = [shell[i] for i in self._cols]
 
     def _blocks(self):

@@ -172,6 +172,14 @@ def test_conditional_flag_for_heavy_total():
         is True
     with pytest.raises(ConfigError):
         experiments.run_experiment(fast_config(thetas=(0.6, 0.6)))
+    # a pes-scan may run above nu = 1, where no merged bound exists: its
+    # negative lambda1 is no margin violation
+    report = experiments.run_experiment(fast_config(
+        kind="pes-scan", thetas=(0.6, 0.6), separations=(0.1,)))
+    row, = report.rows
+    assert row["converged"] and row["lambda1"] < 0.0
+    assert math.isnan(row["bound"]) and math.isnan(row["margin"])
+    assert report.exit_code == 0
 
 
 def test_pes_scan_repulsion_exact():
@@ -179,11 +187,16 @@ def test_pes_scan_repulsion_exact():
                       separations=(1.0, 2.0))
     report = experiments.run_experiment(cfg)
     assert report.columns == ("scan_index", "separation", "geometry",
-                              "lambda1", "repulsion", "pes", "flags")
+                              "lambda1", "bound", "margin", "repulsion",
+                              "pes", "flags")
     assert report.rows[0]["repulsion"] == pytest.approx(0.06, rel=1e-15)
     assert report.rows[1]["repulsion"] == pytest.approx(0.03, rel=1e-15)
+    bound = math.sqrt(1.0 - 0.5 ** 2)
+    assert report.summary["bound"] == pytest.approx(bound, rel=1e-15)
     for row in report.rows:
         assert row["pes"] == row["lambda1"] + row["repulsion"]
+        assert row["bound"] == report.summary["bound"]
+        assert row["margin"] == row["lambda1"] - row["bound"]
     assert report.summary["continuity_max_jump"] is not None
     assert report.exit_code == 0
 

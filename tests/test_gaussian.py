@@ -1,5 +1,6 @@
 """Gaussian primitives, analytic integrals, and the quadrature grid."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_boys_downward_recursion(m, t):
     lhs = (2 * m + 1) * gaussian.boys(m, t)
     rhs = math.exp(-t) + 2.0 * t * gaussian.boys(m + 1, t)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+
+BOYS_T = [0.0, 5e-324, 1e-310, 1e-9, 20.0, *np.logspace(-8.0, 4.0, 49)]
+
+
+@pytest.mark.parametrize("t", BOYS_T)
+def test_closed_form_boys0_to_relative_roundoff(t):
+    # measured at most 3.4e-16 here (numpy 2.4, x86-64); a
+    # subnormal t takes 1 - t/3, as sqrt(pi/t) would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian.boys(0, t)
+    assert math.isfinite(got)
+    ref = oracles.boys_reference(0, t)
+    assert abs(got - ref) <= 1e-14 * ref
 
 
 # --- analytic integrals vs quadrature oracles ------------------------------
@@ -161,6 +177,26 @@ def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
                           grid.points[:, :, None] - sites.T[None, :, :])
 
 
+def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
+    # the shipped pair's grid reaches r ~ 40 and its steepest exponent is
+    # ~1e5, so many -a r^2 lie below EXP_CLAMP and below -745, where exp
+    # underflows to 0; the clamp leaves every table entry as it was
+    basis, grid, _ = shipped_pair()
+    sc = basis.scalar
+    r2 = np.sum((grid.points[:, None, :] - sc.centers[None]) ** 2, axis=2)
+    arg = -sc.alphas * r2
+    assert np.any(arg < -745.0)
+    assert np.any((arg < gaussian.EXP_CLAMP) & (arg > -745.0))
+    vals, _ = sc.values_and_gradients(grid.points)
+    ref, _ = oracles.values_and_gradients(sc, grid.points,
+                                          gaussian.VALUE_FLOOR)
+    assert np.array_equal(vals, ref)
+    # a clamped entry is below the floor for the heaviest admissible norm
+    top = gaussian.GaussianPrimitive((0.0, 0.0, 0.0),
+                                     gaussian.EXPONENT_RANGE[1]).norm
+    assert top * math.exp(gaussian.EXP_CLAMP) < gaussian.VALUE_FLOOR
+
+
 def test_grid_evaluation_holds_no_gradient_table():
     basis = two_center_basis(n_s=4)
     grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
@@ -253,6 +289,16 @@ def test_becke_partition_of_unity():
     w = gaussian.becke_weights(pts, centers)
     assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) <= 1e-12
     assert np.all(w >= 0.0)
+
+
+def test_sphere_rule_is_cached_read_only():
+    for kind in gaussian.GRID_KINDS:
+        dirs, wang = gaussian._sphere_rule(9, kind)
+        assert gaussian._sphere_rule(9, kind)[0] is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            wang[0] = 0.0
 
 
 def test_grid_partition_residual_is_tracked():

@@ -180,6 +180,33 @@ def test_rotation_moves_triangle_lambda1_by_roundoff_only(mu, axis, angle):
     assert abs(small_lambda1(turned) - small_lambda1(mu)) <= 1e-13
 
 
+def raised(mu, k, extra):
+    """mu with the strength of its atom k (mod the atom count) raised by
+    extra."""
+    k %= len(mu.points)
+    return charges.atoms([p.position for p in mu.points],
+                         [p.strength + extra * (i == k)
+                          for i, p in enumerate(mu.points)])
+
+
+@given(mu=small_molecules(), k=st.integers(min_value=0, max_value=2),
+       extra=st.floats(min_value=0.005, max_value=0.1))
+@INVARIANCE
+def test_raising_a_charge_never_raises_lambda1(mu, k, extra):
+    # On one basis and grid a heavier atom lowers both the weight
+    # 1/(1 + lam + v) of the gradient Gram and S + M_V, so mu_min(lam)
+    # and its root can only fall.  As h = mu_min - lam has slope <= -1,
+    # each lambda1 lies within its residual of its root.
+    basis = basis_for(mu, n_s=6)
+    grid = gaussian.grid_for_basis(basis, 48, 17)
+    light, heavy = (multicenter.solve_gap(basis, nu, grid)
+                    for nu in (mu, raised(mu, k, extra)))
+    assert light.converged and heavy.converged
+    slack = multicenter.GapSolveConfig().lam_tol + light.residual \
+        + heavy.residual
+    assert heavy.lambda1 <= light.lambda1 + slack
+
+
 @pytest.mark.parametrize("name", ["one_atom", "pair", "triangle"])
 def test_reduced_solve_equals_the_lab_solve(name):
     # the n x n block of the reduced grid against the 2n spinor pencil of

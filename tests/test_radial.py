@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from diraclab import charges, radial
@@ -191,6 +193,35 @@ def test_factorisation_budget(monkeypatch, name):
         lambda: radial.schrodinger_ground_radial(mu, WORKLOAD_GRID)) <= 24
 
 
+layer_lists = st.lists(
+    st.tuples(st.sampled_from(["sphere-shell", "uniform-ball"]),
+              st.floats(min_value=0.05, max_value=2.0),
+              st.floats(min_value=0.05, max_value=0.3)),
+    min_size=1, max_size=3)
+MONOTONE_GRID = radial.RadialGrid(1e-6, 100.0, 1000)
+
+
+@given(layers=layer_lists, k=st.integers(min_value=0, max_value=2),
+       extra=st.floats(min_value=0.005, max_value=0.1))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_raising_a_layer_never_raises_lambda1(layers, k, extra):
+    # On one grid a heavier shell or ball raises v, and with no point
+    # charge the origin stub keeps gamma = 1, so every term of the
+    # pencil falls and so do mu_min(lam) and its root; as h = mu_min - lam
+    # has slope <= -1, each lambda1 lies within its residual of its root.
+    k %= len(layers)
+    light = charges.ChargeDistribution(
+        layers=tuple(charges.RadialLayer(*l) for l in layers))
+    heavy = charges.ChargeDistribution(layers=tuple(
+        charges.RadialLayer(kind, r, s + extra * (i == k))
+        for i, (kind, r, s) in enumerate(layers)))
+    lo, hi = (radial.lowest_gap_eigenvalue_radial(mu, grid=MONOTONE_GRID)
+              for mu in (light, heavy))
+    assert lo.converged and hi.converged
+    slack = radial.RadialSolveConfig().lam_tol + lo.residual + hi.residual
+    assert hi.lambda1 <= lo.lambda1 + slack
+
+
 @pytest.mark.parametrize("name", ["nu=0.5", "nu=0.99", "shell", "ball"])
 @pytest.mark.parametrize("kappa", [-2, -1, 1])
 def test_slope_matches_central_differences(name, kappa):
@@ -336,7 +367,8 @@ def test_import_leaves_scipy_optimize_out():
 
 
 def test_3d_commands_leave_scipy_unloaded(tmp_path):
-    # a 3D command loads numpy alone; the first radial solve after it
+    # a 3D command loads numpy alone, no scipy module at all (F_0 takes
+    # math.erf, not scipy.special); the first radial solve after it
     # loads scipy.linalg and still meets the closed form, and neither
     # the gap solve nor the Schroedinger solve loads scipy.sparse
     sweep = tmp_path / "sweep.cfg"
@@ -346,6 +378,10 @@ def test_3d_commands_leave_scipy_unloaded(tmp_path):
     hardy = tmp_path / "hardy.cfg"
     hardy.write_text((CONFIG_DIR / "hardy_sweep.cfg").read_text()
                      .replace("separations = 0.5 1 2 4", "separations = 1"))
+    schrodinger = tmp_path / "schrodinger.cfg"
+    schrodinger.write_text((CONFIG_DIR / "schrodinger.cfg").read_text()
+                           .replace("separations = 0.5 1 2 4",
+                                    "separations = 1"))
     pair = CONFIG_DIR / "multicenter_example.cfg"
     _run_fresh(f"""
 import math, sys
@@ -356,7 +392,9 @@ assert cli.main(["conjecture-sweep", "--config", {str(sweep)!r},
                  "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
 assert cli.main(["hardy-sweep", "--config", {str(hardy)!r},
                  "--out", {str(tmp_path / "hardy.csv")!r}]) == 0
-loaded = [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+assert cli.main(["schrodinger", "--config", {str(schrodinger)!r},
+                 "--out", {str(tmp_path / "schrodinger.csv")!r}]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 atom = charges.atom((0.0, 0.0, 0.0), 0.5)
 res = radial.lowest_gap_eigenvalue_radial(atom)
@@ -364,7 +402,7 @@ assert abs(res.lambda1 - math.sqrt(1.0 - 0.5 ** 2)) < 1e-6, res.lambda1
 assert radial.schrodinger_ground_radial(atom).bound
 assert "scipy.sparse" not in sys.modules
 """)
-    for name in ("sweep.csv", "hardy.csv"):
+    for name in ("sweep.csv", "hardy.csv", "schrodinger.csv"):
         assert len((tmp_path / name).read_text().splitlines()) == 2
 
 

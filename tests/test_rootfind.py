@@ -105,6 +105,18 @@ def test_collapsed_bracket_samples_its_unsampled_end():
     assert res.lambda1 == pytest.approx(-0.15, abs=1e-15)
 
 
+def test_rounded_clamp_never_inverts_the_bracket():
+    # a flat mu at 0.12: h(lo) + lo and h(hi) + hi round to mu on
+    # opposite sides by an ulp, which clamped unguarded ends the bracket
+    # as (0.12, 0.11999999999999988)
+    res = _rootfind.solve_monotone_gap(lo=LO, hi=HI, start=LO,
+                                       **affine(0.12, 0.0), config=CFG)
+    a, b = res.bracket
+    assert a <= b
+    assert res.converged
+    assert res.lambda1 == pytest.approx(0.12, abs=1e-15)
+
+
 def test_below_gap_and_no_root_statuses():
     # a start anywhere, or on a gap end (where it is ignored), changes
     # neither outcome
@@ -216,6 +228,7 @@ def test_random_monotone_curves(root, slope, curve, start):
     assert not res.below_gap
     assert res.converged
     assert res.lambda1 == pytest.approx(root, abs=2e-10)
+    assert res.bracket[0] <= res.bracket[1]
     assert res.iterations <= 40
     check_halving(res.widths)
     check_trace_monotone(res.trace)
