@@ -8,6 +8,7 @@ failure, 3 a converged margin beyond its budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,10 @@ from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="run configuration file")

@@ -28,18 +28,32 @@ VALUE_FLOOR stored as 0 (exp arguments are clamped at EXP_CLAMP first,
 off exp's slow underflowing path, which leaves the table as it was),
 plus the displacements of the points from the distinct centers.  No
 gradient is formed: since grad g = -2a (x - A) g,
-the weighted gradient Gram and the sigma.grad slope integral are
-computed from the values, block by block of BLOCK points.  Each center's
-own points are radial shells times one sphere rule, and there that
-center's primitives depend on the shell radius alone (Becke, J. Chem.
-Phys. 88, 2547 (1988)), so the Gram sums them shell by shell: its weight
-is first summed over each shell's ring of nodes.
+the weighted gradient Gram, the sigma.grad slope integral and the
+weighted overlap are computed from the values, over one list of chunks:
+each center's own points, radial shells times one sphere rule, in
+chunks of whole shells, every other point in blocks of BLOCK points.
+On its own shells a center's primitives depend on the shell radius
+alone (Becke, J. Chem. Phys. 88, 2547 (1988)), so the Gram and the
+slope take them shell by shell, the Gram's weight first summed over
+each shell's ring of nodes.
+
+Each chunk also carries per center its live columns: the slice of that
+center's primitives that can be nonzero on it.  On shells of radii
+[r_a, r_b] about center h, a center s at distance D is at least
+dmin = max(0, D - r_b, r_a - D) away, so a primitive N exp(-a r^2) at s
+is at most N exp(-a dmin^2) there, and below VALUE_FLOOR it is stored
+as 0 on the whole chunk (the same screening of a batch of grid points
+as Stratmann, Scuseria & Frisch, Chem. Phys. Lett. 257, 213 (1996)).
+h itself and every chunk that is not a center's shells keep all
+columns.  The kernels read only live rows, so VALUE_FLOOR alone decides
+what they skip.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,14 +95,22 @@ def even_tempered(alpha0: float, beta: float, n: int) -> np.ndarray:
 # 1; the closed form would overflow in sqrt(pi/t) at a subnormal t.
 BOYS_SMALL_T = 1e-8
 
+# math.erf(x) rounds to exactly 1.0 from here on (glibc libm: checked on
+# 200,001 points up to 30 and pinned by a test), so F_0 skips it there.
+ERF_IS_ONE = 5.921587195794507
+
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _boys0(t: np.ndarray) -> np.ndarray:
-    """F_0(t) = sqrt(pi/t) erf(sqrt t) / 2, and 1 - t/3 below BOYS_SMALL_T."""
+    """F_0(t) = sqrt(pi/t) erf(sqrt t) / 2, and 1 - t/3 below BOYS_SMALL_T;
+    erf is called only where sqrt t < ERF_IS_ONE, the same bits."""
     small = t < BOYS_SMALL_T
     big = np.where(small, 1.0, t)
-    f = 0.5 * np.sqrt(np.pi / big) * _erf(np.sqrt(big)).astype(float)
+    root = np.sqrt(big)
+    f = 0.5 * np.sqrt(np.pi / big)
+    near = root < ERF_IS_ONE
+    f[near] *= _erf(root[near]).astype(float)
     return np.where(small, 1.0 - t / 3.0, f)
 
 
@@ -182,34 +204,47 @@ class ScalarBasis:
                                              return_inverse=True)
         self.site_columns = [np.flatnonzero(self.site_of == s)
                              for s in range(len(self.sites))]
+        # the columns as maximal runs of one site, (site, slice)
+        ends = [*np.flatnonzero(np.diff(self.site_of)) + 1, self.n]
+        self._runs = [(self.site_of[a], slice(a, b))
+                      for a, b in zip([0, *ends[:-1]], ends)]
 
     @cached_property
     def _pair_terms(self):
         """p = a + b, q = ab/p, d^2, N_i N_j exp(-q d^2), each (n, n), and
-        the product centers P (n, n, 3); formed once per basis."""
+        the upper triangle (i <= j) as np.triu_indices and the product
+        centers P on it (m, 3); formed once per basis."""
         a = self.alphas
         p = a[:, None] + a[None, :]
         q = a[:, None] * a[None, :] / p
         d = self.centers[:, None, :] - self.centers[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", d, d)
+        upper = np.triu_indices(self.n)
         wa = a[:, None] * self.centers
-        P = (wa[:, None, :] + wa[None, :, :]) / p[:, :, None]
-        return p, q, d2, np.outer(self.norms, self.norms) * np.exp(-q * d2), P
+        P = (wa[upper[0]] + wa[upper[1]]) / p[upper][:, None]
+        return (p, q, d2, np.outer(self.norms, self.norms) * np.exp(-q * d2),
+                upper, P)
 
     def overlap_matrix(self) -> np.ndarray:
-        p, _, _, pref, _ = self._pair_terms
+        p, _, _, pref, _, _ = self._pair_terms
         return pref * (np.pi / p) ** 1.5
 
     def grad_dot_matrix(self) -> np.ndarray:
-        p, q, d2, pref, _ = self._pair_terms
+        p, q, d2, pref, _, _ = self._pair_terms
         return 2.0 * q * (3.0 - 2.0 * q * d2) * (pref * (np.pi / p) ** 1.5)
 
     def attraction_matrix(self, R, theta: float = 1.0) -> np.ndarray:
-        """Positive integrals int g_i g_j theta/|x-R|; caller applies the sign."""
-        p, _, _, pref, P = self._pair_terms
+        """Positive integrals int g_i g_j theta/|x-R|; caller applies the sign.
+
+        t = p |P - C|^2 is exactly symmetric, so F_0 is evaluated on its
+        upper triangle and mirrored.
+        """
+        p, _, _, pref, upper, P = self._pair_terms
         pc = P - np.asarray(R, dtype=float)
-        t = p * np.einsum("ijk,ijk->ij", pc, pc)
-        return theta * pref * (2.0 * np.pi / p) * boys(0, t)
+        f0 = np.empty((self.n, self.n))
+        f0[upper] = f0.T[upper] = _boys0(
+            p[upper] * np.einsum("ij,ij->i", pc, pc))
+        return theta * pref * (2.0 * np.pi / p) * f0
 
     def potential_matrix(self, mu: ChargeDistribution) -> np.ndarray:
         """M_V = -sum_atoms theta * attraction; negative semidefinite."""
@@ -227,7 +262,7 @@ class ScalarBasis:
 
         Both arrays are transposed views of point-fastest tables, so the
         grid kernels scale them along memory.  Filled over blocks of
-        BLOCK points for all primitives at once.
+        BLOCK points, run by run of one site's columns (_tabulate_run).
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
@@ -238,10 +273,30 @@ class ScalarBasis:
             sl = slice(start, start + BLOCK)
             dx = pts[sl].T[None, :, :] - self.sites[:, :, None]
             r2 = np.einsum("kab,kab->kb", dx, dx)
-            _floored_values(np.multiply(neg, r2[self.site_of],
-                                        out=vals[:, sl]), self.norms)
+            for s, cols in self._runs:
+                _tabulate_run(vals[cols, sl], neg[cols], self.norms[cols],
+                              r2[s])
             disp[:, :, sl] = dx
         return vals.T, disp.T
+
+
+def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
+                  r2: np.ndarray) -> None:
+    """Write the floored values (_floored_values) of primitives of one
+    site, exponents -neg (n, 1), at squared distances r2 (b,) into out.
+
+    A primitive whose value at the smallest r2 is floored to 0 is 0 at
+    every point, as each step is monotone in r2, so only the slice from
+    the first to the last other one takes exp: the same table, bit for
+    bit.
+    """
+    top = _floored_values(neg * np.min(r2), norms)[:, 0]
+    live = np.flatnonzero(top)
+    lo, hi = (live[0], live[-1] + 1) if len(live) else (0, 0)
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    _floored_values(np.multiply(neg[lo:hi], r2, out=out[lo:hi]),
+                    norms[lo:hi])
 
 
 def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -654,15 +709,37 @@ def _ring_contract(w: np.ndarray, vals: np.ndarray, ring: int) -> np.ndarray:
     return q.transpose(2, 1, 0)
 
 
+class _Chunk(NamedTuple):
+    """A run of grid points that every grid kernel takes in one go.
+
+    `home` is the site whose own shells `shells` the points are, else
+    None.  `live` holds per site the slice of its columns (in
+    ScalarBasis.site_columns order) whose values can be nonzero on the
+    points, `pairs` the indices of the site pairs with both sides live
+    and `columns` the live columns of the basis, site by site.
+    """
+
+    points: slice
+    home: int | None
+    shells: slice | None
+    live: list
+    pairs: list
+    columns: np.ndarray
+
+
 class GridEvaluation:
     """Basis values (m, n) and site displacements (m, 3, k) on a grid.
 
     The kernels work from these two tables, and the weighted gradient
-    Gram also from each site's floored values g_i(r_k) on the shells of
-    the grid center at that site.  The gradient of a primitive i at site
-    s is -2a_i (x - A_s) g_i, so every gradient integral is 4 a_i a_j
-    times a weighted integral of values, with the factors applied to the
-    finished matrices.
+    Gram and the slope integral also from each site's floored values
+    g_i(r_k) on the shells of the grid center at that site.  The
+    gradient of a primitive i at site s is -2a_i (x - A_s) g_i, so every
+    gradient integral is 4 a_i a_j times a weighted integral of values,
+    with the factors applied to the finished matrices.
+
+    All three kernels walk one list of chunks (_screened_chunks), built
+    with the tables, and read on each chunk only the columns that can be
+    nonzero there.
     """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
@@ -670,9 +747,6 @@ class GridEvaluation:
         self.grid = grid
         sc = basis.scalar
         self.vals, self.disp = sc.values_and_gradients(grid.points)
-        # per site its primitives' columns, a view when they are adjacent
-        self._cols = [slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1
-                      else i for i in sc.site_columns]
         # per site pair s < t with D = A_s - A_t: the directions e (j, 3)
         # perpendicular to D of its live cross parts, and the rows D x e
         self._pairs = []
@@ -680,24 +754,73 @@ class GridEvaluation:
             d = sc.sites[s] - sc.sites[t]
             e = grid.live_directions(d)
             self._pairs.append((s, t, e, np.cross(d, e)))
-        # per grid center that is a site s and kept all its nodes, the
-        # start of its shells x ring run and s; per site its primitives'
-        # values on the shells, each below VALUE_FLOOR set to 0
-        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
-        self._homes = [(a, site_at[tuple(x)])
-                       for x, a in zip(grid.centers, grid.runs)
-                       if a is not None and tuple(x) in site_at]
+        # per site its primitives' columns, a view when they are adjacent,
+        # and their values on the shells, each below VALUE_FLOOR set to 0
+        self._cols = [slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1
+                      else i for i in sc.site_columns]
         shell = _floored_values(-sc.alphas[:, None] * grid.radii ** 2,
                                 sc.norms)
         self._shell_vals = [shell[i] for i in self._cols]
+        self._chunks = self._screened_chunks()
 
-    def _blocks(self):
-        """Per block of BLOCK points: its slice, values (n, b) and
-        displacements (k, 3, b), rows contiguous along the points."""
-        vals, disp = self.vals.T, self.disp.T
-        for start in range(0, vals.shape[1], BLOCK):
-            sl = slice(start, start + BLOCK)
-            yield sl, vals[:, sl], disp[:, :, sl]
+    def _screened_chunks(self) -> list[_Chunk]:
+        """The grid in point order: the run of each center that is a site
+        h and kept all its nodes in chunks of max(1, BLOCK // ring) whole
+        shells, every other point in blocks of up to BLOCK points.
+
+        On shells of radii [r_a, r_b] about h a site s at distance D from
+        h is at least dmin = max(0, D - r_b, r_a - D) away, so its
+        primitive i is at most N_i exp(-a_i dmin^2) there: below
+        VALUE_FLOOR it is stored as 0 on the whole chunk.  These bounds
+        fall off away from one exponent, so a site's live primitives are
+        one slice of its columns (exactly so when they are ordered by
+        exponent, a superset otherwise).  dmin is first shrunk by 1e-9 of
+        the coordinates' size, far above round-off in the table's r^2.
+        Every other chunk, and h on its own shells, keeps all columns.
+        """
+        sc, grid = self.basis.scalar, self.grid
+        whole = [slice(0, len(i)) for i in sc.site_columns]
+        # no coordinate of a point or a site is larger than this
+        size = grid.radii[-1] + np.max(np.abs(np.vstack([grid.centers,
+                                                         sc.sites])))
+
+        def chunk(points, home=None, shells=None, live=whole):
+            kept = [lv.start < lv.stop for lv in live]
+            pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
+                     if kept[s] and kept[t]]
+            columns = np.concatenate([i[lv] for i, lv in
+                                      zip(sc.site_columns, live)])
+            return _Chunk(points, home, shells, live, pairs, columns)
+
+        def live_slice(i, dmin):
+            bound = sc.norms[i] * np.exp(-sc.alphas[i] * dmin ** 2)
+            alive = np.flatnonzero(bound >= VALUE_FLOOR)
+            return (slice(alive[0], alive[-1] + 1) if len(alive)
+                    else slice(0, 0))
+
+        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
+        homes = [(a, site_at[tuple(x)])
+                 for x, a in zip(grid.centers, grid.runs)
+                 if a is not None and tuple(x) in site_at]
+        step = max(1, BLOCK // grid.ring)
+        chunks, done = [], 0
+        for start, h in homes + [(grid.size, None)]:
+            chunks += [chunk(slice(a, min(a + BLOCK, start)))
+                       for a in range(done, start, BLOCK)]
+            if h is None:
+                return chunks
+            reach = np.linalg.norm(sc.sites - sc.sites[h], axis=1)
+            for k in range(0, grid.n_radial, step):
+                ks = slice(k, min(k + step, grid.n_radial))
+                r_a, r_b = grid.radii[ks.start], grid.radii[ks.stop - 1]
+                dmin = np.maximum(np.maximum(reach - r_b, r_a - reach)
+                                  - 1e-9 * size, 0.0)
+                live = [whole[s] if s == h else live_slice(i, dmin[s])
+                        for s, i in enumerate(sc.site_columns)]
+                chunks.append(chunk(slice(start + ks.start * grid.ring,
+                                          start + ks.stop * grid.ring),
+                                    h, ks, live))
+            done = start + grid.n_radial * grid.ring
 
     def _check_size(self, c: np.ndarray) -> None:
         if len(c) != self.grid.size:
@@ -707,47 +830,31 @@ class GridEvaluation:
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         """int c g_i g_j for a weight c >= 0, exactly symmetric.
 
-        rows rows^T of the sqrt(c)-scaled values, summed over grid
-        blocks; numpy runs it as a symmetric rank-k update.
+        rows rows^T of the sqrt(c)-scaled live values of each chunk, a
+        symmetric rank-k update, added into the live rows and columns.
         """
         self._check_size(c)
         if np.any(c < 0.0):
             raise ValueError("overlap weights must be nonnegative")
         root = np.sqrt(c)
+        vals = self.vals.T
         n = self.basis.scalar.n
         out = np.zeros((n, n))
-        for sl, vals, _ in self._blocks():
-            rows = vals * root[sl]
-            out += rows @ rows.T
+        for ch in self._chunks:
+            rows = vals[ch.columns, ch.points]
+            rows *= root[ch.points]
+            out[np.ix_(ch.columns, ch.columns)] += rows @ rows.T
         return out
 
-    def _gram_chunks(self):
-        """The grid in point order as (slice, home site h, shells): the
-        run of each center that is a site h in chunks of
-        max(1, BLOCK // ring) whole shells, every other point in blocks
-        of up to BLOCK points with h and shells None."""
-        grid = self.grid
-        step = max(1, BLOCK // grid.ring)
-        done = 0
-        for start, h in self._homes + [(grid.size, None)]:
-            for a in range(done, start, BLOCK):
-                yield slice(a, min(a + BLOCK, start)), None, None
-            if h is None:
-                return
-            for k in range(0, grid.n_radial, step):
-                ks = slice(k, min(k + step, grid.n_radial))
-                yield (slice(start + ks.start * grid.ring,
-                             start + ks.stop * grid.ring), h, ks)
-            done = start + grid.n_radial * grid.ring
-
     def gram_operands(self, c: np.ndarray):
-        """Per chunk (see _gram_chunks), the value operands of the weighted
-        gradient Gram: each block gets lhs @ rhs^T (batched over a
-        leading axis of rhs), reshaped to the block.
+        """Per chunk (see _screened_chunks), the value operands of the
+        weighted gradient Gram: each block gets lhs @ rhs^T (batched over
+        a leading axis of rhs), reshaped to its live part.
 
-        For each site s, the rows sqrt(c) |x - A_s| g_i of its primitives,
-        whose symmetric rank-k update is the (s, s) block.  For each site
-        pair s < t, the rows c w g_i (i at s), stacked for the weights
+        For each site s, the rows sqrt(c) |x - A_s| g_i of its live
+        primitives, whose symmetric rank-k update is the live part of the
+        (s, s) block.  For each site pair s < t with both sides live, the
+        rows c w g_i (i at s), stacked for the weights
         w = (x - A_s).(x - A_t) and ((x - A_s) x D).e for each live
         direction e of the pair, and the values g_j (j at t) they
         multiply.
@@ -763,19 +870,21 @@ class GridEvaluation:
         root = np.sqrt(c)
         vals_t, disp_t = self.vals.T, self.disp.T
         ring = self.grid.ring
-        for sl, h, ks in self._gram_chunks():
+        for ch in self._chunks:
+            sl, h = ch.points, ch.home
             vals, disp = vals_t[:, sl], disp_t[:, :, sl]
             b = vals.shape[1]
-            cols = [vals[i] for i in self._cols]
+            cols = [vals[i][lv] for i, lv in zip(self._cols, ch.live)]
             if h is not None:
-                home = self._shell_vals[h][:, ks]
+                home = self._shell_vals[h][:, ch.shells]
                 ring_c = c[sl].reshape(-1, ring).sum(axis=1)
-                home_rows = home * (self.grid.radii[ks] * np.sqrt(ring_c))
+                home_rows = home * (self.grid.radii[ch.shells]
+                                    * np.sqrt(ring_c))
             rows = [home_rows if s == h else
                     v * (np.sqrt(np.einsum("ab,ab->b", dx, dx)) * root[sl])
                     for s, (v, dx) in enumerate(zip(cols, disp))]
             pairs = []
-            for s, t, _, dxe in self._pairs:
+            for s, t, _, dxe in (self._pairs[k] for k in ch.pairs):
                 w = np.empty((1 + len(dxe), b))
                 np.einsum("ab,ab->b", disp[s], disp[t], out=w[0])
                 # ((x - A_s) x D).e = (x - A_s).(D x e)
@@ -806,11 +915,11 @@ class GridEvaluation:
         the others integrate to exactly 0.  One weighted product per
         site pair and live direction, one more for dot, and one symmetric
         rank-k update per site give everything, summed over the chunks
-        of gram_operands: on a site's own grid over its shells, elsewhere
-        over points.  The (t, s) blocks are the (anti)transposes of the
-        (s, t) ones, so dot is exactly symmetric and each cross_k
-        exactly antisymmetric.  Returns dot and the three lab-frame
-        components cross_k.
+        of gram_operands into their live parts: on a site's own grid over
+        its shells, elsewhere over points.  The (t, s) blocks are the
+        (anti)transposes of the (s, t) ones, so dot is exactly symmetric
+        and each cross_k exactly antisymmetric.  Returns dot and the three
+        lab-frame components cross_k.
         """
         self._check_size(c)
         if np.any(c < 0.0):
@@ -818,19 +927,20 @@ class GridEvaluation:
         sc = self.basis.scalar
         idx = sc.site_columns
         same = [np.zeros((len(i), len(i))) for i in idx]
-        off = [np.zeros(((1 + len(e)) * len(idx[s]), len(idx[t])))
+        off = [np.zeros((1 + len(e), len(idx[s]), len(idx[t])))
                for s, t, e, _ in self._pairs]
-        for rows, pairs in self.gram_operands(c):
-            for acc, r in zip(same, rows):
-                acc += r @ r.T
-            for acc, (lhs, rhs) in zip(off, pairs):
+        for ch, (rows, pairs) in zip(self._chunks, self.gram_operands(c)):
+            for acc, lv, r in zip(same, ch.live, rows):
+                acc[lv, lv] += r @ r.T
+            for k, (lhs, rhs) in zip(ch.pairs, pairs):
+                s, t = self._pairs[k][:2]
+                acc = off[k][:, ch.live[s], ch.live[t]]
                 acc += (lhs @ np.swapaxes(rhs, -1, -2)).reshape(acc.shape)
         dot = np.zeros((sc.n, sc.n))
         cross = np.zeros((3, sc.n, sc.n))
         for i, acc in zip(idx, same):
             dot[np.ix_(i, i)] = acc
         for (s, t, e, _), acc in zip(self._pairs, off):
-            acc = acc.reshape(1 + len(e), len(idx[s]), len(idx[t]))
             i, j = np.ix_(idx[s], idx[t])
             dot[i, j] = acc[0]
             dot[j.T, i.T] = acc[0].T
@@ -846,23 +956,36 @@ class GridEvaluation:
         fastest, from the values.
 
         sigma.grad psi = sum_t sigma.(x - A_t) u_t with the 2-spinor
-        u_t = sum_{i at t} (-2a_i) psi_i g_i, so each block is one
-        (4k x n)(n x points) product for the parts of every u_t and then
-        per-point 2 x 2 algebra.
+        u_t = sum_{i at t} (-2a_i) psi_i g_i, so each chunk takes one
+        (4 x live)(live x points) product per site for the parts of u_t
+        (per shell on the home site's own shells, spread over the ring),
+        sums (x - A_t) (x) u_t over the sites and then does the 2 x 2
+        algebra per point.
         """
         self._check_size(c)
         sc = self.basis.scalar
         coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
-        parts = np.zeros((4, len(sc.sites), sc.n))
-        parts[:, sc.site_of, np.arange(sc.n)] = np.vstack([coef.real.T,
-                                                           coef.imag.T])
-        parts = parts.reshape(-1, sc.n)
+        # per site the rows Re u_0, Re u_1, Im u_0, Im u_1 of its part
+        parts = [np.vstack([coef[i].real.T, coef[i].imag.T])
+                 for i in self._cols]
+        vals_t, disp_t = self.vals.T, self.disp.T
+        ring = self.grid.ring
         total = 0.0
-        for sl, vals, disp in self._blocks():
-            # u_t = (p0 + i q0, p1 + i q1) and (x, y, z) = x - A_t, (k, b)
-            p0, p1, q0, q1 = (parts @ vals).reshape(4, len(sc.sites), -1)
-            x, y, z = disp.transpose(1, 0, 2)
-            f = [z * p0 + x * p1 + y * q1, z * q0 + x * q1 - y * p1,
-                 x * p0 - y * q0 - z * p1, x * q0 + y * p0 - z * q1]
-            total += float(c[sl] @ sum(np.sum(g, axis=0) ** 2 for g in f))
+        for ch in self._chunks:
+            vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
+            u = np.empty((len(parts), 4, vals.shape[1]))
+            for s, (i, lv, part) in enumerate(zip(self._cols, ch.live,
+                                                  parts)):
+                if s == ch.home:
+                    shell = part @ self._shell_vals[s][:, ch.shells]
+                    u[s].reshape(4, -1, ring)[:] = shell[:, :, None]
+                else:  # 0 where no column is live
+                    np.matmul(part[:, lv], vals[i][lv], out=u[s])
+            # the sums over t of (x - A_t)_a times each part of
+            # u_t = (p0 + i q0, p1 + i q1), for a = x, y, z
+            ((xp0, xp1, xq0, xq1), (yp0, yp1, yq0, yq1),
+             (zp0, zp1, zq0, zq1)) = np.einsum("tab,trb->arb", disp, u)
+            f = [zp0 + xp1 + yq1, zq0 + xq1 - yp1, xp0 - yq0 - zp1,
+                 xq0 + yp0 - zq1]
+            total += float(c[ch.points] @ sum(g * g for g in f))
         return total

@@ -2,6 +2,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,6 +305,37 @@ def test_print_config_solves_nothing(tmp_path, monkeypatch, capsys, command,
     echoed = capsys.readouterr().out
     assert echoed.startswith("[charge.point]" if text != FAST_SWEEP
                              else "[basis]")
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of dirac-lab `argv` in a new
+    interpreter that imports diraclab from this checkout."""
+    src = str(CONFIG_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "diraclab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys):
+    # the parser is built once per process; parsing, an argparse error
+    # (SystemExit) and a solve between calls must leave it as it was
+    calls = [["radial", "--nu", "0.3", "--print-config"],
+             ["radial", "--nu", "0.3", "--kappa", "one"],
+             ["radial", "--nu", "0.3"]]
+    want = [fresh_process(argv) for argv in calls]
+    assert want[1][0] == 2 and "--kappa" in want[1][2]
+    for _ in range(2):
+        for argv, expected in zip(calls, want):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_print_config_echoes_a_boolean_as_a_word(tmp_path, capsys):

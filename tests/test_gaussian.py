@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from diraclab import charges, gaussian, multicenter
+from diraclab import charges, experiments, gaussian, multicenter
+from strategies import small_molecules
 from diraclab.errors import ConfigError, IllConditionedBasisError
 
 
@@ -70,6 +71,53 @@ def test_closed_form_boys0_to_relative_roundoff(t):
     assert math.isfinite(got)
     ref = oracles.boys_reference(0, t)
     assert abs(got - ref) <= 1e-14 * ref
+
+
+def boys0_elementwise(t: float) -> float:
+    """F_0 as the closed form gives it one t at a time, erf always called."""
+    if t < gaussian.BOYS_SMALL_T:
+        return 1.0 - t / 3.0
+    return 0.5 * math.sqrt(math.pi / t) * math.erf(math.sqrt(t))
+
+
+def test_erf_is_one_from_the_skip_threshold_on():
+    # the libm fact _boys0 relies on to skip erf; a libm that rounds
+    # otherwise fails here
+    assert math.erf(gaussian.ERF_IS_ONE) == 1.0
+    assert all(math.erf(x) == 1.0
+               for x in np.linspace(gaussian.ERF_IS_ONE, 30.0, 20001))
+
+
+def test_boys0_skipping_erf_is_bit_identical():
+    edge = gaussian.ERF_IS_ONE ** 2
+    t = np.concatenate([[0.0, 5e-324, 1e-9, gaussian.BOYS_SMALL_T],
+                        np.logspace(-8.0, 3.0, 4001),
+                        edge * (1.0 + 1e-15 * np.arange(-8, 9))])
+    want = np.array([boys0_elementwise(x) for x in t])
+    assert np.array_equal(gaussian.boys(0, t), want)
+
+
+def test_attraction_matrix_from_its_upper_triangle_is_bit_identical():
+    # every entry by the elementwise formula; the shipped pair's t lies on
+    # both sides of the erf skip
+    basis, _, _ = shipped_pair()
+    sc = basis.scalar
+    a, ctr = sc.alphas, sc.centers
+    p = a[:, None] + a[None, :]
+    q = a[:, None] * a[None, :] / p
+    d = ctr[:, None, :] - ctr[None, :, :]
+    pref = np.outer(sc.norms, sc.norms) * np.exp(
+        -q * np.einsum("ijk,ijk->ij", d, d))
+    wa = a[:, None] * ctr
+    for R, theta in (((0.0, 0.0, 0.0), 0.2), ((1.0, 0.0, 0.0), 0.2),
+                     ((0.3, -0.2, 0.1), 0.7)):
+        pc = (wa[:, None, :] + wa[None, :, :]) / p[:, :, None] - R
+        t = p * np.einsum("ijk,ijk->ij", pc, pc)
+        assert np.any(t >= gaussian.ERF_IS_ONE ** 2)
+        assert np.any(t < gaussian.ERF_IS_ONE ** 2)
+        f0 = np.vectorize(boys0_elementwise)(t)
+        want = theta * pref * (2.0 * np.pi / p) * f0
+        assert np.array_equal(sc.attraction_matrix(R, theta), want)
 
 
 # --- analytic integrals vs quadrature oracles ------------------------------
@@ -391,23 +439,107 @@ def excluded_node():
     return spread_basis(centers), grid
 
 
+def far_apart_full():
+    # four sites 30 apart in no common plane, with steep primitives: on
+    # most chunks of a site's own shells most other rows are exactly 0
+    positions = [(0, 0, 0), (30, 0, 0), (0, 30, 0), (0, 0, 30)]
+    mu = charges.atoms(positions, [0.1] * 4)
+    basis = gaussian.default_spinor_basis(mu, n_s=4, alpha0=0.5, beta=3.0)
+    return basis, gaussian.grid_for_basis(basis, 48, 17)
+
+
+def steep_first_full():
+    # four sites 6 apart with each site's steepest primitives listed
+    # first: their dead columns lead, so the live ones are a trailing
+    # slice, next to live diffuse rows that are far from 0
+    positions = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6)]
+    mu = charges.atoms(positions, [0.1] * 4)
+    basis = gaussian.default_spinor_basis(mu, n_s=8, alpha0=0.05, beta=3.0)
+    basis = gaussian.SpinorBasis(gaussian.ScalarBasis(
+        [g for i in basis.scalar.site_columns
+         for g in reversed([basis.scalar.primitives[k] for k in i])]))
+    return basis, gaussian.grid_for_basis(basis, 48, 17)
+
+
+def live_share(ev):
+    """The share of the other sites' rows kept on the home chunks."""
+    kept = total = 0
+    for ch in ev._chunks:
+        if ch.home is not None:
+            for s, (i, lv) in enumerate(zip(ev.basis.scalar.site_columns,
+                                            ch.live)):
+                if s != ch.home:
+                    kept += len(i[lv])
+                    total += len(i)
+    return kept / total
+
+
 @pytest.mark.parametrize("make", [axial_pair, mirror_triangle,
                                   full_four_sites, ghost_center,
-                                  excluded_node])
+                                  excluded_node, far_apart_full,
+                                  steep_first_full])
 def test_weighted_grad_blocks_consistency(monkeypatch, make):
     # each center's 48 shells span several chunks of whole shells
     monkeypatch.setattr(gaussian, "BLOCK", 400)
     basis, grid = make()
     ev = gaussian.GridEvaluation(basis, grid)
+    if make is far_apart_full:
+        assert grid.kind == "full" and live_share(ev) < 0.5
+    if make is steep_first_full:
+        assert any(lv.start > 0 for ch in ev._chunks for lv in ch.live)
     c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
     dot, cross = ev.weighted_grad_blocks(c)
-    _, grads = oracles.values_and_gradients(basis.scalar, grid.points,
-                                            gaussian.VALUE_FLOOR)
+    vals, grads = oracles.values_and_gradients(basis.scalar, grid.points,
+                                               gaussian.VALUE_FLOOR)
     assert np.allclose(dot, oracles.weighted_grad_dot(grads, c), atol=1e-12)
     assert np.array_equal(dot, dot.T)
     for a, b in zip(cross, oracles.weighted_grad_cross(grads, c, grid.axis)):
         assert np.allclose(a, b, atol=1e-12)
         assert np.array_equal(a, -a.T)
+    # the slope integral and the weighted overlap read the same chunks
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    spinor = psi.reshape(-1, 2)
+    field = sum(grads[a] @ (spinor @ gaussian.PAULI[a].T) for a in range(3))
+    want = float(c @ np.sum(np.abs(field) ** 2, axis=1))
+    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want, rel=1e-12)
+    overlap = ev.weighted_overlap(c)
+    assert np.array_equal(overlap, overlap.T)
+    want = vals.T @ (c[:, None] * vals)
+    assert np.allclose(overlap, want, rtol=0.0, atol=1e-13 * np.max(want))
+
+
+def assert_screened_entries_are_zero(ev):
+    """Every table entry outside its chunk's live columns is exactly 0."""
+    for ch in ev._chunks:
+        vals = ev.vals[ch.points]
+        for i, lv in zip(ev.basis.scalar.site_columns, ch.live):
+            assert not np.any(np.delete(vals[:, i], lv, axis=1))
+
+
+def shipped_triangle(d):
+    """conjecture_m3's geometry at side d, default basis and grid."""
+    mu = charges.atoms(experiments._triangle_positions(d), [0.15] * 3)
+    basis = gaussian.default_spinor_basis(mu)
+    return basis, gaussian.grid_for_basis(basis)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shipped_pair()[:2], lambda: shipped_triangle(1.0),
+    lambda: shipped_triangle(8.0), ghost_center, excluded_node,
+    far_apart_full], ids=["pair", "triangle_1", "triangle_8", "ghost_center",
+                          "excluded_node", "far_apart_full"])
+def test_screened_columns_are_exactly_zero(make):
+    basis, grid = make()
+    assert_screened_entries_are_zero(gaussian.GridEvaluation(basis, grid))
+
+
+@given(mu=small_molecules())
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_screened_columns_are_exactly_zero_on_small_molecules(mu):
+    basis = gaussian.default_spinor_basis(mu, n_s=8)
+    grid = gaussian.grid_for_basis(basis, 48, 17)
+    assert_screened_entries_are_zero(gaussian.GridEvaluation(basis, grid))
 
 
 def test_value_floor_moves_the_gradient_gram_by_at_most_1e_100(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import small_molecules
 from diraclab import charges, gaussian, hardy, multicenter
 from diraclab.errors import ConfigError, NoGapEigenvalueError
 
@@ -78,20 +79,6 @@ def test_translation_invariance():
     l0 = multicenter.solve_gap(basis_for(mu0), mu0).lambda1
     l1 = multicenter.solve_gap(basis_for(mu1), mu1).lambda1
     assert abs(l0 - l1) <= 1e-8
-
-
-@st.composite
-def small_molecules(draw, sizes=(2, 3)):
-    """2-3 atoms (or as many as `sizes` allows) of strength 0.1-0.3, at
-    least 0.3 apart, within 1.5."""
-    coord = st.floats(min_value=-1.5, max_value=1.5)
-    atoms = draw(st.lists(st.tuples(st.tuples(coord, coord, coord),
-                                    st.floats(min_value=0.1, max_value=0.3)),
-                          min_size=sizes[0], max_size=sizes[-1]))
-    xyz = np.array([pos for pos, _ in atoms])
-    assume(min(np.linalg.norm(a - b) for i, a in enumerate(xyz)
-               for b in xyz[i + 1:]) >= 0.3)
-    return charges.atoms([pos for pos, _ in atoms], [t for _, t in atoms])
 
 
 def small_lambda1(mu):
