@@ -24,11 +24,21 @@ from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_USAGE (argparse's
+    own code, 2, means a solver failure here); subparsers share the
+    class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves it
     as it was."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="run configuration file")
     common.add_argument("--out", metavar="PATH",
@@ -40,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--print-config", action="store_true",
                         help="echo the canonical config and exit")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dirac-lab",
         description="Gap eigenvalues of Coulomb-Dirac operators and "
                     "related scans.")
@@ -65,6 +75,8 @@ def _load_doc(args) -> ConfigDoc:
     """The command's config: a point charge for `radial --nu`, else the
     file --config names."""
     if getattr(args, "nu", None) is not None:
+        if args.config is not None:
+            raise ConfigError("radial takes --nu or --config, not both")
         return doc_from_charge(charges.atom((0.0, 0.0, 0.0), args.nu))
     if args.config is None:
         raise ConfigError(f"{args.command} needs --config")

@@ -1,14 +1,17 @@
 """Even-tempered s-type Gaussian spinor basis, analytic integrals and grids.
 
-Scalar primitives are s Gaussians exp(-a |x - A|^2).  Their overlap,
-gradient Gram and nuclear attraction matrices have closed forms (the
-attraction through the Boys function F_0, itself in closed form through
-erf) and are evaluated for all pairs at once as array expressions from
-pair terms formed once per basis; see ScalarBasis.  Only the
-lam-dependent weighted integrals need the multi-center quadrature grid
-built here (per-center log radial shells times Gauss-Legendre-by-azimuth
-spheres, glued by smoothed Voronoi-style partition weights).  The grid
-build works on a center-major table of point-center distances, one
+Scalar primitives are s Gaussians exp(-a |x - A|^2), which a basis
+stores site by site, each site's by ascending exponent: the order of
+every matrix and vector over it, GapResult.vector and
+SpinorBasis.expand_scalar_spinor included.  Their overlap, gradient
+Gram and nuclear attraction matrices have closed forms (the attraction
+through the Boys function F_0, itself in closed form through erf) and
+are evaluated for all pairs at once as array expressions from pair
+terms formed once per basis; see ScalarBasis.  Only the lam-dependent
+weighted integrals need the multi-center quadrature grid built here
+(per-center log radial shells times Gauss-Legendre-by-azimuth spheres,
+glued by smoothed Voronoi-style partition weights).  The grid build
+works on a center-major table of point-center distances, one
 contiguous row per center, and each sphere rule is built once.
 
 grid_for_basis builds that rule in a frame attached to the distinct
@@ -37,8 +40,8 @@ alone (Becke, J. Chem. Phys. 88, 2547 (1988)), so the Gram and the
 slope take them shell by shell, the Gram's weight first summed over
 each shell's ring of nodes.
 
-Each chunk also carries per center its live columns: the slice of that
-center's primitives that can be nonzero on it.  On shells of radii
+Each chunk also carries per center its live columns, those of its
+primitives that can be nonzero there, a leading run.  On shells of radii
 [r_a, r_b] about center h, a center s at distance D is at least
 dmin = max(0, D - r_b, r_a - D) away, so a primitive N exp(-a r^2) at s
 is at most N exp(-a dmin^2) there, and below VALUE_FLOOR it is stored
@@ -176,7 +179,11 @@ class GaussianPrimitive:
 
 
 class ScalarBasis:
-    """An ordered set of s Gaussians with closed-form all-pairs matrices.
+    """A set of s Gaussians with closed-form all-pairs matrices.
+
+    Primitives given in any order are stored site by site (np.unique
+    order of the centers), each site's by ascending exponent (stable), so
+    site s has the columns site_columns[s], one slice.
 
     For a pair with exponents a, b and centers A, B let p = a + b,
     q = ab/p and d = A - B.  Then
@@ -191,23 +198,21 @@ class ScalarBasis:
     """
 
     def __init__(self, primitives):
-        self.primitives = tuple(primitives)
-        if not self.primitives:
+        given = tuple(primitives)
+        if not given:
             raise ConfigError("basis is empty")
+        # the distinct centers and per primitive the index of its own
+        self.sites, site_of = np.unique([g.center for g in given], axis=0,
+                                        return_inverse=True)
+        order = np.lexsort(([g.exponent for g in given], site_of))
+        self.primitives = tuple(given[k] for k in order)
+        self.site_of = site_of[order]
         self.n = len(self.primitives)
         self.norms = np.array([g.norm for g in self.primitives])
         self.centers = np.array([g.center for g in self.primitives])
         self.alphas = np.array([g.exponent for g in self.primitives])
-        # the distinct centers, per primitive the index of its own, and
-        # per site the indices of its primitives
-        self.sites, self.site_of = np.unique(self.centers, axis=0,
-                                             return_inverse=True)
-        self.site_columns = [np.flatnonzero(self.site_of == s)
-                             for s in range(len(self.sites))]
-        # the columns as maximal runs of one site, (site, slice)
-        ends = [*np.flatnonzero(np.diff(self.site_of)) + 1, self.n]
-        self._runs = [(self.site_of[a], slice(a, b))
-                      for a, b in zip([0, *ends[:-1]], ends)]
+        ends = [0, *np.cumsum(np.bincount(self.site_of)).tolist()]
+        self.site_columns = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
     @cached_property
     def _pair_terms(self):
@@ -262,7 +267,7 @@ class ScalarBasis:
 
         Both arrays are transposed views of point-fastest tables, so the
         grid kernels scale them along memory.  Filled over blocks of
-        BLOCK points, run by run of one site's columns (_tabulate_run).
+        BLOCK points, site by site (_tabulate_run).
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
@@ -273,30 +278,33 @@ class ScalarBasis:
             sl = slice(start, start + BLOCK)
             dx = pts[sl].T[None, :, :] - self.sites[:, :, None]
             r2 = np.einsum("kab,kab->kb", dx, dx)
-            for s, cols in self._runs:
+            for cols, r2_site in zip(self.site_columns, r2):
                 _tabulate_run(vals[cols, sl], neg[cols], self.norms[cols],
-                              r2[s])
+                              r2_site)
             disp[:, :, sl] = dx
         return vals.T, disp.T
 
 
+def _live_count(neg: np.ndarray, norms: np.ndarray, r2: float) -> int:
+    """How many leading primitives of one site, exponents -neg (n, 1)
+    ascending, can be nonzero at squared distances >= r2: up to the last
+    whose floored value (_floored_values) at r2 is not 0.  Each step is
+    monotone in r2; and as a >= EXPONENT_RANGE[0] makes the norm > 7e-7,
+    a value is floored only where a r2 > 215 > 3/4, where N exp(-a r2)
+    falls as a grows, so those floored at r2 are a trailing run."""
+    alive = np.flatnonzero(_floored_values(neg * r2, norms))
+    return int(alive[-1]) + 1 if len(alive) else 0
+
+
 def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
                   r2: np.ndarray) -> None:
-    """Write the floored values (_floored_values) of primitives of one
-    site, exponents -neg (n, 1), at squared distances r2 (b,) into out.
-
-    A primitive whose value at the smallest r2 is floored to 0 is 0 at
-    every point, as each step is monotone in r2, so only the slice from
-    the first to the last other one takes exp: the same table, bit for
-    bit.
-    """
-    top = _floored_values(neg * np.min(r2), norms)[:, 0]
-    live = np.flatnonzero(top)
-    lo, hi = (live[0], live[-1] + 1) if len(live) else (0, 0)
-    out[:lo] = 0.0
-    out[hi:] = 0.0
-    _floored_values(np.multiply(neg[lo:hi], r2, out=out[lo:hi]),
-                    norms[lo:hi])
+    """Write the floored values of the primitives of one site at squared
+    distances r2 (b,) into out; only those live at the smallest r2
+    (_live_count) take exp, the rest are 0: the same table, bit for bit."""
+    live = _live_count(neg, norms, np.min(r2))
+    out[live:] = 0.0
+    _floored_values(np.multiply(neg[:live], r2, out=out[:live]),
+                    norms[:live])
 
 
 def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -399,15 +407,11 @@ def default_spinor_basis(mu: ChargeDistribution, n_s: int = 16,
         raise ConfigError("3D basis construction needs an atomic charge")
     if not mu.points:
         raise ConfigError("3D basis construction needs at least one atom")
-    seen = set()
-    prims = []
-    for p in mu.points:
-        if p.position in seen:  # coincident atoms share one shell stack
-            continue
-        seen.add(p.position)
-        for a in even_tempered(alpha0, beta, n_s):
-            prims.append(GaussianPrimitive(p.position, float(a)))
-    return SpinorBasis(ScalarBasis(prims))
+    # coincident atoms share one shell stack; ScalarBasis orders them
+    shells = even_tempered(alpha0, beta, n_s)
+    return SpinorBasis(ScalarBasis(
+        [GaussianPrimitive(x, float(a))
+         for x in {p.position for p in mu.points} for a in shells]))
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +717,10 @@ class _Chunk(NamedTuple):
     """A run of grid points that every grid kernel takes in one go.
 
     `home` is the site whose own shells `shells` the points are, else
-    None.  `live` holds per site the slice of its columns (in
-    ScalarBasis.site_columns order) whose values can be nonzero on the
-    points, `pairs` the indices of the site pairs with both sides live
-    and `columns` the live columns of the basis, site by site.
+    None.  `live` holds per site s how many of its columns, a leading run
+    of ScalarBasis.site_columns[s] (ascending exponent), can be nonzero on
+    the points, `pairs` the indices of the site pairs with both sides
+    live and `columns` the live columns of the basis, site by site.
     """
 
     points: slice
@@ -754,13 +758,11 @@ class GridEvaluation:
             d = sc.sites[s] - sc.sites[t]
             e = grid.live_directions(d)
             self._pairs.append((s, t, e, np.cross(d, e)))
-        # per site its primitives' columns, a view when they are adjacent,
-        # and their values on the shells, each below VALUE_FLOOR set to 0
-        self._cols = [slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1
-                      else i for i in sc.site_columns]
+        # per site its primitives' values on the shells, each below
+        # VALUE_FLOOR set to 0
         shell = _floored_values(-sc.alphas[:, None] * grid.radii ** 2,
                                 sc.norms)
-        self._shell_vals = [shell[i] for i in self._cols]
+        self._shell_vals = [shell[i] for i in sc.site_columns]
         self._chunks = self._screened_chunks()
 
     def _screened_chunks(self) -> list[_Chunk]:
@@ -769,34 +771,29 @@ class GridEvaluation:
         shells, every other point in blocks of up to BLOCK points.
 
         On shells of radii [r_a, r_b] about h a site s at distance D from
-        h is at least dmin = max(0, D - r_b, r_a - D) away, so its
-        primitive i is at most N_i exp(-a_i dmin^2) there: below
-        VALUE_FLOOR it is stored as 0 on the whole chunk.  These bounds
-        fall off away from one exponent, so a site's live primitives are
-        one slice of its columns (exactly so when they are ordered by
-        exponent, a superset otherwise).  dmin is first shrunk by 1e-9 of
-        the coordinates' size, far above round-off in the table's r^2.
-        Every other chunk, and h on its own shells, keeps all columns.
+        h is at least dmin = max(0, D - r_b, r_a - D) away, and none of
+        its primitives is larger there than at dmin: those whose floored
+        value at dmin is 0 (_live_count, which tabulation also applies)
+        are stored as 0 on the whole chunk: the steepest, a trailing run
+        of s's columns, which the basis stores by ascending exponent.
+        dmin is first shrunk by 1e-9 of the coordinates' size, far above
+        round-off in the table's r^2.  Every other chunk, and h on its
+        own shells, keeps all columns.
         """
         sc, grid = self.basis.scalar, self.grid
-        whole = [slice(0, len(i)) for i in sc.site_columns]
+        cols = sc.site_columns
+        whole = [i.stop - i.start for i in cols]
+        neg = -sc.alphas[:, None]
         # no coordinate of a point or a site is larger than this
         size = grid.radii[-1] + np.max(np.abs(np.vstack([grid.centers,
                                                          sc.sites])))
 
         def chunk(points, home=None, shells=None, live=whole):
-            kept = [lv.start < lv.stop for lv in live]
             pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
-                     if kept[s] and kept[t]]
-            columns = np.concatenate([i[lv] for i, lv in
-                                      zip(sc.site_columns, live)])
+                     if live[s] and live[t]]
+            columns = np.concatenate([np.arange(i.start, i.start + n)
+                                      for i, n in zip(cols, live)])
             return _Chunk(points, home, shells, live, pairs, columns)
-
-        def live_slice(i, dmin):
-            bound = sc.norms[i] * np.exp(-sc.alphas[i] * dmin ** 2)
-            alive = np.flatnonzero(bound >= VALUE_FLOOR)
-            return (slice(alive[0], alive[-1] + 1) if len(alive)
-                    else slice(0, 0))
 
         site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
         homes = [(a, site_at[tuple(x)])
@@ -815,8 +812,9 @@ class GridEvaluation:
                 r_a, r_b = grid.radii[ks.start], grid.radii[ks.stop - 1]
                 dmin = np.maximum(np.maximum(reach - r_b, r_a - reach)
                                   - 1e-9 * size, 0.0)
-                live = [whole[s] if s == h else live_slice(i, dmin[s])
-                        for s, i in enumerate(sc.site_columns)]
+                live = [whole[s] if s == h else
+                        _live_count(neg[i], sc.norms[i], dmin[s] ** 2)
+                        for s, i in enumerate(cols)]
                 chunks.append(chunk(slice(start + ks.start * grid.ring,
                                           start + ks.stop * grid.ring),
                                     h, ks, live))
@@ -874,7 +872,8 @@ class GridEvaluation:
             sl, h = ch.points, ch.home
             vals, disp = vals_t[:, sl], disp_t[:, :, sl]
             b = vals.shape[1]
-            cols = [vals[i][lv] for i, lv in zip(self._cols, ch.live)]
+            cols = [vals[i][:n] for i, n in
+                    zip(self.basis.scalar.site_columns, ch.live)]
             if h is not None:
                 home = self._shell_vals[h][:, ch.shells]
                 ring_c = c[sl].reshape(-1, ring).sum(axis=1)
@@ -925,28 +924,25 @@ class GridEvaluation:
         if np.any(c < 0.0):
             raise ValueError("gradient Gram weights must be nonnegative")
         sc = self.basis.scalar
-        idx = sc.site_columns
-        same = [np.zeros((len(i), len(i))) for i in idx]
-        off = [np.zeros((1 + len(e), len(idx[s]), len(idx[t])))
+        cols = sc.site_columns
+        dot = np.zeros((sc.n, sc.n))
+        off = [np.zeros((1 + len(e), *dot[cols[s], cols[t]].shape))
                for s, t, e, _ in self._pairs]
         for ch, (rows, pairs) in zip(self._chunks, self.gram_operands(c)):
-            for acc, lv, r in zip(same, ch.live, rows):
-                acc[lv, lv] += r @ r.T
+            for i, n, r in zip(cols, ch.live, rows):
+                dot[i, i][:n, :n] += r @ r.T
             for k, (lhs, rhs) in zip(ch.pairs, pairs):
                 s, t = self._pairs[k][:2]
-                acc = off[k][:, ch.live[s], ch.live[t]]
+                acc = off[k][:, :ch.live[s], :ch.live[t]]
                 acc += (lhs @ np.swapaxes(rhs, -1, -2)).reshape(acc.shape)
-        dot = np.zeros((sc.n, sc.n))
         cross = np.zeros((3, sc.n, sc.n))
-        for i, acc in zip(idx, same):
-            dot[np.ix_(i, i)] = acc
         for (s, t, e, _), acc in zip(self._pairs, off):
-            i, j = np.ix_(idx[s], idx[t])
+            i, j = cols[s], cols[t]
             dot[i, j] = acc[0]
-            dot[j.T, i.T] = acc[0].T
+            dot[j, i] = acc[0].T
             blk = np.einsum("ek,est->kst", e, acc[1:])
             cross[:, i, j] = blk
-            cross[:, j.T, i.T] = -blk.transpose(0, 2, 1)
+            cross[:, j, i] = -blk.transpose(0, 2, 1)
         f = 2.0 * sc.alphas
         scale = np.outer(f, f)
         return scale * dot, list(scale * cross)
@@ -967,20 +963,20 @@ class GridEvaluation:
         coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
         # per site the rows Re u_0, Re u_1, Im u_0, Im u_1 of its part
         parts = [np.vstack([coef[i].real.T, coef[i].imag.T])
-                 for i in self._cols]
+                 for i in sc.site_columns]
         vals_t, disp_t = self.vals.T, self.disp.T
         ring = self.grid.ring
         total = 0.0
         for ch in self._chunks:
             vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
             u = np.empty((len(parts), 4, vals.shape[1]))
-            for s, (i, lv, part) in enumerate(zip(self._cols, ch.live,
-                                                  parts)):
+            for s, (i, n, part) in enumerate(zip(sc.site_columns, ch.live,
+                                                 parts)):
                 if s == ch.home:
                     shell = part @ self._shell_vals[s][:, ch.shells]
                     u[s].reshape(4, -1, ring)[:] = shell[:, :, None]
                 else:  # 0 where no column is live
-                    np.matmul(part[:, lv], vals[i][lv], out=u[s])
+                    np.matmul(part[:, :n], vals[i][:n], out=u[s])
             # the sums over t of (x - A_t)_a times each part of
             # u_t = (p0 + i q0, p1 + i q1), for a = x, y, z
             ((xp0, xp1, xq0, xq1), (yp0, yp1, yq0, yq1),

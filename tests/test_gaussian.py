@@ -128,7 +128,7 @@ def test_overlap_against_1d_quadrature():
     sb = gaussian.ScalarBasis(prims)
     for i in range(2):
         for j in range(2):
-            gi, gj = prims[i], prims[j]
+            gi, gj = sb.primitives[i], sb.primitives[j]
             want = gi.norm * gj.norm * oracles.gaussian_overlap_reference(
                 gi.exponent, gi.center, gj.exponent, gj.center)
             assert sb.overlap_matrix()[i, j] == pytest.approx(want, rel=1e-12)
@@ -145,7 +145,7 @@ def test_grad_dot_against_1d_quadrature(centers):
     t = sb.grad_dot_matrix()
     for i in range(2):
         for j in range(2):
-            gi, gj = prims[i], prims[j]
+            gi, gj = sb.primitives[i], sb.primitives[j]
             want = gi.norm * gj.norm * oracles.gaussian_grad_dot_reference(
                 gi.exponent, gi.center, gj.exponent, gj.center)
             assert t[i, j] == pytest.approx(want, rel=1e-11)
@@ -158,7 +158,7 @@ def test_attraction_against_erf_oracle():
     for R in [(0, 0, 0), (0.5, 0.1, -0.3), (4.0, 0, 0)]:
         for i in range(2):
             for j in range(2):
-                gi, gj = prims[i], prims[j]
+                gi, gj = sb.primitives[i], sb.primitives[j]
                 want = gi.norm * gj.norm * \
                     oracles.gaussian_attraction_reference(
                         gi.exponent, gi.center, gj.exponent, gj.center, R)
@@ -448,16 +448,21 @@ def far_apart_full():
     return basis, gaussian.grid_for_basis(basis, 48, 17)
 
 
-def steep_first_full():
-    # four sites 6 apart with each site's steepest primitives listed
-    # first: their dead columns lead, so the live ones are a trailing
-    # slice, next to live diffuse rows that are far from 0
+def steep_first_primitives():
+    """Four sites 6 apart, each site's primitives listed steepest first
+    (the basis stores them diffuse first), and their charge."""
     positions = [(0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6)]
     mu = charges.atoms(positions, [0.1] * 4)
-    basis = gaussian.default_spinor_basis(mu, n_s=8, alpha0=0.05, beta=3.0)
+    sc = gaussian.default_spinor_basis(mu, n_s=8, alpha0=0.05,
+                                       beta=3.0).scalar
+    return [g for i in sc.site_columns
+            for g in reversed(sc.primitives[i])], mu
+
+
+def steep_first_full():
+    # dead steep columns next to live diffuse rows that are far from 0
     basis = gaussian.SpinorBasis(gaussian.ScalarBasis(
-        [g for i in basis.scalar.site_columns
-         for g in reversed([basis.scalar.primitives[k] for k in i])]))
+        steep_first_primitives()[0]))
     return basis, gaussian.grid_for_basis(basis, 48, 17)
 
 
@@ -466,11 +471,11 @@ def live_share(ev):
     kept = total = 0
     for ch in ev._chunks:
         if ch.home is not None:
-            for s, (i, lv) in enumerate(zip(ev.basis.scalar.site_columns,
-                                            ch.live)):
+            for s, (i, n) in enumerate(zip(ev.basis.scalar.site_columns,
+                                           ch.live)):
                 if s != ch.home:
-                    kept += len(i[lv])
-                    total += len(i)
+                    kept += n
+                    total += i.stop - i.start
     return kept / total
 
 
@@ -485,8 +490,6 @@ def test_weighted_grad_blocks_consistency(monkeypatch, make):
     ev = gaussian.GridEvaluation(basis, grid)
     if make is far_apart_full:
         assert grid.kind == "full" and live_share(ev) < 0.5
-    if make is steep_first_full:
-        assert any(lv.start > 0 for ch in ev._chunks for lv in ch.live)
     c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
     dot, cross = ev.weighted_grad_blocks(c)
     vals, grads = oracles.values_and_gradients(basis.scalar, grid.points,
@@ -510,11 +513,18 @@ def test_weighted_grad_blocks_consistency(monkeypatch, make):
 
 
 def assert_screened_entries_are_zero(ev):
-    """Every table entry outside its chunk's live columns is exactly 0."""
+    """Every table entry outside its chunk's live columns (a leading run
+    of each site's) is exactly 0, and each site's columns that are not 0
+    on the chunk are a leading run too."""
+    cols = ev.basis.scalar.site_columns
     for ch in ev._chunks:
         vals = ev.vals[ch.points]
-        for i, lv in zip(ev.basis.scalar.site_columns, ch.live):
-            assert not np.any(np.delete(vals[:, i], lv, axis=1))
+        assert np.array_equal(ch.columns, np.concatenate(
+            [np.arange(i.start, i.start + n) for i, n in zip(cols, ch.live)]))
+        for i, n in zip(cols, ch.live):
+            nonzero = np.any(vals[:, i], axis=0)
+            assert not np.any(nonzero[n:])
+            assert np.all(nonzero[:np.count_nonzero(nonzero)])
 
 
 def shipped_triangle(d):
@@ -614,13 +624,18 @@ def off_plane_quad():
     return gaussian.default_spinor_basis(mu, n_s=3, alpha0=0.1, beta=3.0)
 
 
+def interleaved_primitives():
+    """Two sites' primitives listed alternately (the basis stores them
+    site by site), and their charge."""
+    sites = ((0.0, 0.0, 0.0), (0.9, -0.4, 0.3))
+    return ([gaussian.GaussianPrimitive(ctr, float(a))
+             for a in gaussian.even_tempered(0.05, 3.0, 4) for ctr in sites],
+            charges.atoms(sites, [0.3, 0.3]))
+
+
 def interleaved_pair():
-    """Two sites whose primitives alternate, so no site's columns are
-    adjacent."""
-    prims = [gaussian.GaussianPrimitive(ctr, float(a))
-             for a in gaussian.even_tempered(0.05, 3.0, 4)
-             for ctr in ((0.0, 0.0, 0.0), (0.9, -0.4, 0.3))]
-    return gaussian.SpinorBasis(gaussian.ScalarBasis(prims))
+    return gaussian.SpinorBasis(gaussian.ScalarBasis(
+        interleaved_primitives()[0]))
 
 
 def one_site():
@@ -665,7 +680,7 @@ def test_values_only_gram_is_exactly_symmetric(name, monkeypatch):
         assert np.array_equal(m, -m.T)
         # parallel gradients of one site have no cross part at all
         for i in basis.scalar.site_columns:
-            assert np.all(m[np.ix_(i, i)] == 0.0)
+            assert np.all(m[i, i] == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
@@ -679,6 +694,40 @@ def test_values_only_slope_matches_gradient_oracle(name, monkeypatch):
     field = sum(grads[a] @ (spinor @ gaussian.PAULI[a].T) for a in range(3))
     want = float(c @ np.sum(np.abs(field) ** 2, axis=1))
     assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want, rel=1e-12)
+
+
+LISTED = {"interleaved_pair": interleaved_primitives,
+          "steep_first_full": steep_first_primitives}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED))
+@given(data=st.data())
+@settings(max_examples=3, derandomize=True, deadline=None)
+def test_primitive_order_does_not_change_a_bit(name, data):
+    # the basis stores any permutation of its primitives in one order
+    prims, mu = LISTED[name]()
+    order = data.draw(st.permutations(range(len(prims))))
+    bases = [gaussian.SpinorBasis(gaussian.ScalarBasis(p))
+             for p in (prims, [prims[k] for k in order])]
+    a, b = bases
+    grid = gaussian.grid_for_basis(a, 24, 11)
+    assert a.scalar.primitives == b.scalar.primitives != tuple(prims)
+    for matrix in (lambda sc: sc.overlap_matrix(),
+                   lambda sc: sc.grad_dot_matrix(),
+                   lambda sc: sc.potential_matrix(mu)):
+        assert np.array_equal(matrix(a.scalar), matrix(b.scalar))
+    c = grid.weights / (1.8 + charges.potential_grid(mu, grid.points))
+    psi = np.random.default_rng(7).normal(size=(a.size, 2)) @ [1, 1j]
+    ev_a, ev_b = (gaussian.GridEvaluation(x, grid) for x in bases)
+    assert np.array_equal(ev_a.vals, ev_b.vals)
+    (dot_a, cross_a), (dot_b, cross_b) = (ev.weighted_grad_blocks(c)
+                                          for ev in (ev_a, ev_b))
+    assert np.array_equal(dot_a, dot_b)
+    assert np.array_equal(cross_a, cross_b)
+    assert ev_a.weighted_sigma_grad(c, psi) == ev_b.weighted_sigma_grad(c, psi)
+    cfg = multicenter.GapSolveConfig(n_radial=24, angular_order=11)
+    assert (multicenter.solve_gap(a, mu, grid, cfg).lambda1
+            == multicenter.solve_gap(b, mu, grid, cfg).lambda1)
 
 
 def test_weighted_overlap_is_exactly_symmetric_and_checks_weights():
