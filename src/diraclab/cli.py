@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("multicenter", parents=[common],
                    help="single 3D gap solve for an atomic charge")
 
-    for name, (_, blurb) in KINDS.items():
+    for name, (_, _, blurb) in KINDS.items():
         sub.add_parser(name, parents=[common], help=blurb)
     return parser
 
@@ -117,9 +117,9 @@ def _cmd_multicenter(args, doc: ConfigDoc) -> int:
     grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
     res = solve_gap(basis, mu, grid, gcfg)
     if args.verbose:
-        print(f"lambda1={res.lambda1:.12g} iterations={res.iterations} "
-              f"grid_points={grid.size} grid_kind={grid.kind} "
-              f"flags={','.join(res.flags) or '-'}", file=sys.stderr)
+        print(f"lambda1={res.lambda1:.12g} start={res.trace[0][0]:.12g} "
+              f"iterations={res.iterations} grid_points={grid.size} "
+              f"grid_kind={grid.kind} flags={','.join(res.flags) or '-'}", file=sys.stderr)
     _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
     return 0
 
@@ -128,6 +128,12 @@ def _cmd_experiment(args, doc: ConfigDoc) -> int:
     cfg = config_from_doc(doc, kind=args.command, workers=args.workers,
                           out_csv=args.out)
     report = run_experiment(cfg)
+    if args.verbose:
+        # one line per row, in row order: its index and headline value
+        index, head = report.columns[0], KINDS[cfg.kind][1]
+        for row in report.rows:
+            print(f"{index}={row[index]} {head}={row[head]:.12g}",
+                  file=sys.stderr)
     if cfg.out_csv:
         report.write(cfg.out_csv, cfg.out_manifest)
         if args.verbose:

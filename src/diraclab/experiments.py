@@ -230,9 +230,9 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
 def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     """One gap solve; solver failures are recorded, not raised.
 
-    `diagnostics` goes to the manifest: the root find's iterations,
-    residual and final bracket width and the keys of _grid_diagnostics;
-    or the solver's error message.
+    `diagnostics` goes to the manifest: the root find's first sample
+    (start), iterations, residual and final bracket width and the keys of
+    _grid_diagnostics; or the solver's error message.
     """
     try:
         basis = default_spinor_basis(mu, **cfg.basis)
@@ -252,7 +252,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     return {"lambda1": res.lambda1, "converged": res.converged,
             "flags": " ".join(words),
             "diagnostics": {
-                "iterations": res.iterations, "residual": res.residual,
+                "start": res.trace[0][0], "iterations": res.iterations,
+                "residual": res.residual,
                 "bracket_width": res.bracket[1] - res.bracket[0],
                 **_grid_diagnostics(basis, grid)}}
 
@@ -463,17 +464,19 @@ def _hardy_sweep(cfg: ExperimentConfig):
     return tuple(f.name for f in fields(HardyScanRow)), rows, summary
 
 
-# per kind its runner, which returns (columns, rows, summary), and the
-# help line of its command
+# per kind its runner, which returns (columns, rows, summary), the
+# headline column of its rows and the help line of its command
 KINDS = {
-    "conjecture-sweep": (_conjecture_sweep,
+    "conjecture-sweep": (_conjecture_sweep, "lambda1",
                          "gap margins vs the merged-charge bound"),
-    "pes-scan": (_pes_scan, "lambda1 plus nuclear repulsion vs separation"),
-    "contraction-check": (_contraction_check,
+    "pes-scan": (_pes_scan, "lambda1",
+                 "lambda1 plus nuclear repulsion vs separation"),
+    "contraction-check": (_contraction_check, "lambda1",
                           "lambda1 along uniform contractions"),
-    "schrodinger": (_schrodinger_compare,
+    "schrodinger": (_schrodinger_compare, "energy",
                     "nonrelativistic energies vs -nu^2/2"),
-    "hardy-sweep": (_hardy_sweep, "quotient constants c(mu) over a family"),
+    "hardy-sweep": (_hardy_sweep, "c_mu",
+                    "quotient constants c(mu) over a family"),
 }
 
 

@@ -31,13 +31,13 @@ VALUE_FLOOR stored as 0 (exp arguments are clamped at EXP_CLAMP first,
 off exp's slow underflowing path, which leaves the table as it was),
 plus the displacements of the points from the distinct centers.  No
 gradient is formed: since grad g = -2a (x - A) g,
-the weighted gradient Gram, the sigma.grad slope integral and the
+the weighted gradient Gram, the |sigma.grad psi|^2 density and the
 weighted overlap are computed from the values, over one list of chunks:
 each center's own points, radial shells times one sphere rule, in
 chunks of whole shells, every other point in blocks of BLOCK points.
 On its own shells a center's primitives depend on the shell radius
 alone (Becke, J. Chem. Phys. 88, 2547 (1988)), so the Gram and the
-slope take them shell by shell, the Gram's weight first summed over
+density take them shell by shell, the Gram's weight first summed over
 each shell's ring of nodes.
 
 Each chunk also carries per center its live columns, those of its
@@ -735,7 +735,7 @@ class GridEvaluation:
     """Basis values (m, n) and site displacements (m, 3, k) on a grid.
 
     The kernels work from these two tables, and the weighted gradient
-    Gram and the slope integral also from each site's floored values
+    Gram and the sigma.grad density also from each site's floored values
     g_i(r_k) on the shells of the grid center at that site.  The
     gradient of a primitive i at site s is -2a_i (x - A_s) g_i, so every
     gradient integral is 4 a_i a_j times a weighted integral of values,
@@ -947,9 +947,10 @@ class GridEvaluation:
         scale = np.outer(f, f)
         return scale * dot, list(scale * cross)
 
-    def weighted_sigma_grad(self, c: np.ndarray, psi: np.ndarray) -> float:
-        """int c |sigma.grad psi|^2 for spinor coefficients psi, spin
-        fastest, from the values.
+    def sigma_grad_density(self, psi: np.ndarray) -> np.ndarray:
+        """|sigma.grad psi|^2 at every grid point, for spinor coefficients
+        psi, spin fastest, from the values; any weighted integral of it is
+        one dot product with its weight.
 
         sigma.grad psi = sum_t sigma.(x - A_t) u_t with the 2-spinor
         u_t = sum_{i at t} (-2a_i) psi_i g_i, so each chunk takes one
@@ -958,7 +959,6 @@ class GridEvaluation:
         sums (x - A_t) (x) u_t over the sites and then does the 2 x 2
         algebra per point.
         """
-        self._check_size(c)
         sc = self.basis.scalar
         coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
         # per site the rows Re u_0, Re u_1, Im u_0, Im u_1 of its part
@@ -966,7 +966,7 @@ class GridEvaluation:
                  for i in sc.site_columns]
         vals_t, disp_t = self.vals.T, self.disp.T
         ring = self.grid.ring
-        total = 0.0
+        out = np.empty(self.grid.size)
         for ch in self._chunks:
             vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
             u = np.empty((len(parts), 4, vals.shape[1]))
@@ -983,5 +983,5 @@ class GridEvaluation:
              (zp0, zp1, zq0, zq1)) = np.einsum("tab,trb->arb", disp, u)
             f = [zp0 + xp1 + yq1, zq0 + xq1 - yp1, xp0 - yq0 - zp1,
                  xq0 + yp0 - zq1]
-            total += float(c[ch.points] @ sum(g * g for g in f))
-        return total
+            out[ch.points] = sum(g * g for g in f)
+        return out

@@ -9,17 +9,25 @@ where W(lam) is the gradient Gram weighted by 1/(1 + lam + v), v >= 0 is
 the magnitude of the attractive potential, S the spinor overlap and M_V
 the (negative) potential matrix.  mu_min is nonincreasing in lam, so h is
 strictly decreasing and the safeguarded root find of _rootfind converges
-unconditionally.  solve_gap starts it at the merged-charge value
-sqrt(1 - nu^2), whose one sample usually brackets the root on its own,
-and steps by Newton on the Hellmann-Feynman slope
+unconditionally.
+
+solve_gap starts it at the min-max bound of one trial vector (Dolbeault,
+Esteban & Sere, J. Funct. Anal. 174, 208 (2000)): for every upper spinor
+the quotient f(lam) of the pencil has one root lam(psi), and lambda1 is
+their minimum.  With psi = phi (x) chi for the ground vector phi of the
+Schrodinger matrix 1/2 T + M_V, lam(psi) needs no weighted Gram and
+lies above lambda1, within 1.3e-3 of it on the shipped conjecture and
+contraction rows, so its one sample brackets the root from above
+(GapProblem.start).  A charge on one site starts at sqrt(1 - nu^2), its
+exact value.  The root find then steps by Newton on the Hellmann-Feynman
+slope
 
     mu'(lam) = -int w (1 + lam + v)^-2 |sigma.grad psi|^2,
 
 evaluated from the eigenvector psi that mu_min returns with each sample,
 on the tabulated basis values, without another weighted Gram.  The
 result's vector is the eigenvector of the sample at the root.  A
-converged solve typically builds two or three weighted Grams, one per
-sample.
+converged solve typically builds two weighted Grams, one per sample.
 
 On the symmetry-reduced grid that grid_for_basis builds for atoms on a
 line or in a plane, each mu_min is the lowest eigenvalue of one n x n
@@ -106,7 +114,8 @@ class GapProblem:
         self.basis = basis
         self.mu = mu
         self.grid = grid
-        self.bstat = basis.overlap + basis.scalar.potential_matrix(mu)
+        self.potential = basis.scalar.potential_matrix(mu)
+        self.bstat = basis.overlap + self.potential
         self.evaluation = GridEvaluation(basis, grid)
         self.vpot = potential_grid(mu, grid.points)
         self.x = basis.orthogonalizer
@@ -134,7 +143,42 @@ class GapProblem:
         """mu'(lam) = -int w (1+lam+v)^-2 |sigma.grad psi|^2, psi the
         eigenvector mu_min(lam) returned (Hellmann-Feynman)."""
         c = self.grid.weights / (1.0 + lam + self.vpot) ** 2
-        return -self.evaluation.weighted_sigma_grad(c, psi)
+        return -float(c @ self.evaluation.sigma_grad_density(psi))
+
+    def start(self) -> float:
+        """First sample of the root find: lam(phi) for the Schrodinger
+        ground vector phi (of _schrodinger_matrix) when the charge sits on
+        two or more sites and lam(phi) lies strictly inside _BRACKET, else
+        the merged-charge value sqrt(1 - nu^2), exact on one site.
+
+        lam(phi) is the root of f(lam) = lam, with phi^T S phi = 1 and
+        f(lam) = phi^T (S + M_V) phi + int w |grad phi|^2 / (1 + lam + v),
+        the pencil's quotient at psi = phi (x) chi, so f >= mu_min and
+        lam(phi) >= lambda1.  f is convex and decreasing: Newton from the
+        merged value climbs to the root from below after one step.
+        """
+        merged = self.mu.merged_lambda
+        if len(self.mu.site_strengths) == 1:
+            return merged
+        phi = self.x @ np.linalg.eigh(
+            _schrodinger_matrix(self.basis, self.potential))[1][:, 0]
+        chi = np.array([1.0, 0.0]) if self.spin is None else self.spin
+        # |sigma.grad (phi chi)|^2 = |grad phi|^2 for a unit chi
+        wd = self.grid.weights * self.evaluation.sigma_grad_density(
+            np.kron(phi, chi))
+        fixed = float(phi @ self.bstat @ phi)
+        lo, hi = _BRACKET
+        lam = merged
+        for _ in range(50):
+            den = 1.0 + lam + self.vpot
+            q = wd / den
+            step = (fixed + q.sum() - lam) / (1.0 + (q / den).sum())
+            lam += step
+            if not lo < lam < hi:
+                return merged
+            if abs(step) <= 1e-14:
+                return float(lam)
+        return merged
 
 
 def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
@@ -160,7 +204,7 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
         grid = grid_for_basis(basis, config.n_radial, config.angular_order)
     problem = GapProblem(basis, mu, grid)
     root = _rootfind.solve_monotone_gap(
-        problem.mu_min, *_BRACKET, config=config, start=mu.merged_lambda,
+        problem.mu_min, *_BRACKET, config=config, start=problem.start(),
         slope=problem.slope)
     result = GapResult(**vars(root))
     flags = []
@@ -188,14 +232,19 @@ def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
     involved.  Returns (energy, bound); an unbound charge (no negative
     eigenvalue) reports energy 0.0.
     """
-    sc = basis.scalar
-    h = 0.5 * sc.grad_dot_matrix() + sc.potential_matrix(mu)
-    x = basis.orthogonalizer
-    evals = np.linalg.eigvalsh(x.T @ h @ x)
-    e0 = float(evals[0])
+    e0 = float(np.linalg.eigvalsh(_schrodinger_matrix(
+        basis, basis.scalar.potential_matrix(mu)))[0])
     if e0 >= UNBOUND_ENERGY:
         return 0.0, False
     return e0, True
+
+
+def _schrodinger_matrix(basis: SpinorBasis, potential: np.ndarray
+                        ) -> np.ndarray:
+    """1/2 T + M_V on the retained span, in the coordinates of the
+    orthogonalizer's columns, for the potential matrix M_V."""
+    x = basis.orthogonalizer
+    return x.T @ (0.5 * basis.scalar.grad_dot_matrix() + potential) @ x
 
 
 def _check_cross_check_charge(mu: ChargeDistribution) -> None:

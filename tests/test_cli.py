@@ -87,6 +87,62 @@ def test_multicenter_verbose_reports_the_grid(tmp_path, capsys):
     assert "grid_points=1152 grid_kind=axial" in err
 
 
+def test_multicenter_verbose_reports_the_start(tmp_path, capsys):
+    # one atom starts at its exact merged value; a pair at the min-max
+    # bound of its Schrodinger ground vector, above its root
+    for text, merged in ((MULTI, True),
+                         (MULTI + "\n[charge.point]\nposition = 1 0 0\n"
+                          "theta = 0.2\n", False)):
+        cfg = write(tmp_path, "multi.cfg", text)
+        assert cli.main(["multicenter", "--config", cfg, "--verbose"]) == 0
+        captured = capsys.readouterr()
+        fields = dict(item.split("=") for item in captured.err.split())
+        start, lambda1 = float(fields["start"]), float(fields["lambda1"])
+        if merged:
+            assert start == pytest.approx(math.sqrt(1.0 - 0.25), abs=1e-12)
+        else:
+            assert start > lambda1
+        assert "start" not in json.loads(captured.out)
+
+
+HARDY_SWEEP = """
+[experiment]
+kind = hardy-sweep
+thetas = 0.5 0.5
+separations = 1 2 4
+
+[basis]
+n_s = 6
+
+[grid]
+n_radial = 32
+angular_order = 11
+"""
+
+
+@pytest.mark.parametrize("text, index, head", [
+    (FAST_SWEEP, "scan_index", "lambda1"),
+    (HARDY_SWEEP, "family_index", "c_mu")], ids=["sweep", "hardy"])
+def test_verbose_writes_one_line_per_row_in_row_order(tmp_path, capsys, text,
+                                                      index, head):
+    cfg = write(tmp_path, "scan.cfg", text)
+    bodies = []
+    for workers in ("1", "2"):
+        kind = load_config(cfg).get("experiment", "kind")
+        assert cli.main([kind, "--config", cfg, "--workers", workers,
+                         "--verbose"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        lines = captured.err.splitlines()
+        # N rows give N lines, in row order, then the summary
+        assert len(rows) >= 2 and len(lines) == len(rows) + 1
+        assert lines[:-1] == [f"{index}={r[index]} {head}="
+                              f"{float(r[head]):.12g}" for r in rows]
+        assert json.loads(lines[-1])["exit_code"] == 0
+        bodies.append(captured.out)
+    assert bodies[0] == bodies[1]
+
+
 def test_radial_verbose_reports_residual_and_bracket(tmp_path, capsys):
     cfg = write(tmp_path, "shell.cfg", RADIAL_SHELL)
     assert cli.main(["radial", "--config", cfg, "--verbose"]) == 0
@@ -419,7 +475,7 @@ def test_experiment_subcommands_are_the_kinds(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     out = capsys.readouterr().out
-    for kind, (_, blurb) in experiments.KINDS.items():
+    for kind, (_, _, blurb) in experiments.KINDS.items():
         assert kind in out and blurb in out
 
 

@@ -369,9 +369,10 @@ def test_manifest_carries_root_find_diagnostics_per_row(tmp_path):
     diags = man["row_diagnostics"]
     assert len(diags) == 2
     for row, diag in zip(report.rows, diags):
-        assert set(diag) == {"iterations", "residual", "bracket_width",
-                             "retained_rank", "basis_size", "grid_points",
-                             "grid_kind", "partition_residual"}
+        assert set(diag) == {"start", "iterations", "residual",
+                             "bracket_width", "retained_rank", "basis_size",
+                             "grid_points", "grid_kind", "partition_residual"}
+        assert type(diag["start"]) is float
         # a pair and a merged atom both lie on a line
         assert diag["grid_kind"] == "axial"
         assert row["converged"]
@@ -381,5 +382,9 @@ def test_manifest_carries_root_find_diagnostics_per_row(tmp_path):
         assert 0 < diag["retained_rank"] <= diag["basis_size"]
         assert diag["grid_points"] > 0
         assert 0.0 <= diag["partition_residual"] <= 1e-12
-    # the merged s = 0 row has one centre: half the basis of the pair
+    # the pair starts above its root, at the min-max bound of its
+    # Schrodinger ground vector; the merged s = 0 row at its exact value
+    # sqrt(1 - 0.4^2), and it has one centre: half the basis of the pair
+    assert diags[0]["start"] >= report.rows[0]["lambda1"] - 1e-12
+    assert diags[1]["start"] == math.sqrt(1.0 - 0.4 ** 2)
     assert diags[1]["basis_size"] == diags[0]["basis_size"] // 2 == 8

@@ -258,14 +258,15 @@ def test_weighted_kernels_need_one_weight_per_grid_point():
     basis = two_center_basis(n_s=4)
     grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
     ev = gaussian.GridEvaluation(basis, grid)
-    psi = np.ones(2 * basis.scalar.n)
     for size in (grid.size - 1, grid.size + 1):
         c = np.ones(size)
         for call in (lambda: ev.weighted_overlap(c),
-                     lambda: ev.weighted_grad_blocks(c),
-                     lambda: ev.weighted_sigma_grad(c, psi)):
+                     lambda: ev.weighted_grad_blocks(c)):
             with pytest.raises(ValueError, match="weights for a grid"):
                 call()
+    # the sigma.grad density takes no weight: one value per grid point
+    psi = np.ones(2 * basis.scalar.n)
+    assert ev.sigma_grad_density(psi).shape == (grid.size,)
 
 
 def test_primitive_validation():
@@ -505,7 +506,7 @@ def test_weighted_grad_blocks_consistency(monkeypatch, make):
     spinor = psi.reshape(-1, 2)
     field = sum(grads[a] @ (spinor @ gaussian.PAULI[a].T) for a in range(3))
     want = float(c @ np.sum(np.abs(field) ** 2, axis=1))
-    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want, rel=1e-12)
+    assert c @ ev.sigma_grad_density(psi) == pytest.approx(want, rel=1e-12)
     overlap = ev.weighted_overlap(c)
     assert np.array_equal(overlap, overlap.T)
     want = vals.T @ (c[:, None] * vals)
@@ -693,7 +694,7 @@ def test_values_only_slope_matches_gradient_oracle(name, monkeypatch):
     spinor = psi.reshape(-1, 2)
     field = sum(grads[a] @ (spinor @ gaussian.PAULI[a].T) for a in range(3))
     want = float(c @ np.sum(np.abs(field) ** 2, axis=1))
-    assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want, rel=1e-12)
+    assert c @ ev.sigma_grad_density(psi) == pytest.approx(want, rel=1e-12)
 
 
 LISTED = {"interleaved_pair": interleaved_primitives,
@@ -724,7 +725,8 @@ def test_primitive_order_does_not_change_a_bit(name, data):
                                           for ev in (ev_a, ev_b))
     assert np.array_equal(dot_a, dot_b)
     assert np.array_equal(cross_a, cross_b)
-    assert ev_a.weighted_sigma_grad(c, psi) == ev_b.weighted_sigma_grad(c, psi)
+    assert np.array_equal(ev_a.sigma_grad_density(psi),
+                          ev_b.sigma_grad_density(psi))
     cfg = multicenter.GapSolveConfig(n_radial=24, angular_order=11)
     assert (multicenter.solve_gap(a, mu, grid, cfg).lambda1
             == multicenter.solve_gap(b, mu, grid, cfg).lambda1)
@@ -764,7 +766,7 @@ def test_weighted_sigma_grad_is_the_spinor_gram_form(monkeypatch):
         want = psi.conj() @ gaussian.spinor_matrix(
             *ev.weighted_grad_blocks(c)) @ psi
         assert abs(want.imag) <= 1e-12 * abs(want)
-        assert ev.weighted_sigma_grad(c, psi) == pytest.approx(want.real,
+        assert c @ ev.sigma_grad_density(psi) == pytest.approx(want.real,
                                                                rel=1e-12)
 
 

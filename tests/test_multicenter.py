@@ -1,5 +1,6 @@
 """3D gap solver: effective operator, cross-check, and flags."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import small_molecules
-from diraclab import charges, gaussian, hardy, multicenter
+from diraclab import (_rootfind, charges, configio, experiments, gaussian,
+                      hardy, multicenter)
 from diraclab.errors import ConfigError, NoGapEigenvalueError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def basis_for(mu, **kw):
@@ -262,7 +266,7 @@ def test_slope_matches_central_differences(m):
         assert slope < 0.0
 
 
-def test_two_atom_solve_builds_at_most_three_grams(monkeypatch):
+def test_two_atom_solve_builds_at_most_two_grams(monkeypatch):
     calls = []
     gram = gaussian.GridEvaluation.weighted_grad_blocks
 
@@ -278,7 +282,115 @@ def test_two_atom_solve_builds_at_most_three_grams(monkeypatch):
                                 gaussian.grid_for_basis(basis, 64, 17))
     assert res.converged and res.vector is not None
     # one Gram per sample; the eigenvector of lambda1 needs none of its own
-    assert len(calls) == res.iterations <= 3
+    assert len(calls) == res.iterations <= 2
+
+
+def shipped_triangle():
+    """The d = 1 row of the shipped conjecture_m3 scan: its charge, basis
+    and grid."""
+    cfg = experiments.config_from_doc(
+        configio.load_config(CONFIG_DIR / "conjecture_m3.cfg"))
+    mu = dict(experiments._scan_family(cfg))[1.0]
+    basis = basis_for(mu, **cfg.basis)
+    return mu, basis, gaussian.grid_for_basis(basis, cfg.gap.n_radial,
+                                              cfg.gap.angular_order)
+
+
+def test_shipped_triangle_row_takes_two_grams_and_one_slope(monkeypatch):
+    calls = {"gram": 0, "slope": 0}
+    gram = gaussian.GridEvaluation.weighted_grad_blocks
+    slope = multicenter.GapProblem.slope
+    start = multicenter.GapProblem.start
+
+    def counted_gram(self, *args):
+        calls["gram"] += 1
+        return gram(self, *args)
+
+    def counted_slope(self, *args):
+        calls["slope"] += 1
+        return slope(self, *args)
+
+    def gramless_start(self):
+        before = calls["gram"]
+        out = start(self)
+        assert calls["gram"] == before
+        return out
+
+    monkeypatch.setattr(gaussian.GridEvaluation, "weighted_grad_blocks",
+                        counted_gram)
+    monkeypatch.setattr(multicenter.GapProblem, "slope", counted_slope)
+    monkeypatch.setattr(multicenter.GapProblem, "start", gramless_start)
+    mu, basis, grid = shipped_triangle()
+    res = multicenter.solve_gap(basis, mu, grid)
+    assert res.converged
+    assert res.trace[0][0] != mu.merged_lambda
+    assert calls == {"gram": 2, "slope": 1} and res.iterations == 2
+
+
+def test_start_is_the_root_of_the_ground_vector_quotient():
+    # f(lam) = phi^T (S + M_V) phi + psi^+ W(lam) psi with psi = phi (x)
+    # chi, here from the spinor Gram rather than the sigma.grad density
+    mu, basis, grid = shipped_triangle()
+    problem = multicenter.GapProblem(basis, mu, grid)
+    start = problem.start()
+    assert type(start) is float
+    x = basis.orthogonalizer
+    phi = x @ np.linalg.eigh(multicenter._schrodinger_matrix(
+        basis, basis.scalar.potential_matrix(mu)))[1][:, 0]
+    psi = np.kron(phi, problem.spin)
+    f = phi @ problem.bstat @ phi + (
+        psi.conj() @ weighted_w(start, basis, mu, grid) @ psi).real
+    assert f == pytest.approx(start, abs=1e-12)
+    # it misses lambda1 by about 5e-4, where the merged value misses it
+    # by 8e-3
+    lambda1 = multicenter.solve_gap(basis, mu, grid).lambda1
+    assert 0.0 < start - lambda1 < 1e-3 < lambda1 - mu.merged_lambda
+
+
+@given(mu=small_molecules())
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_start_is_an_upper_end_of_the_bracket(mu):
+    # the pencil's quotient at phi (x) chi bounds mu_min from above, so
+    # its root, the start, lies on or above lambda1 and h(start) <= 0
+    basis = basis_for(mu, n_s=6)
+    res = multicenter.solve_gap(basis, mu,
+                                gaussian.grid_for_basis(basis, 48, 17))
+    (start, h_start), lambda1 = res.trace[0], res.lambda1
+    assert start != mu.merged_lambda
+    assert start >= lambda1 - 1e-12
+    assert h_start <= 1e-12
+    assert res.converged and res.iterations <= 3
+
+
+@pytest.mark.parametrize("mu", [
+    charges.atom((0.3, -0.2, 1.1), 0.4),
+    charges.atoms([(0, 0, 0), (0, 0, 0)], [0.3, 0.35])],
+    ids=["atom", "coincident"])
+def test_single_site_starts_at_the_merged_value(mu):
+    # sqrt(1 - nu^2) is exact for one site; the solve is the root find
+    # started there, sample for sample
+    basis = basis_for(mu, n_s=8)
+    grid = gaussian.grid_for_basis(basis, 64, 17)
+    res = multicenter.solve_gap(basis, mu, grid)
+    assert res.trace[0][0] == mu.merged_lambda
+    problem = multicenter.GapProblem(basis, mu, grid)
+    want = _rootfind.solve_monotone_gap(
+        problem.mu_min, *multicenter._BRACKET,
+        config=multicenter.GapSolveConfig(), start=mu.merged_lambda,
+        slope=problem.slope)
+    assert res.trace == want.trace and res.lambda1 == want.lambda1
+
+
+def test_start_outside_the_bracket_falls_back_to_the_merged_value(
+        monkeypatch):
+    mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.2, 0.2])
+    basis = basis_for(mu, n_s=8)
+    problem = multicenter.GapProblem(basis, mu,
+                                     gaussian.grid_for_basis(basis, 64, 17))
+    start = problem.start()
+    assert start != mu.merged_lambda
+    monkeypatch.setattr(multicenter, "_BRACKET", (-1.0 + 1e-6, start))
+    assert problem.start() == mu.merged_lambda
 
 
 def test_eigenvector_satisfies_pencil_equation():
