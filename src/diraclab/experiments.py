@@ -32,7 +32,7 @@ from .gaussian import default_spinor_basis, grid_for_basis
 from .hardy import HardyScanRow, scan_row
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
-from .radial import RadialGrid, schrodinger_ground_radial
+from .radial import RadialGrid, SchrodingerResult, schrodinger_ground_radial
 
 WORKERS_ENV = "DIRACLAB_WORKERS"
 
@@ -394,7 +394,7 @@ def _contraction_check(cfg: ExperimentConfig):
 
 
 def _schrodinger_energy(mu: ChargeDistribution,
-                        cfg: ExperimentConfig) -> tuple[float, bool]:
+                        cfg: ExperimentConfig) -> SchrodingerResult:
     if mu.radially_symmetric:
         return schrodinger_ground_radial(mu, cfg.radial_grid)
     basis = default_spinor_basis(mu, **cfg.basis)

@@ -50,7 +50,7 @@ from .errors import ConfigError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
                        QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
                        grid_for_basis, grid_matrix, spin_along)
-from .radial import UNBOUND_ENERGY
+from .radial import SchrodingerResult
 
 NEAR_CRITICAL_STRENGTH = 0.9
 # Root-find bracket of every 3D solve.
@@ -225,18 +225,15 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
 
 
 def schrodinger_ground_gaussian(basis: SpinorBasis, mu: ChargeDistribution
-                                ) -> tuple[float, bool]:
+                                ) -> SchrodingerResult:
     """Nonrelativistic ground energy -Delta/2 - v in the scalar basis.
 
     Reuses the analytic gradient and attraction integrals; no grid is
-    involved.  Returns (energy, bound); an unbound charge (no negative
-    eigenvalue) reports energy 0.0.
+    involved.  The lowest eigenvalue is reported by
+    SchrodingerResult.from_energy, as the radial solver reports its own.
     """
-    e0 = float(np.linalg.eigvalsh(_schrodinger_matrix(
-        basis, basis.scalar.potential_matrix(mu)))[0])
-    if e0 >= UNBOUND_ENERGY:
-        return 0.0, False
-    return e0, True
+    return SchrodingerResult.from_energy(float(np.linalg.eigvalsh(
+        _schrodinger_matrix(basis, basis.scalar.potential_matrix(mu)))[0]))
 
 
 def _schrodinger_matrix(basis: SpinorBasis, potential: np.ndarray

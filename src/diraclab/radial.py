@@ -12,12 +12,15 @@ of h(lam) = mu_min(B(lam)) - lam, where B(lam) is the matrix of the
 lam-frozen part of Q on a log-uniform grid and mu_min its smallest
 eigenvalue against the radial mass matrix.  B is A^T diag(c) A plus a
 diagonal, assembled in banded storage straight from the row table of
-the stencil of A = d/dt + kappa.
+the stencil of A = d/dt + kappa.  One object, _ChannelProblem, holds the
+grid matrices of one (charge, kappa, grid): the solver's pencil, the
+Schroedinger pencil and q_form_radial, which evaluates Q on a trial
+vector, all read it, so the form checked is the form solved.
 
 mu_min comes from spectrum slicing: by Sylvester's law of inertia the
 banded Cholesky factorisation of B - sigma*M succeeds exactly when sigma
 lies below the whole spectrum, so each factorisation that holds is a
-lower bound and each that fails an upper one.  The slicing is seeded:
+lower bound and each that fails an upper one.  Every slice is seeded:
 the gap equation is mu(lam) = lam, so near the root mu_min(lam) lies
 within |h| of lam, and the first shifts probed sit just below lam.
 Inverse iteration with the factor at the lower bound then narrows the
@@ -27,7 +30,8 @@ bracket's midpoint, raise the lower end.  Once the quotient stalls, one
 more successful factorisation just below it certifies that no lower
 eigenvalue exists, and one inverse step with that factor polishes the
 eigenvector.  No random start vector and no dense or banded eigensolver
-is involved.
+is involved.  On the 4000-node default grid a slice seeded near the root
+takes 4-5 factorisations, a Schroedinger slice 4-8.
 
 The root find starts at the merged-charge value sqrt(1 - nu^2), the
 root for a point charge in kappa = -1, and takes Newton steps on the
@@ -46,17 +50,17 @@ quadrature.  A plain Dirichlet cut at r_min would leave an O(r_min^{2*gamma})
 truncation error, fatal for strong charges.
 
 The radial Schroedinger ground state (l = 0) is the lowest eigenvalue of
-the same kind of pencil, found by the same spectrum slicing without a
-seed (the first lower bound steps down from the smallest diagonal ratio
-of the pencil): the kappa = -1 form with 1/(1 + lam + v) replaced by its
-nonrelativistic value 1/2,
+a pencil on the kappa = -1 problem's operator, mass and potential: its
+form with 1/(1 + lam + v) replaced by the nonrelativistic value 1/2,
 
     E(u) = int (u' - u/r)^2 / 2 dr - int v u^2 dr,   u = r R,
 
 against the mass int u^2 dr.  On [r_min, r_max] the first integral equals
 int u'^2 / 2 dr + u(r_min)^2 / (2 r_min), exactly the kinetic energy of u
 with the regular profile u ~ r continued onto (0, r_min], so no stub is
-needed; what the cut leaves out is O(r_min^2).
+needed; what the cut leaves out is O(r_min^2).  Its slice is seeded at
+-nu^2/2, the merged charge's energy, which lies below the ground state
+since v <= nu/r for every radial charge of total nu.
 """
 from __future__ import annotations
 
@@ -98,8 +102,8 @@ _CERT_REL = 1e-9
 # Inverse iteration stops once the Rayleigh quotient falls by less than
 # this, relative (below the spectrum it never rises but by roundoff).
 _RQ_STALL = 1e-14
-# A seeded slice first probes this far below its seed, relative, and then
-# 16 times farther per failed probe.
+# A slice first probes this far below its seed, relative, and then 16
+# times farther per failed probe.
 _PROBE_REL = 1e-6
 # Inverse steps of one slice before its quotient must be certified.
 _MAX_STEPS = 40
@@ -145,20 +149,6 @@ def derivative_matrix(n: int, h: float) -> np.ndarray:
     return table
 
 
-def _band_apply(table: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """D g for the (7, n) table of D, g taken as zero beyond its end."""
-    n = table.shape[1]
-    padded = np.zeros(n + 6)
-    padded[3:3 + len(g)] = g
-    return sum(table[i] * padded[i:i + n] for i in range(7))
-
-
-def _check_channel(kappa) -> int:
-    if int(kappa) != kappa or kappa == 0:
-        raise ConfigError(f"kappa must be a nonzero integer, got {kappa!r}")
-    return int(kappa)
-
-
 class _BandOperator:
     """A = d/dt + kappa on the grid, Dirichlet at r_max (last column
     dropped), held in the table layout of derivative_matrix; gram(c)
@@ -187,7 +177,10 @@ class _BandOperator:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g for g on the n - 1 free nodes."""
-        return _band_apply(self.table, g)
+        n = self.n
+        padded = np.zeros(n + 6)
+        padded[3:n + 2] = g
+        return sum(self.table[i] * padded[i:i + n] for i in range(7))
 
 
 def _pencil(op: _BandOperator, c: np.ndarray, bdiag: np.ndarray,
@@ -209,19 +202,19 @@ def _pencil(op: _BandOperator, c: np.ndarray, bdiag: np.ndarray,
 
 def _lowest(ab: np.ndarray, mdiag: np.ndarray,
             energy: Callable[[np.ndarray], float],
-            guess: float | None = None) -> tuple[float, np.ndarray]:
+            guess: float) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue of the pencil (B, diag(mdiag)) by spectrum slicing,
     with its M-normalised eigenvector from the inverse iteration.
 
-    B comes in (5, n) upper band storage (bandwidth 4) with `energy(v)`,
-    v^T B v, as _pencil returns them.  `guess`, a value expected near the
-    eigenvalue, seeds the first shifts; without it the slice starts cold.
-    Raises UncertifiedEigenvalueError when the inertia test does not
-    confirm the result as the lowest eigenvalue.
+    B comes in upper band storage, its diagonal in the last row, with
+    `energy(v)`, v^T B v, as _pencil returns them.  `guess`, a value
+    expected near (best just below) the eigenvalue, seeds the first
+    shifts.  Raises UncertifiedEigenvalueError when the inertia test does
+    not confirm the result as the lowest eigenvalue.
     """
     def factor(sigma: float):
         shifted = ab.copy()
-        shifted[4] -= sigma * mdiag
+        shifted[-1] -= sigma * mdiag
         try:
             return sla.cholesky_banded(shifted)
         except sla.LinAlgError:
@@ -233,19 +226,16 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
         return y, energy(y) / float(y @ (mdiag * y))
 
     # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
-    # probe below the seed (or, cold, below that bound) in growing steps
-    # until a factorisation holds: that shift is the lower end
-    hi = float(np.min(ab[4] / mdiag))
-    if guess is None:
-        base, step, growth = hi, max(1.0, abs(hi)), 2.0
-    else:
-        base, step, growth = guess, _PROBE_REL * max(1.0, abs(guess)), 16.0
+    # probe below the seed in growing steps until a factorisation holds:
+    # that shift is the lower end
+    hi = float(np.min(ab[-1] / mdiag))
+    step = _PROBE_REL * max(1.0, abs(guess))
     for _ in range(64):
-        lo = base - step
+        lo = guess - step
         chol = factor(lo)
         if chol is not None:
             break
-        hi, step = min(hi, lo), growth * step
+        hi, step = min(hi, lo), 16.0 * step
     else:
         raise UncertifiedEigenvalueError(
             f"no positive definite shift of the pencil below {hi}")
@@ -296,7 +286,9 @@ class _ChannelProblem:
     mu_min(lam) returns its eigenvector for the slope at that lam."""
 
     def __init__(self, mu: ChargeDistribution, kappa: int, grid: RadialGrid):
-        kappa = _check_channel(kappa)
+        if int(kappa) != kappa or kappa == 0:
+            raise ConfigError(f"kappa must be a nonzero integer, got {kappa!r}")
+        kappa = int(kappa)
         if not mu.radially_symmetric:
             raise ConfigError("radial solver needs a radially symmetric charge")
         # at most 1 <= |kappa| (ChargeDistribution), so gamma is real
@@ -361,20 +353,21 @@ class _ChannelProblem:
 
 def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
                   grid: RadialGrid) -> float:
-    """The eliminated quadratic form at fixed lam for a grid trial g."""
-    kappa = _check_channel(kappa)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n,):
-        raise ValueError(f"trial must have {grid.n} nodal values")
-    if not np.any(g):
-        raise ValueError("trial is identically zero")
+    """The eliminated form Q(lam, g) = g^T B(lam) g - lam g^T M g of the
+    pencil the solver slices, origin stub included, for lam > -1.
+
+    g holds the n - 1 unknowns, the nodes below r_max (where g is 0), as
+    RadialGapResult.vector does.  Q(lam, g) > 0 for every nonzero g
+    exactly when lam lies below the channel's root on this grid."""
     if lam <= -1.0:
         raise ValueError(f"q_form_radial needs lam > -1, got {lam}")
-    a = _band_apply(derivative_matrix(grid.n, grid.h), g) + kappa * g
-    vpot = radial_profile(mu, grid.r)
-    kinetic = float(np.sum(grid.w * a * a / (grid.r * (1.0 + lam + vpot))))
-    rest = float(np.sum(grid.w * grid.r * (1.0 - vpot - lam) * g * g))
-    return kinetic + rest
+    g = np.asarray(g, dtype=float)
+    if g.shape != (grid.n - 1,):
+        raise ValueError(f"trial must have {grid.n - 1} nodal values")
+    if not np.any(g):
+        raise ValueError("trial is identically zero")
+    _, mdiag, energy = _ChannelProblem(mu, kappa, grid).pencil(lam)
+    return energy(g) - lam * float(g @ (mdiag * g))
 
 
 # Root-find bracket of every radial solve.
@@ -422,27 +415,30 @@ class SchrodingerResult(NamedTuple):
     energy: float
     bound: bool
 
+    @classmethod
+    def from_energy(cls, energy: float) -> SchrodingerResult:
+        """The lowest eigenvalue as a result: one shallower than
+        UNBOUND_ENERGY is reported unbound, with energy 0.0."""
+        if energy >= UNBOUND_ENERGY:
+            return cls(0.0, False)
+        return cls(energy, True)
 
-def _schrodinger_pencil(mu: ChargeDistribution, grid: RadialGrid):
-    """_pencil of the l=0 problem: the kappa = -1 form with
-    1/(1 + lam + v) -> 1/2."""
-    if not mu.radially_symmetric:
-        raise ConfigError("Schroedinger radial solver needs radial symmetry")
-    vpot = radial_profile(mu, grid.r)
-    mass = (grid.w * grid.r)[:-1]
-    return _pencil(_BandOperator(grid, -1), grid.w / (2.0 * grid.r),
-                   -mass * vpot[:-1], mass)
+
+def _schrodinger_pencil(prob: _ChannelProblem):
+    """_pencil of the l=0 problem on the kappa = -1 problem's operator,
+    mass and potential: its form with 1/(1 + lam + v) -> 1/2, no stub."""
+    grid, mass = prob.grid, prob.mass[:-1]
+    return _pencil(prob.A, grid.w / (2.0 * grid.r), -mass * prob.vpot[:-1],
+                   mass)
 
 
 def schrodinger_ground_radial(mu: ChargeDistribution,
                               grid: RadialGrid | None = None
                               ) -> SchrodingerResult:
-    """Ground state of -Laplace/2 - potential in the l=0 radial channel.
-
-    The certified lowest eigenvalue of the nonrelativistic pencil; states
-    shallower than UNBOUND_ENERGY are reported unbound with energy 0.0.
-    """
-    energy, _ = _lowest(*_schrodinger_pencil(mu, grid or RadialGrid()))
-    if energy >= UNBOUND_ENERGY:
-        return SchrodingerResult(0.0, False)
-    return SchrodingerResult(energy, True)
+    """Ground state of -Laplace/2 - potential in the l=0 radial channel:
+    the certified lowest eigenvalue of the nonrelativistic pencil, sliced
+    from the merged charge's -nu^2/2 (see the module docstring), as
+    SchrodingerResult.from_energy reports it."""
+    pencil = _schrodinger_pencil(_ChannelProblem(mu, -1, grid or RadialGrid()))
+    energy, _ = _lowest(*pencil, -0.5 * mu.total_charge ** 2)
+    return SchrodingerResult.from_energy(energy)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import small_molecules
 from diraclab import (_rootfind, charges, configio, experiments, gaussian,
-                      hardy, multicenter)
+                      hardy, multicenter, radial)
 from diraclab.errors import ConfigError, NoGapEigenvalueError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -589,10 +589,13 @@ def test_schrodinger_gaussian_point_and_unbound():
     energy, bound = multicenter.schrodinger_ground_gaussian(basis, mu)
     assert bound
     assert energy == pytest.approx(oracles.hydrogenic_energy(1.0), abs=1e-4)
-    # no charge at all: nothing to bind
-    energy, bound = multicenter.schrodinger_ground_gaussian(
+    # no charge at all: nothing to bind; the radial solver's result type
+    # and unbound rule report it
+    unbound = multicenter.schrodinger_ground_gaussian(
         basis, charges.ChargeDistribution())
-    assert not bound and energy == 0.0
+    assert isinstance(unbound, radial.SchrodingerResult)
+    assert unbound == radial.SchrodingerResult.from_energy(0.0)
+    assert not unbound.bound and unbound.energy == 0.0
 
 
 def test_schrodinger_gaussian_two_center_bound():
