@@ -180,6 +180,21 @@ def radial_profile(mu: ChargeDistribution, r) -> np.ndarray:
     return out
 
 
+def distances(pts: np.ndarray, centers) -> np.ndarray:
+    """Distances (centers, points) of the points (m, 3) from each center,
+    one pass per coordinate, summed x, z, y as numpy's einsum("ij,ij->i")
+    sums the rows, to the same bits."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((len(centers), len(pts)))
+    tmp = np.empty(len(pts))
+    for row, c in zip(out, np.asarray(centers, dtype=float)):
+        np.square(np.subtract(pts[:, 0], c[0], out=row), out=row)
+        for k in (2, 1):
+            row += np.square(np.subtract(pts[:, k], c[k], out=tmp), out=tmp)
+        np.sqrt(row, out=row)
+    return out
+
+
 def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     """Coulomb potential mu * 1/|x| at an (m, 3) array of locations.
 
@@ -188,15 +203,13 @@ def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.zeros(len(pts))
-    for p in mu.points:
-        diff = pts - p.xyz
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    for p, d in zip(mu.points, distances(pts, [p.xyz for p in mu.points])):
         if np.any(d < SINGULAR_EPS):
             raise SingularLocationError(
                 f"potential evaluated within {SINGULAR_EPS} of atom at {p.position}")
         out += p.strength / d
     if mu.layers:
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        r = distances(pts, [ORIGIN])[0]
         for layer in mu.layers:
             if layer.kind == "point" and np.any(r < SINGULAR_EPS):
                 raise SingularLocationError(

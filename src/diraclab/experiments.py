@@ -247,6 +247,8 @@ def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
     if not res.converged and not res.below_gap:
         words.append("unconverged")
     words.extend(res.flags)
+    if basis.orthogonalizer.shape[1] < basis.scalar.n:
+        words.append("rank-reduced")
     if not words:
         words.append("ok")
     return {"lambda1": res.lambda1, "converged": res.converged,

@@ -30,15 +30,16 @@ On a grid the basis is tabulated once as values, with every value below
 VALUE_FLOOR stored as 0 (exp arguments are clamped at EXP_CLAMP first,
 off exp's slow underflowing path, which leaves the table as it was),
 plus the displacements of the points from the distinct centers.  No
-gradient is formed: since grad g = -2a (x - A) g,
-the weighted gradient Gram, the |sigma.grad psi|^2 density and the
-weighted overlap are computed from the values, over one list of chunks:
-each center's own points, radial shells times one sphere rule, in
-chunks of whole shells, every other point in blocks of BLOCK points.
-On its own shells a center's primitives depend on the shell radius
-alone (Becke, J. Chem. Phys. 88, 2547 (1988)), so the Gram and the
-density take them shell by shell, the Gram's weight first summed over
-each shell's ring of nodes.
+gradient is formed: since grad g = -2a (x - A) g, every kernel (the
+weighted gradient Gram, both gradient densities, the weighted overlap)
+works on values, over one list of chunks: each center's own points,
+radial shells times one sphere rule, in chunks of whole shells, every
+other point in blocks of BLOCK points; the Gram multiplies each operand
+of a chunk as it builds it.  On its own shells a center's primitives
+depend on the shell radius alone (Becke, J. Chem. Phys. 88, 2547
+(1988)), so every kernel reads them there from per-shell values, the
+Gram and the overlap summing their weight over each ring first; the
+table stores them as 0 there.
 
 Each chunk also carries per center its live columns, those of its
 primitives that can be nonzero there, a leading run.  On shells of radii
@@ -60,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charges import MERGE_TOL, ChargeDistribution
+from .charges import MERGE_TOL, ChargeDistribution, distances
 from .errors import ConfigError, IllConditionedBasisError
 
 PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -68,8 +69,9 @@ PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex))
 
 EXPONENT_RANGE = (1e-8, 1e12)
-# Grid points per block of every loop over a tabulated grid.
-BLOCK = 8192
+# Grid points per block of every loop over a tabulated grid: 4096 keeps
+# each Gram operand of the shipped triangle inside a 2 MB L2 cache.
+BLOCK = 4096
 # Tabulated basis values below this are stored as 0.  Products of
 # weighted operand entries below sqrt(tiny) ~ 1.5e-154 are subnormal and
 # made the gradient Gram about twice as slow on x86; on a shipped two-atom
@@ -260,28 +262,41 @@ class ScalarBasis:
             out -= self.attraction_matrix(p.xyz, p.strength)
         return out
 
-    def values_and_gradients(self, pts: np.ndarray):
+    def values_and_gradients(self, pts: np.ndarray, skip=None):
         """Values (m, n) of every primitive, each below VALUE_FLOOR set to
         0, and the displacements x - A_s (m, 3, k) of the points from the
         k sites; no gradient is formed.
 
-        Both arrays are transposed views of point-fastest tables, so the
-        grid kernels scale them along memory.  Filled over blocks of
-        BLOCK points, site by site (_tabulate_run).
+        skip maps a site to a slice of points where its columns are just
+        stored as 0 (GridEvaluation: its own shells).  Both arrays are
+        transposed views of point-fastest tables, so the grid kernels
+        scale them along memory.  Filled over blocks of up to BLOCK
+        points, split at the ends of the skipped slices, site by site
+        (_tabulate_run).
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
+        skip = skip or {}
         vals = np.empty((self.n, m))
         disp = np.empty((len(self.sites), 3, m))
         neg = -self.alphas[:, None]
-        for start in range(0, m, BLOCK):
-            sl = slice(start, start + BLOCK)
-            dx = pts[sl].T[None, :, :] - self.sites[:, :, None]
-            r2 = np.einsum("kab,kab->kb", dx, dx)
-            for cols, r2_site in zip(self.site_columns, r2):
-                _tabulate_run(vals[cols, sl], neg[cols], self.norms[cols],
-                              r2_site)
-            disp[:, :, sl] = dx
+        cuts = sorted({0, m, *(x for sl in skip.values()
+                               for x in (sl.start, sl.stop))})
+        for a, b in zip(cuts, cuts[1:]):
+            for start in range(a, b, BLOCK):
+                sl = slice(start, min(start + BLOCK, b))
+                dx = np.subtract(pts[sl].T[None], self.sites[:, :, None],
+                                 out=disp[:, :, sl])
+                # summed x, z, y, as einsum sums a row (x, y, z) of points
+                r2 = dx[:, 0] ** 2 + dx[:, 2] ** 2 + dx[:, 1] ** 2
+                for s, (cols, r2_site) in enumerate(zip(self.site_columns,
+                                                        r2)):
+                    off = skip.get(s, slice(0, 0))
+                    if off.start <= start < off.stop:
+                        vals[cols, sl] = 0.0
+                    else:
+                        _tabulate_run(vals[cols, sl], neg[cols],
+                                      self.norms[cols], r2_site)
         return vals.T, disp.T
 
 
@@ -300,11 +315,16 @@ def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
                   r2: np.ndarray) -> None:
     """Write the floored values of the primitives of one site at squared
     distances r2 (b,) into out; only those live at the smallest r2
-    (_live_count) take exp, the rest are 0: the same table, bit for bit."""
+    (_live_count) take exp, the rest are 0, and only those not live at
+    the largest r2 can fall below EXP_CLAMP or VALUE_FLOOR, so only they
+    are clamped and floored: the same table, bit for bit."""
     live = _live_count(neg, norms, np.min(r2))
+    full = _live_count(neg[:live], norms[:live], np.max(r2))
     out[live:] = 0.0
-    _floored_values(np.multiply(neg[:live], r2, out=out[:live]),
-                    norms[:live])
+    arg = np.multiply(neg[:live], r2, out=out[:live])
+    np.exp(arg[:full], out=arg[:full])
+    arg[:full] *= norms[:full, None]
+    _floored_values(arg[full:], norms[full:live])
 
 
 def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -318,7 +338,7 @@ def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
     np.maximum(arg, EXP_CLAMP, out=arg)
     np.exp(arg, out=arg)
     arg *= norms[:, None]
-    arg[arg < VALUE_FLOOR] = 0.0
+    arg *= arg >= VALUE_FLOOR
     return arg
 
 
@@ -471,17 +491,7 @@ SYMMETRY_TOL = 1e-10
 def becke_weights(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Smoothed Voronoi partition weights (points, centers), rows
     normalized to sum to 1."""
-    return _becke_cells(_center_distances(pts, centers), centers).T
-
-
-def _center_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distances (centers, points) of every point from every center, one
-    contiguous row per center."""
-    d = np.empty((len(centers), len(pts)))
-    for row, c in zip(d, centers):
-        diff = pts - c
-        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=row)
-    return d
+    return _becke_cells(distances(pts, centers), centers).T
 
 
 def _becke_cells(d: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -491,17 +501,21 @@ def _becke_cells(d: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if m_ctr == 1:
         return np.ones_like(d)
     cell = np.ones_like(d)
+    f, t = np.empty(d.shape[1]), np.empty(d.shape[1])
     # each cell takes its factors in center order, as a loop over all
-    # ordered pairs would; f_ji = -f_ij exactly, so one pass serves both
+    # ordered pairs would; f_ji = -f_ij exactly, so one pass serves both.
+    # In place, f (3 - f^2) / 2 takes its exact halving last: same bits.
     for i in range(m_ctr):
         for j in range(i + 1, m_ctr):
-            rij = np.linalg.norm(centers[i] - centers[j])
-            f = (d[i] - d[j]) / rij
+            np.subtract(d[i], d[j], out=f)
+            f /= np.linalg.norm(centers[i] - centers[j])
             for _ in range(BECKE_ORDER):
-                f = 0.5 * f * (3.0 - f * f)
-            cell[i] *= 0.5 * (1.0 - f)
-            cell[j] *= 0.5 * (1.0 + f)
-    return cell / np.sum(cell, axis=0)
+                f *= np.subtract(3.0, np.multiply(f, f, out=t), out=t)
+                f *= 0.5
+            cell[i] *= np.multiply(0.5, np.subtract(1.0, f, out=t), out=t)
+            cell[j] *= np.multiply(0.5, np.add(1.0, f, out=t), out=t)
+    cell /= np.sum(cell, axis=0)
+    return cell
 
 
 # nodes closer than this to a nucleus are dropped
@@ -593,7 +607,7 @@ def build_grid(centers, n_radial: int = N_RADIAL,
     # every center's shells x ring, center-major
     pts = (rr[None, :, None, None] * dirs[None, None, :, :]
            + centers[:, None, None, :]).reshape(-1, 3)
-    d = _center_distances(pts, centers)
+    d = distances(pts, centers)
     cell = _becke_cells(d, centers)
     residual = float(np.max(np.abs(np.sum(cell, axis=0) - 1.0)))
     # each center's own points take its own cell weight
@@ -708,7 +722,7 @@ def _ring_contract(w: np.ndarray, vals: np.ndarray, ring: int) -> np.ndarray:
     """q[e, j, k] = sum over the ring of shell k of w[e] vals[j], for
     weights w (E, b) and values vals (n, b) on b points laid shell-major;
     one small product per shell."""
-    per_shell = vals.reshape(len(vals), -1, ring).transpose(1, 0, 2)
+    per_shell = vals.reshape(-1, w.shape[1] // ring, ring).transpose(1, 0, 2)
     q = per_shell @ w.reshape(len(w), -1, ring).transpose(1, 2, 0)
     return q.transpose(2, 1, 0)
 
@@ -720,7 +734,7 @@ class _Chunk(NamedTuple):
     None.  `live` holds per site s how many of its columns, a leading run
     of ScalarBasis.site_columns[s] (ascending exponent), can be nonzero on
     the points, `pairs` the indices of the site pairs with both sides
-    live and `columns` the live columns of the basis, site by site.
+    live and `columns` the live columns of every site but home, in order.
     """
 
     points: slice
@@ -732,25 +746,25 @@ class _Chunk(NamedTuple):
 
 
 class GridEvaluation:
-    """Basis values (m, n) and site displacements (m, 3, k) on a grid.
+    """Basis values (m, n) and site displacements (m, 3, k) on a grid,
+    and each site's floored values g_i(r_k) on the shells of the grid
+    center at that site, which every kernel reads there instead of the
+    table: the table stores those columns as 0 (a third of the shipped
+    triangle's).  The gradient of a primitive i at site s is
+    -2a_i (x - A_s) g_i, so every gradient integral is 4 a_i a_j times a
+    weighted integral of values, with the factors applied to the
+    finished matrices.
 
-    The kernels work from these two tables, and the weighted gradient
-    Gram and the sigma.grad density also from each site's floored values
-    g_i(r_k) on the shells of the grid center at that site.  The
-    gradient of a primitive i at site s is -2a_i (x - A_s) g_i, so every
-    gradient integral is 4 a_i a_j times a weighted integral of values,
-    with the factors applied to the finished matrices.
-
-    All three kernels walk one list of chunks (_screened_chunks), built
-    with the tables, and read on each chunk only the columns that can be
-    nonzero there.
+    Every kernel (the weighted gradient Gram, the two gradient densities
+    and the weighted overlap) walks one list of chunks
+    (_screened_chunks), built with the tables, and reads on each chunk
+    only the columns that can be nonzero there.
     """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
         self.basis = basis
         self.grid = grid
         sc = basis.scalar
-        self.vals, self.disp = sc.values_and_gradients(grid.points)
         # per site pair s < t with D = A_s - A_t: the directions e (j, 3)
         # perpendicular to D of its live cross parts, and the rows D x e
         self._pairs = []
@@ -763,12 +777,21 @@ class GridEvaluation:
         shell = _floored_values(-sc.alphas[:, None] * grid.radii ** 2,
                                 sc.norms)
         self._shell_vals = [shell[i] for i in sc.site_columns]
-        self._chunks = self._screened_chunks()
+        # per center that is a site and kept all its nodes: its first
+        # point and the site
+        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
+        homes = [(a, site_at[tuple(x)])
+                 for x, a in zip(grid.centers, grid.runs)
+                 if a is not None and tuple(x) in site_at]
+        self.vals, self.disp = sc.values_and_gradients(grid.points, {
+            h: slice(a, a + grid.n_radial * grid.ring) for a, h in homes})
+        self._chunks = self._screened_chunks(homes)
 
-    def _screened_chunks(self) -> list[_Chunk]:
+    def _screened_chunks(self, homes) -> list[_Chunk]:
         """The grid in point order: the run of each center that is a site
-        h and kept all its nodes in chunks of max(1, BLOCK // ring) whole
-        shells, every other point in blocks of up to BLOCK points.
+        h and kept all its nodes (homes: its start and h) in chunks of
+        max(1, BLOCK // ring) whole shells, every other point in blocks
+        of up to BLOCK points.
 
         On shells of radii [r_a, r_b] about h a site s at distance D from
         h is at least dmin = max(0, D - r_b, r_a - D) away, and none of
@@ -791,14 +814,11 @@ class GridEvaluation:
         def chunk(points, home=None, shells=None, live=whole):
             pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
                      if live[s] and live[t]]
-            columns = np.concatenate([np.arange(i.start, i.start + n)
-                                      for i, n in zip(cols, live)])
+            columns = np.concatenate([
+                np.arange(i.start, i.start + (0 if s == home else n))
+                for s, (i, n) in enumerate(zip(cols, live))])
             return _Chunk(points, home, shells, live, pairs, columns)
 
-        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
-        homes = [(a, site_at[tuple(x)])
-                 for x, a in zip(grid.centers, grid.runs)
-                 if a is not None and tuple(x) in site_at]
         step = max(1, BLOCK // grid.ring)
         chunks, done = [], 0
         for start, h in homes + [(grid.size, None)]:
@@ -828,34 +848,49 @@ class GridEvaluation:
     def weighted_overlap(self, c: np.ndarray) -> np.ndarray:
         """int c g_i g_j for a weight c >= 0, exactly symmetric.
 
-        rows rows^T of the sqrt(c)-scaled live values of each chunk, a
-        symmetric rank-k update, added into the live rows and columns.
+        Per chunk, the symmetric rank-k update of the sqrt(c)-scaled live
+        table columns.  On the home site h's own shells, as in
+        gram_operands, h's block takes one row per shell, g_i(r_k)
+        sqrt(C_k) with C_k the sum of c over its ring, and h's blocks
+        with the others take their rows contracted over each ring.
         """
         self._check_size(c)
         if np.any(c < 0.0):
             raise ValueError("overlap weights must be nonnegative")
         root = np.sqrt(c)
         vals = self.vals.T
-        n = self.basis.scalar.n
-        out = np.zeros((n, n))
+        sc = self.basis.scalar
+        out = np.zeros((sc.n, sc.n))
         for ch in self._chunks:
             rows = vals[ch.columns, ch.points]
             rows *= root[ch.points]
             out[np.ix_(ch.columns, ch.columns)] += rows @ rows.T
+            if ch.home is not None:
+                i = sc.site_columns[ch.home]
+                home = self._shell_vals[ch.home][:, ch.shells]
+                r = home * np.sqrt(c[ch.points].reshape(-1, self.grid.ring)
+                                   .sum(axis=1))
+                out[i, i] += r @ r.T
+                blk = home @ _ring_contract(root[None, ch.points], rows,
+                                            self.grid.ring)[0].T
+                out[i, ch.columns] += blk
+                out[ch.columns, i] += blk.T
         return out
 
     def gram_operands(self, c: np.ndarray):
-        """Per chunk (see _screened_chunks), the value operands of the
-        weighted gradient Gram: each block gets lhs @ rhs^T (batched over
-        a leading axis of rhs), reshaped to its live part.
+        """The value operands of the weighted gradient Gram per chunk (see
+        _screened_chunks), each yielded as it is built, to be multiplied
+        while in cache: (ch, s, rows, None) for site s, whose symmetric
+        rank-k update is the live part of the (s, s) block, and
+        (ch, k, lhs, rhs) for the site pair self._pairs[k], which gets
+        lhs @ rhs^T (batched over a leading axis of rhs), reshaped to its
+        live part.
 
-        For each site s, the rows sqrt(c) |x - A_s| g_i of its live
-        primitives, whose symmetric rank-k update is the live part of the
-        (s, s) block.  For each site pair s < t with both sides live, the
-        rows c w g_i (i at s), stacked for the weights
-        w = (x - A_s).(x - A_t) and ((x - A_s) x D).e for each live
-        direction e of the pair, and the values g_j (j at t) they
-        multiply.
+        The rows of site s are sqrt(c) |x - A_s| g_i of its live
+        primitives.  A site pair s < t with both sides live takes the rows
+        c w g_i (i at s), stacked for the weights w = (x - A_s).(x - A_t)
+        and ((x - A_s) x D).e for each live direction e of the pair, and
+        the values g_j (j at t) they multiply.
 
         On the points of the home site h's own grid its primitives are
         g_i(r_k) of the shell radius r_k alone.  Its rows there are
@@ -874,30 +909,30 @@ class GridEvaluation:
             b = vals.shape[1]
             cols = [vals[i][:n] for i, n in
                     zip(self.basis.scalar.site_columns, ch.live)]
-            if h is not None:
-                home = self._shell_vals[h][:, ch.shells]
-                ring_c = c[sl].reshape(-1, ring).sum(axis=1)
-                home_rows = home * (self.grid.radii[ch.shells]
-                                    * np.sqrt(ring_c))
-            rows = [home_rows if s == h else
-                    v * (np.sqrt(np.einsum("ab,ab->b", dx, dx)) * root[sl])
-                    for s, (v, dx) in enumerate(zip(cols, disp))]
-            pairs = []
-            for s, t, _, dxe in (self._pairs[k] for k in ch.pairs):
+            for s, (v, dx) in enumerate(zip(cols, disp)):
+                if s == h:
+                    home = self._shell_vals[h][:, ch.shells]
+                    ring_c = c[sl].reshape(-1, ring).sum(axis=1)
+                    yield ch, s, home * (self.grid.radii[ch.shells]
+                                         * np.sqrt(ring_c)), None
+                else:
+                    yield ch, s, v * (np.sqrt(np.einsum("ab,ab->b", dx, dx))
+                                      * root[sl]), None
+            for k in ch.pairs:
+                s, t, _, dxe = self._pairs[k]
                 w = np.empty((1 + len(dxe), b))
                 np.einsum("ab,ab->b", disp[s], disp[t], out=w[0])
                 # ((x - A_s) x D).e = (x - A_s).(D x e)
                 np.matmul(dxe, disp[s], out=w[1:])
                 w *= c[sl]
                 if h == s:
-                    pairs.append((home, _ring_contract(w, cols[t], ring)))
+                    yield ch, k, home, _ring_contract(w, cols[t], ring)
                 elif h == t:
                     q = _ring_contract(w, cols[s], ring)
-                    pairs.append((q.reshape(-1, q.shape[2]), home))
+                    yield ch, k, q.reshape(-1, q.shape[2]), home
                 else:
-                    pairs.append(((w[:, None, :] * cols[s]).reshape(-1, b),
-                                  cols[t]))
-            yield rows, pairs
+                    yield (ch, k, (w[:, None, :] * cols[s]).reshape(-1, b),
+                           cols[t])
 
     def weighted_grad_blocks(self, c: np.ndarray):
         """Dot and cross gradient Grams for a weight c >= 0.
@@ -913,12 +948,12 @@ class GridEvaluation:
         the plane normal on a mirror grid, none on an axial grid, where
         the others integrate to exactly 0.  One weighted product per
         site pair and live direction, one more for dot, and one symmetric
-        rank-k update per site give everything, summed over the chunks
-        of gram_operands into their live parts: on a site's own grid over
-        its shells, elsewhere over points.  The (t, s) blocks are the
-        (anti)transposes of the (s, t) ones, so dot is exactly symmetric
-        and each cross_k exactly antisymmetric.  Returns dot and the three
-        lab-frame components cross_k.
+        rank-k update per site give everything, each multiplied as
+        gram_operands builds it and summed over the chunks into its live
+        part: on a site's own grid over its shells, elsewhere over points.
+        The (t, s) blocks are the (anti)transposes of the (s, t) ones, so
+        dot is exactly symmetric and each cross_k exactly antisymmetric.
+        Returns dot and the three lab-frame components cross_k.
         """
         self._check_size(c)
         if np.any(c < 0.0):
@@ -928,10 +963,11 @@ class GridEvaluation:
         dot = np.zeros((sc.n, sc.n))
         off = [np.zeros((1 + len(e), *dot[cols[s], cols[t]].shape))
                for s, t, e, _ in self._pairs]
-        for ch, (rows, pairs) in zip(self._chunks, self.gram_operands(c)):
-            for i, n, r in zip(cols, ch.live, rows):
-                dot[i, i][:n, :n] += r @ r.T
-            for k, (lhs, rhs) in zip(ch.pairs, pairs):
+        for ch, k, lhs, rhs in self.gram_operands(c):
+            if rhs is None:
+                n = ch.live[k]
+                dot[cols[k], cols[k]][:n, :n] += lhs @ lhs.T
+            else:
                 s, t = self._pairs[k][:2]
                 acc = off[k][:, :ch.live[s], :ch.live[t]]
                 acc += (lhs @ np.swapaxes(rhs, -1, -2)).reshape(acc.shape)
@@ -947,41 +983,53 @@ class GridEvaluation:
         scale = np.outer(f, f)
         return scale * dot, list(scale * cross)
 
+    def _gradient_density(self, coef: np.ndarray, per_point) -> np.ndarray:
+        """per_point(g) at every grid point, for g (3, r, points) the sums
+        over the sites t of (x - A_t) (x) u_t and the r rows
+        u_t = sum_{i at t} coef[:, i] g_i, from one (r x live)(live x
+        points) product per site and chunk (per shell on the home site's
+        own shells, spread over the ring)."""
+        sc = self.basis.scalar
+        vals_t, disp_t = self.vals.T, self.disp.T
+        ring = self.grid.ring
+        out = np.empty(self.grid.size)
+        for ch in self._chunks:
+            vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
+            u = np.empty((len(disp), len(coef), vals.shape[1]))
+            for s, (i, n) in enumerate(zip(sc.site_columns, ch.live)):
+                if s == ch.home:
+                    shell = coef[:, i] @ self._shell_vals[s][:, ch.shells]
+                    u[s].reshape(len(coef), -1, ring)[:] = shell[:, :, None]
+                else:  # 0 where no column is live
+                    np.matmul(coef[:, i][:, :n], vals[i][:n], out=u[s])
+            out[ch.points] = per_point(np.einsum("tab,trb->arb", disp, u))
+        return out
+
     def sigma_grad_density(self, psi: np.ndarray) -> np.ndarray:
         """|sigma.grad psi|^2 at every grid point, for spinor coefficients
         psi, spin fastest, from the values; any weighted integral of it is
         one dot product with its weight.
 
         sigma.grad psi = sum_t sigma.(x - A_t) u_t with the 2-spinor
-        u_t = sum_{i at t} (-2a_i) psi_i g_i, so each chunk takes one
-        (4 x live)(live x points) product per site for the parts of u_t
-        (per shell on the home site's own shells, spread over the ring),
-        sums (x - A_t) (x) u_t over the sites and then does the 2 x 2
-        algebra per point.
+        u_t = sum_{i at t} (-2a_i) psi_i g_i: _gradient_density takes the
+        four real rows of u_t, and the 2 x 2 algebra is done per point.
         """
-        sc = self.basis.scalar
-        coef = (-2.0 * sc.alphas)[:, None] * psi.reshape(-1, 2)
-        # per site the rows Re u_0, Re u_1, Im u_0, Im u_1 of its part
-        parts = [np.vstack([coef[i].real.T, coef[i].imag.T])
-                 for i in sc.site_columns]
-        vals_t, disp_t = self.vals.T, self.disp.T
-        ring = self.grid.ring
-        out = np.empty(self.grid.size)
-        for ch in self._chunks:
-            vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
-            u = np.empty((len(parts), 4, vals.shape[1]))
-            for s, (i, n, part) in enumerate(zip(sc.site_columns, ch.live,
-                                                 parts)):
-                if s == ch.home:
-                    shell = part @ self._shell_vals[s][:, ch.shells]
-                    u[s].reshape(4, -1, ring)[:] = shell[:, :, None]
-                else:  # 0 where no column is live
-                    np.matmul(part[:, :n], vals[i][:n], out=u[s])
+        coef = (-2.0 * self.basis.scalar.alphas)[:, None] * psi.reshape(-1, 2)
+
+        def spinor(g):
             # the sums over t of (x - A_t)_a times each part of
             # u_t = (p0 + i q0, p1 + i q1), for a = x, y, z
             ((xp0, xp1, xq0, xq1), (yp0, yp1, yq0, yq1),
-             (zp0, zp1, zq0, zq1)) = np.einsum("tab,trb->arb", disp, u)
-            f = [zp0 + xp1 + yq1, zq0 + xq1 - yp1, xp0 - yq0 - zp1,
-                 xq0 + yp0 - zq1]
-            out[ch.points] = sum(g * g for g in f)
-        return out
+             (zp0, zp1, zq0, zq1)) = g
+            return sum(f * f for f in (zp0 + xp1 + yq1, zq0 + xq1 - yp1,
+                                       xp0 - yq0 - zp1, xq0 + yp0 - zq1))
+        return self._gradient_density(np.vstack([coef.real.T, coef.imag.T]),
+                                      spinor)
+
+    def grad_density(self, phi: np.ndarray) -> np.ndarray:
+        """|grad phi|^2 at every grid point for real scalar coefficients
+        phi: sigma_grad_density of phi (x) chi for any unit 2-spinor chi,
+        from one row per site instead of four."""
+        return self._gradient_density(
+            (-2.0 * self.basis.scalar.alphas * phi)[None, :],
+            lambda g: np.sum(g[:, 0] ** 2, axis=0))

@@ -162,10 +162,7 @@ class GapProblem:
             return merged
         phi = self.x @ np.linalg.eigh(
             _schrodinger_matrix(self.basis, self.potential))[1][:, 0]
-        chi = np.array([1.0, 0.0]) if self.spin is None else self.spin
-        # |sigma.grad (phi chi)|^2 = |grad phi|^2 for a unit chi
-        wd = self.grid.weights * self.evaluation.sigma_grad_density(
-            np.kron(phi, chi))
+        wd = self.grid.weights * self.evaluation.grad_density(phi)
         fixed = float(phi @ self.bstat @ phi)
         lo, hi = _BRACKET
         lam = merged

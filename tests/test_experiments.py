@@ -129,6 +129,22 @@ def test_conjecture_sweep_margins_and_summary():
     assert report.exit_code == 0
 
 
+def test_rank_reduced_flag_on_a_nearly_dependent_basis():
+    # exponents 1.3 apart are nearly parallel: the overlap keeps 15 of the
+    # 16 directions, and the row says so without failing the scan
+    report = experiments.run_experiment(
+        fast_config(basis={"n_s": 8, "beta": 1.3}, separations=(1.0,)))
+    row = report.rows[0]
+    diag = row["diagnostics"]
+    assert diag["retained_rank"] < diag["basis_size"]
+    assert row["flags"] == "rank-reduced" and row["converged"]
+    assert report.exit_code == experiments.EXIT_OK
+    # the default ladder is full rank, so its rows stay "ok"
+    for row in experiments.run_experiment(fast_config()).rows:
+        assert row["diagnostics"]["retained_rank"] == \
+            row["diagnostics"]["basis_size"]
+
+
 def test_csv_body_is_deterministic_and_parseable():
     cfg = fast_config()
     body1 = experiments.run_experiment(cfg).csv_body()

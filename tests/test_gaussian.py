@@ -218,11 +218,54 @@ def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
     assert np.any((raw > 0.0) & (raw < gaussian.VALUE_FLOOR))
     ref_vals, _ = oracles.values_and_gradients(
         basis.scalar, grid.points, gaussian.VALUE_FLOOR)
-    assert np.array_equal(ev.vals, ref_vals)
+    # with no skip the whole table, and the evaluation's stored entries
+    assert np.array_equal(
+        basis.scalar.values_and_gradients(grid.points)[0], ref_vals)
+    assert_table_matches_oracle(ev)
     sites = basis.scalar.sites
     assert ev.disp.shape == (grid.size, 3, 2)
     assert np.array_equal(ev.disp,
                           grid.points[:, :, None] - sites.T[None, :, :])
+
+
+def own_shell_entries(ev):
+    """True on each site's columns on the points of its own shells, which
+    the table stores as 0: the kernels read the shell values there."""
+    own = np.zeros(ev.vals.shape, dtype=bool)
+    for ch in ev._chunks:
+        if ch.home is not None:
+            own[ch.points, ev.basis.scalar.site_columns[ch.home]] = True
+    return own
+
+
+def own_site_runs(ev):
+    """Per primitive, the run start of its site's own complete shells on
+    the grid, or None where the site has none."""
+    sc, grid = ev.basis.scalar, ev.grid
+    runs = {tuple(x): a for x, a in zip(grid.centers, grid.runs)}
+    return [runs.get(tuple(sc.sites[s])) for s in sc.site_of]
+
+
+def assert_table_matches_oracle(ev):
+    """Every stored entry is the oracle's bit for bit, and 0 on a site's
+    own shells, where each site's shell values are the oracle's at the
+    shell radii (a primitive of the site's exponent at the origin,
+    evaluated at (0, 0, r_k), has r^2 = r_k^2 exactly)."""
+    sc, grid = ev.basis.scalar, ev.grid
+    ref, _ = oracles.values_and_gradients(sc, grid.points,
+                                          gaussian.VALUE_FLOOR)
+    own = own_shell_entries(ev)
+    assert np.all(own.sum(axis=0) == [
+        grid.n_radial * grid.ring if a is not None else 0
+        for a in own_site_runs(ev)])
+    assert np.array_equal(ev.vals, np.where(own, 0.0, ref))
+    on_axis = grid.radii[:, None] * np.array([0.0, 0.0, 1.0])
+    for s, i in enumerate(sc.site_columns):
+        at_origin = gaussian.ScalarBasis([gaussian.GaussianPrimitive(
+            (0.0, 0.0, 0.0), g.exponent) for g in sc.primitives[i]])
+        shell, _ = oracles.values_and_gradients(at_origin, on_axis,
+                                                gaussian.VALUE_FLOOR)
+        assert np.array_equal(ev._shell_vals[s], shell.T)
 
 
 def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
@@ -513,19 +556,54 @@ def test_weighted_grad_blocks_consistency(monkeypatch, make):
     assert np.allclose(overlap, want, rtol=0.0, atol=1e-13 * np.max(want))
 
 
+@pytest.mark.parametrize("make", [axial_pair, mirror_triangle,
+                                  full_four_sites, ghost_center,
+                                  excluded_node, far_apart_full,
+                                  steep_first_full])
+def test_no_kernel_reads_a_site_on_its_own_shells(monkeypatch, make):
+    # NaN in every entry the table leaves 0 on a site's own shells: a
+    # kernel that read one would turn NaN, so the same bits mean none does
+    monkeypatch.setattr(gaussian, "BLOCK", 400)
+    basis, grid = make()
+    ev = gaussian.GridEvaluation(basis, grid)
+    c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
+    rng = np.random.default_rng(13)
+    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    phi = rng.normal(size=basis.scalar.n)
+
+    def kernels():
+        dot, cross = ev.weighted_grad_blocks(c)
+        return [dot, *cross, ev.sigma_grad_density(psi),
+                ev.grad_density(phi), ev.weighted_overlap(c)]
+
+    before = kernels()
+    own = own_shell_entries(ev)
+    assert np.any(own) and not np.any(ev.vals[own])
+    ev.vals[own] = np.nan
+    for a, b in zip(before, kernels()):
+        assert np.array_equal(a, b)
+
+
 def assert_screened_entries_are_zero(ev):
     """Every table entry outside its chunk's live columns (a leading run
     of each site's) is exactly 0, and each site's columns that are not 0
-    on the chunk are a leading run too."""
+    on the chunk are a leading run too.  The chunk's columns are the live
+    ones of every site but home, whose columns the table holds as 0 there
+    and whose shell values are all kept."""
     cols = ev.basis.scalar.site_columns
     for ch in ev._chunks:
         vals = ev.vals[ch.points]
         assert np.array_equal(ch.columns, np.concatenate(
-            [np.arange(i.start, i.start + n) for i, n in zip(cols, ch.live)]))
-        for i, n in zip(cols, ch.live):
+            [np.arange(i.start, i.start + n) for s, (i, n)
+             in enumerate(zip(cols, ch.live)) if s != ch.home]))
+        for s, (i, n) in enumerate(zip(cols, ch.live)):
             nonzero = np.any(vals[:, i], axis=0)
+            if s == ch.home:
+                assert n == i.stop - i.start and not np.any(nonzero)
+                continue
             assert not np.any(nonzero[n:])
             assert np.all(nonzero[:np.count_nonzero(nonzero)])
+    assert_table_matches_oracle(ev)
 
 
 def shipped_triangle(d):
@@ -588,18 +666,22 @@ def test_weighted_gradient_rows_make_no_subnormal_products():
         return np.min(a[a > 0.0])
 
     # on each atom's own grid its rows are one per shell, and the pair
-    # block multiplies its shell values with the ring-contracted factors
-    chunks = 0
-    for rows, pairs in gaussian.GridEvaluation(basis, grid).gram_operands(c):
-        assert sorted(r.shape[1] for r in rows) == [grid.n_radial,
-                                                    grid.n_radial * grid.ring]
-        for r in rows:
-            assert not np.any((np.abs(r) > 0.0) & (np.abs(r) < small))
-        for lhs, rhs in pairs:
+    # block multiplies its shell values with the ring-contracted factors;
+    # every operand is checked as the fused loop multiplies it
+    ev = gaussian.GridEvaluation(basis, grid)
+    chunks, widths = set(), []
+    for ch, k, lhs, rhs in ev.gram_operands(c):
+        chunks.add(ch.points.start)
+        if rhs is None:
+            widths.append(lhs.shape[1])
+            assert not np.any((np.abs(lhs) > 0.0) & (np.abs(lhs) < small))
+        else:
             assert smallest(lhs) * smallest(rhs) >= tiny
-        chunks += 1
     # one chunk of all 48 shells of 18 nodes per atom
-    assert chunks == 2
+    assert len(chunks) == 2 == len(ev._chunks)
+    assert sorted(widths) == [grid.n_radial, grid.n_radial,
+                              grid.n_radial * grid.ring,
+                              grid.n_radial * grid.ring]
 
 
 def test_weighted_grad_blocks_rejects_negative_weights():
@@ -727,6 +809,10 @@ def test_primitive_order_does_not_change_a_bit(name, data):
     assert np.array_equal(cross_a, cross_b)
     assert np.array_equal(ev_a.sigma_grad_density(psi),
                           ev_b.sigma_grad_density(psi))
+    assert np.array_equal(ev_a.grad_density(psi.real[::2]),
+                          ev_b.grad_density(psi.real[::2]))
+    assert np.array_equal(ev_a.weighted_overlap(c), ev_b.weighted_overlap(c))
+    assert_table_matches_oracle(ev_a)
     cfg = multicenter.GapSolveConfig(n_radial=24, angular_order=11)
     assert (multicenter.solve_gap(a, mu, grid, cfg).lambda1
             == multicenter.solve_gap(b, mu, grid, cfg).lambda1)

@@ -347,6 +347,34 @@ def test_start_is_the_root_of_the_ground_vector_quotient():
     assert 0.0 < start - lambda1 < 1e-3 < lambda1 - mu.merged_lambda
 
 
+@pytest.mark.parametrize("kind,positions", [
+    ("axial", [(0, 0, -0.3), (0, 0, 0.7)]),
+    ("mirror", [(0, 0, 0), (1.1, 0, 0), (0.4, 0.8, 0)]),
+    ("full", [(0.1, -0.2, 0.3), (1.2, 0.5, -0.4), (-0.3, 0.9, 0.7),
+              (0.4, 0.3, -0.9)])])
+def test_scalar_start_density_is_the_spinor_density(kind, positions,
+                                                    monkeypatch):
+    # |grad phi|^2 from one row per site against |sigma.grad (phi chi)|^2
+    # from four, for the start's ground vector and a random real phi
+    mu = charges.atoms(positions, [0.15] * len(positions))
+    basis = basis_for(mu, n_s=6)
+    problem = multicenter.GapProblem(basis, mu,
+                                     gaussian.grid_for_basis(basis, 32, 11))
+    assert problem.grid.kind == kind
+    ev = problem.evaluation
+    chi = np.array([1.0, 0.0]) if problem.spin is None else problem.spin
+    ground = basis.orthogonalizer @ np.linalg.eigh(
+        multicenter._schrodinger_matrix(basis, problem.potential))[1][:, 0]
+    for phi in (ground, np.random.default_rng(17).normal(size=len(ground))):
+        got = ev.grad_density(phi)
+        want = ev.sigma_grad_density(np.kron(phi, chi))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    start = problem.start()
+    monkeypatch.setattr(ev, "grad_density", lambda phi: (
+        ev.sigma_grad_density(np.kron(phi, chi))))
+    assert abs(problem.start() - start) <= 1e-13
+
+
 @given(mu=small_molecules())
 @settings(max_examples=12, derandomize=True, deadline=None)
 def test_start_is_an_upper_end_of_the_bracket(mu):
