@@ -41,16 +41,15 @@ depend on the shell radius alone (Becke, J. Chem. Phys. 88, 2547
 Gram and the overlap summing their weight over each ring first; the
 table stores them as 0 there.
 
-Each chunk also carries per center its live columns, those of its
-primitives that can be nonzero there, a leading run.  On shells of radii
-[r_a, r_b] about center h, a center s at distance D is at least
-dmin = max(0, D - r_b, r_a - D) away, so a primitive N exp(-a r^2) at s
-is at most N exp(-a dmin^2) there, and below VALUE_FLOOR it is stored
-as 0 on the whole chunk (the same screening of a batch of grid points
-as Stratmann, Scuseria & Frisch, Chem. Phys. Lett. 257, 213 (1996)).
-h itself and every chunk that is not a center's shells keep all
-columns.  The kernels read only live rows, so VALUE_FLOOR alone decides
-what they skip.
+The chunks are the blocks the table is filled in, and each carries per
+center its live columns, a leading run: tabulation takes exp only for
+the primitives whose floored value is not 0 at the chunk's smallest
+distance from their center, stores the rest as 0, and hands over their
+count (one test per batch of grid points, as in Stratmann, Scuseria &
+Frisch, Chem. Phys. Lett. 257, 213 (1996)).  A center keeps all its
+columns on its own shells.  The kernels read only live rows, so the
+screening is the table's own, and VALUE_FLOOR alone decides what they
+skip.
 """
 from __future__ import annotations
 
@@ -262,42 +261,45 @@ class ScalarBasis:
             out -= self.attraction_matrix(p.xyz, p.strength)
         return out
 
-    def values_and_gradients(self, pts: np.ndarray, skip=None):
+    def values_and_gradients(self, pts: np.ndarray, blocks=None):
         """Values (m, n) of every primitive, each below VALUE_FLOOR set to
-        0, and the displacements x - A_s (m, 3, k) of the points from the
-        k sites; no gradient is formed.
+        0, the displacements x - A_s (m, 3, k) of the points from the k
+        sites, and per block the live count of each site; no gradient is
+        formed.
 
-        skip maps a site to a slice of points where its columns are just
-        stored as 0 (GridEvaluation: its own shells).  Both arrays are
-        transposed views of point-fastest tables, so the grid kernels
-        scale them along memory.  Filled over blocks of up to BLOCK
-        points, split at the ends of the skipped slices, site by site
-        (_tabulate_run).
+        blocks partitions the points into pairs (slice, home), filled one
+        at a time: home is a site whose columns are just stored as 0 there
+        (GridEvaluation: its own shells), or None; by default blocks of
+        BLOCK points.  A site's live count on a block is how many of its
+        columns (ascending exponent) are not all 0 there, a leading run
+        (_tabulate_run), and all of them for home.  Both tables are
+        transposed views of point-fastest arrays, so the grid kernels
+        scale them along memory.
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
-        skip = skip or {}
+        if blocks is None:
+            blocks = [(slice(a, min(a + BLOCK, m)), None)
+                      for a in range(0, m, BLOCK)]
         vals = np.empty((self.n, m))
         disp = np.empty((len(self.sites), 3, m))
         neg = -self.alphas[:, None]
-        cuts = sorted({0, m, *(x for sl in skip.values()
-                               for x in (sl.start, sl.stop))})
-        for a, b in zip(cuts, cuts[1:]):
-            for start in range(a, b, BLOCK):
-                sl = slice(start, min(start + BLOCK, b))
-                dx = np.subtract(pts[sl].T[None], self.sites[:, :, None],
-                                 out=disp[:, :, sl])
-                # summed x, z, y, as einsum sums a row (x, y, z) of points
-                r2 = dx[:, 0] ** 2 + dx[:, 2] ** 2 + dx[:, 1] ** 2
-                for s, (cols, r2_site) in enumerate(zip(self.site_columns,
-                                                        r2)):
-                    off = skip.get(s, slice(0, 0))
-                    if off.start <= start < off.stop:
-                        vals[cols, sl] = 0.0
-                    else:
-                        _tabulate_run(vals[cols, sl], neg[cols],
-                                      self.norms[cols], r2_site)
-        return vals.T, disp.T
+        live = []
+        for sl, home in blocks:
+            dx = np.subtract(pts[sl].T[None], self.sites[:, :, None],
+                             out=disp[:, :, sl])
+            # summed x, z, y, as einsum sums a row (x, y, z) of points
+            r2 = dx[:, 0] ** 2 + dx[:, 2] ** 2 + dx[:, 1] ** 2
+            counts = []
+            for s, (cols, r2_site) in enumerate(zip(self.site_columns, r2)):
+                if s == home:
+                    vals[cols, sl] = 0.0
+                    counts.append(cols.stop - cols.start)
+                else:
+                    counts.append(_tabulate_run(vals[cols, sl], neg[cols],
+                                                self.norms[cols], r2_site))
+            live.append(counts)
+        return vals.T, disp.T, live
 
 
 def _live_count(neg: np.ndarray, norms: np.ndarray, r2: float) -> int:
@@ -312,12 +314,13 @@ def _live_count(neg: np.ndarray, norms: np.ndarray, r2: float) -> int:
 
 
 def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
-                  r2: np.ndarray) -> None:
+                  r2: np.ndarray) -> int:
     """Write the floored values of the primitives of one site at squared
-    distances r2 (b,) into out; only those live at the smallest r2
-    (_live_count) take exp, the rest are 0, and only those not live at
-    the largest r2 can fall below EXP_CLAMP or VALUE_FLOOR, so only they
-    are clamped and floored: the same table, bit for bit."""
+    distances r2 (b,) into out and return how many are live: only those
+    live at the smallest r2 (_live_count) take exp, the rest are 0, and
+    only those not live at the largest r2 can fall below EXP_CLAMP or
+    VALUE_FLOOR, so only they are clamped and floored: the same table,
+    bit for bit."""
     live = _live_count(neg, norms, np.min(r2))
     full = _live_count(neg[:live], norms[:live], np.max(r2))
     out[live:] = 0.0
@@ -325,6 +328,7 @@ def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
     np.exp(arg[:full], out=arg[:full])
     arg[:full] *= norms[:full, None]
     _floored_values(arg[full:], norms[full:live])
+    return live
 
 
 def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -732,9 +736,10 @@ class _Chunk(NamedTuple):
 
     `home` is the site whose own shells `shells` the points are, else
     None.  `live` holds per site s how many of its columns, a leading run
-    of ScalarBasis.site_columns[s] (ascending exponent), can be nonzero on
-    the points, `pairs` the indices of the site pairs with both sides
-    live and `columns` the live columns of every site but home, in order.
+    of ScalarBasis.site_columns[s] (ascending exponent), the table does
+    not hold as 0 on the points, as tabulating them found (all of home's),
+    `pairs` the indices of the site pairs with both sides live and
+    `columns` the live columns of every site but home, in order.
     """
 
     points: slice
@@ -755,10 +760,10 @@ class GridEvaluation:
     weighted integral of values, with the factors applied to the
     finished matrices.
 
-    Every kernel (the weighted gradient Gram, the two gradient densities
-    and the weighted overlap) walks one list of chunks
-    (_screened_chunks), built with the tables, and reads on each chunk
-    only the columns that can be nonzero there.
+    The grid is split once (_partition), the table filled in those
+    parts, and every kernel (the weighted gradient Gram, the two gradient
+    densities and the weighted overlap) walks them as one list of chunks,
+    reading on each only the columns tabulation found live there.
     """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
@@ -777,68 +782,44 @@ class GridEvaluation:
         shell = _floored_values(-sc.alphas[:, None] * grid.radii ** 2,
                                 sc.norms)
         self._shell_vals = [shell[i] for i in sc.site_columns]
-        # per center that is a site and kept all its nodes: its first
-        # point and the site
-        site_at = {tuple(x): s for s, x in enumerate(sc.sites)}
+        parts = self._partition()
+        self.vals, self.disp, live = sc.values_and_gradients(
+            grid.points, [(points, home) for points, home, _ in parts])
+        self._chunks = [self._chunk(*part, n) for part, n in zip(parts, live)]
+
+    def _partition(self) -> list:
+        """The grid in point order as (points, home, shells): the run of
+        each center that is a site h and kept all its nodes in parts of
+        max(1, BLOCK // ring) whole shells, with home h, every other point
+        in blocks of up to BLOCK points, with home None."""
+        grid = self.grid
+        site_at = {tuple(x): s for s, x in enumerate(self.basis.scalar.sites)}
         homes = [(a, site_at[tuple(x)])
                  for x, a in zip(grid.centers, grid.runs)
                  if a is not None and tuple(x) in site_at]
-        self.vals, self.disp = sc.values_and_gradients(grid.points, {
-            h: slice(a, a + grid.n_radial * grid.ring) for a, h in homes})
-        self._chunks = self._screened_chunks(homes)
-
-    def _screened_chunks(self, homes) -> list[_Chunk]:
-        """The grid in point order: the run of each center that is a site
-        h and kept all its nodes (homes: its start and h) in chunks of
-        max(1, BLOCK // ring) whole shells, every other point in blocks
-        of up to BLOCK points.
-
-        On shells of radii [r_a, r_b] about h a site s at distance D from
-        h is at least dmin = max(0, D - r_b, r_a - D) away, and none of
-        its primitives is larger there than at dmin: those whose floored
-        value at dmin is 0 (_live_count, which tabulation also applies)
-        are stored as 0 on the whole chunk: the steepest, a trailing run
-        of s's columns, which the basis stores by ascending exponent.
-        dmin is first shrunk by 1e-9 of the coordinates' size, far above
-        round-off in the table's r^2.  Every other chunk, and h on its
-        own shells, keeps all columns.
-        """
-        sc, grid = self.basis.scalar, self.grid
-        cols = sc.site_columns
-        whole = [i.stop - i.start for i in cols]
-        neg = -sc.alphas[:, None]
-        # no coordinate of a point or a site is larger than this
-        size = grid.radii[-1] + np.max(np.abs(np.vstack([grid.centers,
-                                                         sc.sites])))
-
-        def chunk(points, home=None, shells=None, live=whole):
-            pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
-                     if live[s] and live[t]]
-            columns = np.concatenate([
-                np.arange(i.start, i.start + (0 if s == home else n))
-                for s, (i, n) in enumerate(zip(cols, live))])
-            return _Chunk(points, home, shells, live, pairs, columns)
-
         step = max(1, BLOCK // grid.ring)
-        chunks, done = [], 0
+        parts, done = [], 0
         for start, h in homes + [(grid.size, None)]:
-            chunks += [chunk(slice(a, min(a + BLOCK, start)))
-                       for a in range(done, start, BLOCK)]
+            parts += [(slice(a, min(a + BLOCK, start)), None, None)
+                      for a in range(done, start, BLOCK)]
             if h is None:
-                return chunks
-            reach = np.linalg.norm(sc.sites - sc.sites[h], axis=1)
+                return parts
             for k in range(0, grid.n_radial, step):
                 ks = slice(k, min(k + step, grid.n_radial))
-                r_a, r_b = grid.radii[ks.start], grid.radii[ks.stop - 1]
-                dmin = np.maximum(np.maximum(reach - r_b, r_a - reach)
-                                  - 1e-9 * size, 0.0)
-                live = [whole[s] if s == h else
-                        _live_count(neg[i], sc.norms[i], dmin[s] ** 2)
-                        for s, i in enumerate(cols)]
-                chunks.append(chunk(slice(start + ks.start * grid.ring,
-                                          start + ks.stop * grid.ring),
-                                    h, ks, live))
+                parts.append((slice(start + ks.start * grid.ring,
+                                    start + ks.stop * grid.ring), h, ks))
             done = start + grid.n_radial * grid.ring
+
+    def _chunk(self, points, home, shells, live) -> _Chunk:
+        """The chunk of the part (points, home, shells) of _partition,
+        with the live counts its tabulation found."""
+        pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
+                 if live[s] and live[t]]
+        columns = np.concatenate([
+            np.arange(i.start, i.start + (0 if s == home else n))
+            for s, (i, n) in enumerate(zip(self.basis.scalar.site_columns,
+                                           live))])
+        return _Chunk(points, home, shells, live, pairs, columns)
 
     def _check_size(self, c: np.ndarray) -> None:
         if len(c) != self.grid.size:
@@ -879,7 +860,7 @@ class GridEvaluation:
 
     def gram_operands(self, c: np.ndarray):
         """The value operands of the weighted gradient Gram per chunk (see
-        _screened_chunks), each yielded as it is built, to be multiplied
+        _partition), each yielded as it is built, to be multiplied
         while in cache: (ch, s, rows, None) for site s, whose symmetric
         rank-k update is the live part of the (s, s) block, and
         (ch, k, lhs, rhs) for the site pair self._pairs[k], which gets

@@ -194,7 +194,7 @@ def test_values_and_gradients_match_finite_differences():
              gaussian.GaussianPrimitive((-0.6, 0.9, 0.3), 2.2)]
     sb = gaussian.ScalarBasis(prims)
     pts = np.array([[0.3, 0.2, 0.1], [-0.5, 1.0, 0.4]])
-    vals, disp = sb.values_and_gradients(pts)
+    vals, disp, _ = sb.values_and_gradients(pts)
     _, grads = oracles.values_and_gradients(sb, pts, gaussian.VALUE_FLOOR)
     eps = 1e-6
     for d in range(3):
@@ -203,8 +203,8 @@ def test_values_and_gradients_match_finite_differences():
                            * vals, rtol=1e-14, atol=0.0)
         shift = np.zeros(3)
         shift[d] = eps
-        vp, _ = sb.values_and_gradients(pts + shift)
-        vm, _ = sb.values_and_gradients(pts - shift)
+        vp = sb.values_and_gradients(pts + shift)[0]
+        vm = sb.values_and_gradients(pts - shift)[0]
         assert np.allclose(grads[d], (vp - vm) / (2 * eps), atol=1e-7)
 
 
@@ -218,7 +218,8 @@ def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
     assert np.any((raw > 0.0) & (raw < gaussian.VALUE_FLOOR))
     ref_vals, _ = oracles.values_and_gradients(
         basis.scalar, grid.points, gaussian.VALUE_FLOOR)
-    # with no skip the whole table, and the evaluation's stored entries
+    # with the default blocks the whole table, and the evaluation's
+    # stored entries
     assert np.array_equal(
         basis.scalar.values_and_gradients(grid.points)[0], ref_vals)
     assert_table_matches_oracle(ev)
@@ -278,7 +279,7 @@ def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
     arg = -sc.alphas * r2
     assert np.any(arg < -745.0)
     assert np.any((arg < gaussian.EXP_CLAMP) & (arg > -745.0))
-    vals, _ = sc.values_and_gradients(grid.points)
+    vals = sc.values_and_gradients(grid.points)[0]
     ref, _ = oracles.values_and_gradients(sc, grid.points,
                                           gaussian.VALUE_FLOOR)
     assert np.array_equal(vals, ref)
@@ -585,9 +586,9 @@ def test_no_kernel_reads_a_site_on_its_own_shells(monkeypatch, make):
 
 
 def assert_screened_entries_are_zero(ev):
-    """Every table entry outside its chunk's live columns (a leading run
-    of each site's) is exactly 0, and each site's columns that are not 0
-    on the chunk are a leading run too.  The chunk's columns are the live
+    """Each site's columns that are not all 0 on a chunk are a leading
+    run, exactly its live ones: the chunk keeps no row the table holds
+    as 0 and drops none it does not.  The chunk's columns are the live
     ones of every site but home, whose columns the table holds as 0 there
     and whose shell values are all kept."""
     cols = ev.basis.scalar.site_columns
@@ -601,8 +602,8 @@ def assert_screened_entries_are_zero(ev):
             if s == ch.home:
                 assert n == i.stop - i.start and not np.any(nonzero)
                 continue
-            assert not np.any(nonzero[n:])
-            assert np.all(nonzero[:np.count_nonzero(nonzero)])
+            assert n == np.count_nonzero(nonzero)
+            assert np.all(nonzero[:n])
     assert_table_matches_oracle(ev)
 
 
