@@ -27,29 +27,27 @@ cross parts perpendicular to the symmetry axis, are left out as exactly
 the symmetry of the centers.
 
 On a grid the basis is tabulated once as values, with every value below
-VALUE_FLOOR stored as 0 (exp arguments are clamped at EXP_CLAMP first,
-off exp's slow underflowing path, which leaves the table as it was),
-plus the displacements of the points from the distinct centers.  No
-gradient is formed: since grad g = -2a (x - A) g, every kernel (the
-weighted gradient Gram, both gradient densities, the weighted overlap)
-works on values, over one list of chunks: each center's own points,
-radial shells times one sphere rule, in chunks of whole shells, every
-other point in blocks of BLOCK points; the Gram multiplies each operand
-of a chunk as it builds it.  On its own shells a center's primitives
-depend on the shell radius alone (Becke, J. Chem. Phys. 88, 2547
-(1988)), so every kernel reads them there from per-shell values, the
-Gram and the overlap summing their weight over each ring first; the
-table stores them as 0 there.
+VALUE_FLOOR taken as 0 (exp arguments are clamped at EXP_CLAMP first,
+off exp's slow underflowing path, which changes no value), plus the
+displacements of the points from the distinct centers.  No gradient is
+formed: since grad g = -2a (x - A) g, every kernel (the weighted
+gradient Gram, both gradient densities, the weighted overlap) works on
+values, over one list of chunks: each center's own points, radial
+shells times one sphere rule, in chunks of whole shells, every other
+point in blocks of BLOCK points; the Gram multiplies each operand of a
+chunk as it builds it.  On its own shells a center's primitives depend
+on the shell radius alone (Becke, J. Chem. Phys. 88, 2547 (1988)), so
+every kernel reads them there from per-shell values, the Gram and the
+overlap summing their weight over each ring first.
 
-The chunks are the blocks the table is filled in, and each carries per
-center its live columns, a leading run: tabulation takes exp only for
-the primitives whose floored value is not 0 at the chunk's smallest
-distance from their center, stores the rest as 0, and hands over their
-count (one test per batch of grid points, as in Stratmann, Scuseria &
-Frisch, Chem. Phys. Lett. 257, 213 (1996)).  A center keeps all its
-columns on its own shells.  The kernels read only live rows, so the
-screening is the table's own, and VALUE_FLOOR alone decides what they
-skip.
+The chunks are the blocks tabulation fills, and each holds per center
+only its live values, a leading run of its columns: tabulation takes
+exp only for the primitives whose floored value is not 0 at the chunk's
+smallest distance from their center and stores only those rows (one
+test per batch of grid points, as in Stratmann, Scuseria & Frisch,
+Chem. Phys. Lett. 257, 213 (1996)); a center's values on its own shells
+are its per-shell values.  A kernel reads every row a chunk stores, so
+VALUE_FLOOR alone decides what it skips.
 """
 from __future__ import annotations
 
@@ -262,44 +260,43 @@ class ScalarBasis:
         return out
 
     def values_and_gradients(self, pts: np.ndarray, blocks=None):
-        """Values (m, n) of every primitive, each below VALUE_FLOOR set to
-        0, the displacements x - A_s (m, 3, k) of the points from the k
-        sites, and per block the live count of each site; no gradient is
+        """Per block, per site the floored values (live, b) of the site's
+        live primitives on the block's b points, and the displacements
+        x - A_s (k, 3, m) of the points from the k sites; no gradient is
         formed.
 
         blocks partitions the points into pairs (slice, home), filled one
-        at a time: home is a site whose columns are just stored as 0 there
-        (GridEvaluation: its own shells), or None; by default blocks of
-        BLOCK points.  A site's live count on a block is how many of its
-        columns (ascending exponent) are not all 0 there, a leading run
-        (_tabulate_run), and all of them for home.  Both tables are
-        transposed views of point-fastest arrays, so the grid kernels
-        scale them along memory.
+        at a time: home is a site that gets None there, its values not
+        tabulated (GridEvaluation: its own shells), or None; by default
+        blocks of BLOCK points.  A site's live primitives on a block are
+        those not all 0 there, a leading run of its columns (ascending
+        exponent; _tabulate_run).  All values share one allocation,
+        filled front to back.
         """
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
         if blocks is None:
             blocks = [(slice(a, min(a + BLOCK, m)), None)
                       for a in range(0, m, BLOCK)]
-        vals = np.empty((self.n, m))
+        store = np.empty(self.n * m)
         disp = np.empty((len(self.sites), 3, m))
         neg = -self.alphas[:, None]
-        live = []
+        vals, used = [], 0
         for sl, home in blocks:
             dx = np.subtract(pts[sl].T[None], self.sites[:, :, None],
                              out=disp[:, :, sl])
             # summed x, z, y, as einsum sums a row (x, y, z) of points
             r2 = dx[:, 0] ** 2 + dx[:, 2] ** 2 + dx[:, 1] ** 2
-            counts = []
+            rows = []
             for s, (cols, r2_site) in enumerate(zip(self.site_columns, r2)):
                 if s == home:
-                    vals[cols, sl] = 0.0
-                    counts.append(cols.stop - cols.start)
-                else:
-                    counts.append(_tabulate_run(vals[cols, sl], neg[cols],
-                                                self.norms[cols], r2_site))
-            live.append(counts)
-        return vals.T, disp.T, live
+                    rows.append(None)
+                    continue
+                rows.append(_tabulate_run(store[used:], neg[cols],
+                                          self.norms[cols], r2_site))
+                used += rows[-1].size
+            vals.append(rows)
+        return vals, disp
 
 
 def _live_count(neg: np.ndarray, norms: np.ndarray, r2: float) -> int:
@@ -313,22 +310,22 @@ def _live_count(neg: np.ndarray, norms: np.ndarray, r2: float) -> int:
     return int(alive[-1]) + 1 if len(alive) else 0
 
 
-def _tabulate_run(out: np.ndarray, neg: np.ndarray, norms: np.ndarray,
-                  r2: np.ndarray) -> int:
-    """Write the floored values of the primitives of one site at squared
-    distances r2 (b,) into out and return how many are live: only those
-    live at the smallest r2 (_live_count) take exp, the rest are 0, and
-    only those not live at the largest r2 can fall below EXP_CLAMP or
-    VALUE_FLOOR, so only they are clamped and floored: the same table,
-    bit for bit."""
+def _tabulate_run(store: np.ndarray, neg: np.ndarray, norms: np.ndarray,
+                  r2: np.ndarray) -> np.ndarray:
+    """The floored values (live, b) of the live primitives of one site
+    at squared distances r2 (b,), written to the front of the flat array
+    store.  Those live at the smallest r2 (_live_count) are the ones not
+    0 on every point, and only those not live at the largest r2 can fall
+    below EXP_CLAMP or VALUE_FLOOR, so only they are clamped and floored:
+    the same values, bit for bit."""
     live = _live_count(neg, norms, np.min(r2))
     full = _live_count(neg[:live], norms[:live], np.max(r2))
-    out[live:] = 0.0
-    arg = np.multiply(neg[:live], r2, out=out[:live])
-    np.exp(arg[:full], out=arg[:full])
-    arg[:full] *= norms[:full, None]
-    _floored_values(arg[full:], norms[full:live])
-    return live
+    out = store[:live * len(r2)].reshape(live, len(r2))
+    np.multiply(neg[:live], r2, out=out)
+    np.exp(out[:full], out=out[:full])
+    out[:full] *= norms[:full, None]
+    _floored_values(out[full:], norms[full:live])
+    return out
 
 
 def _floored_values(arg: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -722,6 +719,24 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
                       kind=kind, frame=frame)
 
 
+def check_reduced_grid(grid: QuadratureGrid, basis: SpinorBasis,
+                       mu: ChargeDistribution) -> None:
+    """Refuse a reduced grid unless every atom of mu and every basis site
+    lies on one of its centers (within MERGE_TOL): such a grid integrates
+    exactly only what has the symmetry of its centers, and an atom or a
+    site off them breaks it."""
+    if grid.kind == "full":
+        return
+    for what, xyz in (("atom", [p.position for p in mu.points]),
+                      ("basis site", basis.scalar.sites)):
+        for x in xyz:
+            if np.min(np.linalg.norm(grid.centers - x, axis=1)) > MERGE_TOL:
+                raise ConfigError(
+                    f"{what} at {tuple(map(float, x))} is not a center of "
+                    f"this {grid.kind} grid, whose symmetry it breaks; use "
+                    "a full grid")
+
+
 def _ring_contract(w: np.ndarray, vals: np.ndarray, ring: int) -> np.ndarray:
     """q[e, j, k] = sum over the ring of shell k of w[e] vals[j], for
     weights w (E, b) and values vals (n, b) on b points laid shell-major;
@@ -735,9 +750,10 @@ class _Chunk(NamedTuple):
     """A run of grid points that every grid kernel takes in one go.
 
     `home` is the site whose own shells `shells` the points are, else
-    None.  `live` holds per site s how many of its columns, a leading run
-    of ScalarBasis.site_columns[s] (ascending exponent), the table does
-    not hold as 0 on the points, as tabulating them found (all of home's),
+    None.  `vals` holds per site s its live values, a leading run of
+    ScalarBasis.site_columns[s] (ascending exponent): (live, points) as
+    tabulating them found, and home's per-shell values (all its columns,
+    shells); `disp` the displacements (k, 3, points) from the k sites,
     `pairs` the indices of the site pairs with both sides live and
     `columns` the live columns of every site but home, in order.
     """
@@ -745,25 +761,25 @@ class _Chunk(NamedTuple):
     points: slice
     home: int | None
     shells: slice | None
-    live: list
+    vals: list
+    disp: np.ndarray
     pairs: list
     columns: np.ndarray
 
 
 class GridEvaluation:
-    """Basis values (m, n) and site displacements (m, 3, k) on a grid,
-    and each site's floored values g_i(r_k) on the shells of the grid
-    center at that site, which every kernel reads there instead of the
-    table: the table stores those columns as 0 (a third of the shipped
-    triangle's).  The gradient of a primitive i at site s is
-    -2a_i (x - A_s) g_i, so every gradient integral is 4 a_i a_j times a
-    weighted integral of values, with the factors applied to the
-    finished matrices.
+    """The basis on a grid as one list of chunks (_Chunk): per chunk each
+    site's live values and the displacements of the points from the
+    sites, and on the shells of the grid center at a site that site's
+    floored values g_i(r_k), which every kernel reads there.  The
+    gradient of a primitive i at site s is -2a_i (x - A_s) g_i, so every
+    gradient integral is 4 a_i a_j times a weighted integral of values,
+    with the factors applied to the finished matrices.
 
-    The grid is split once (_partition), the table filled in those
-    parts, and every kernel (the weighted gradient Gram, the two gradient
-    densities and the weighted overlap) walks them as one list of chunks,
-    reading on each only the columns tabulation found live there.
+    The grid is split once (_partition) and tabulated in those parts,
+    and every kernel (the weighted gradient Gram, the two gradient
+    densities and the weighted overlap) walks the chunks, reading every
+    row each stores.
     """
 
     def __init__(self, basis: SpinorBasis, grid: QuadratureGrid):
@@ -783,9 +799,10 @@ class GridEvaluation:
                                 sc.norms)
         self._shell_vals = [shell[i] for i in sc.site_columns]
         parts = self._partition()
-        self.vals, self.disp, live = sc.values_and_gradients(
+        vals, disp = sc.values_and_gradients(
             grid.points, [(points, home) for points, home, _ in parts])
-        self._chunks = [self._chunk(*part, n) for part, n in zip(parts, live)]
+        self._chunks = [self._chunk(*part, v, disp)
+                        for part, v in zip(parts, vals)]
 
     def _partition(self) -> list:
         """The grid in point order as (points, home, shells): the run of
@@ -810,16 +827,19 @@ class GridEvaluation:
                                     start + ks.stop * grid.ring), h, ks))
             done = start + grid.n_radial * grid.ring
 
-    def _chunk(self, points, home, shells, live) -> _Chunk:
+    def _chunk(self, points, home, shells, vals, disp) -> _Chunk:
         """The chunk of the part (points, home, shells) of _partition,
-        with the live counts its tabulation found."""
+        with the values and displacements (k, 3, m) tabulation found."""
+        if home is not None:
+            vals[home] = self._shell_vals[home][:, shells]
         pairs = [k for k, (s, t, _, _) in enumerate(self._pairs)
-                 if live[s] and live[t]]
+                 if len(vals[s]) and len(vals[t])]
         columns = np.concatenate([
-            np.arange(i.start, i.start + (0 if s == home else n))
-            for s, (i, n) in enumerate(zip(self.basis.scalar.site_columns,
-                                           live))])
-        return _Chunk(points, home, shells, live, pairs, columns)
+            np.arange(i.start, i.start + (0 if s == home else len(v)))
+            for s, (i, v) in enumerate(zip(self.basis.scalar.site_columns,
+                                           vals))])
+        return _Chunk(points, home, shells, vals, disp[:, :, points], pairs,
+                      columns)
 
     def _check_size(self, c: np.ndarray) -> None:
         if len(c) != self.grid.size:
@@ -830,8 +850,8 @@ class GridEvaluation:
         """int c g_i g_j for a weight c >= 0, exactly symmetric.
 
         Per chunk, the symmetric rank-k update of the sqrt(c)-scaled live
-        table columns.  On the home site h's own shells, as in
-        gram_operands, h's block takes one row per shell, g_i(r_k)
+        values of every site but home.  On the home site h's own shells,
+        as in gram_operands, h's block takes one row per shell, g_i(r_k)
         sqrt(C_k) with C_k the sum of c over its ring, and h's blocks
         with the others take their rows contracted over each ring.
         """
@@ -839,16 +859,17 @@ class GridEvaluation:
         if np.any(c < 0.0):
             raise ValueError("overlap weights must be nonnegative")
         root = np.sqrt(c)
-        vals = self.vals.T
         sc = self.basis.scalar
         out = np.zeros((sc.n, sc.n))
         for ch in self._chunks:
-            rows = vals[ch.columns, ch.points]
+            # (0, points) when home is the only site
+            rows = np.concatenate([np.empty((0, ch.disp.shape[2]))] + [
+                v for s, v in enumerate(ch.vals) if s != ch.home])
             rows *= root[ch.points]
             out[np.ix_(ch.columns, ch.columns)] += rows @ rows.T
             if ch.home is not None:
                 i = sc.site_columns[ch.home]
-                home = self._shell_vals[ch.home][:, ch.shells]
+                home = ch.vals[ch.home]
                 r = home * np.sqrt(c[ch.points].reshape(-1, self.grid.ring)
                                    .sum(axis=1))
                 out[i, i] += r @ r.T
@@ -882,20 +903,15 @@ class GridEvaluation:
         values: one product over shells instead of over points.
         """
         root = np.sqrt(c)
-        vals_t, disp_t = self.vals.T, self.disp.T
         ring = self.grid.ring
         for ch in self._chunks:
-            sl, h = ch.points, ch.home
-            vals, disp = vals_t[:, sl], disp_t[:, :, sl]
-            b = vals.shape[1]
-            cols = [vals[i][:n] for i, n in
-                    zip(self.basis.scalar.site_columns, ch.live)]
-            for s, (v, dx) in enumerate(zip(cols, disp)):
+            sl, h, vals, disp = ch.points, ch.home, ch.vals, ch.disp
+            b = disp.shape[2]
+            for s, (v, dx) in enumerate(zip(vals, disp)):
                 if s == h:
-                    home = self._shell_vals[h][:, ch.shells]
                     ring_c = c[sl].reshape(-1, ring).sum(axis=1)
-                    yield ch, s, home * (self.grid.radii[ch.shells]
-                                         * np.sqrt(ring_c)), None
+                    yield ch, s, v * (self.grid.radii[ch.shells]
+                                      * np.sqrt(ring_c)), None
                 else:
                     yield ch, s, v * (np.sqrt(np.einsum("ab,ab->b", dx, dx))
                                       * root[sl]), None
@@ -907,13 +923,13 @@ class GridEvaluation:
                 np.matmul(dxe, disp[s], out=w[1:])
                 w *= c[sl]
                 if h == s:
-                    yield ch, k, home, _ring_contract(w, cols[t], ring)
+                    yield ch, k, vals[s], _ring_contract(w, vals[t], ring)
                 elif h == t:
-                    q = _ring_contract(w, cols[s], ring)
-                    yield ch, k, q.reshape(-1, q.shape[2]), home
+                    q = _ring_contract(w, vals[s], ring)
+                    yield ch, k, q.reshape(-1, q.shape[2]), vals[t]
                 else:
-                    yield (ch, k, (w[:, None, :] * cols[s]).reshape(-1, b),
-                           cols[t])
+                    yield (ch, k, (w[:, None, :] * vals[s]).reshape(-1, b),
+                           vals[t])
 
     def weighted_grad_blocks(self, c: np.ndarray):
         """Dot and cross gradient Grams for a weight c >= 0.
@@ -946,11 +962,11 @@ class GridEvaluation:
                for s, t, e, _ in self._pairs]
         for ch, k, lhs, rhs in self.gram_operands(c):
             if rhs is None:
-                n = ch.live[k]
+                n = len(lhs)
                 dot[cols[k], cols[k]][:n, :n] += lhs @ lhs.T
             else:
                 s, t = self._pairs[k][:2]
-                acc = off[k][:, :ch.live[s], :ch.live[t]]
+                acc = off[k][:, :len(ch.vals[s]), :len(ch.vals[t])]
                 acc += (lhs @ np.swapaxes(rhs, -1, -2)).reshape(acc.shape)
         cross = np.zeros((3, sc.n, sc.n))
         for (s, t, e, _), acc in zip(self._pairs, off):
@@ -971,19 +987,18 @@ class GridEvaluation:
         points) product per site and chunk (per shell on the home site's
         own shells, spread over the ring)."""
         sc = self.basis.scalar
-        vals_t, disp_t = self.vals.T, self.disp.T
         ring = self.grid.ring
         out = np.empty(self.grid.size)
         for ch in self._chunks:
-            vals, disp = vals_t[:, ch.points], disp_t[:, :, ch.points]
-            u = np.empty((len(disp), len(coef), vals.shape[1]))
-            for s, (i, n) in enumerate(zip(sc.site_columns, ch.live)):
+            u = np.empty((len(ch.disp), len(coef), ch.disp.shape[2]))
+            for s, (i, v) in enumerate(zip(sc.site_columns, ch.vals)):
                 if s == ch.home:
-                    shell = coef[:, i] @ self._shell_vals[s][:, ch.shells]
+                    shell = coef[:, i] @ v
                     u[s].reshape(len(coef), -1, ring)[:] = shell[:, :, None]
                 else:  # 0 where no column is live
-                    np.matmul(coef[:, i][:, :n], vals[i][:n], out=u[s])
-            out[ch.points] = per_point(np.einsum("tab,trb->arb", disp, u))
+                    np.matmul(coef[:, i][:, :len(v)], v, out=u[s])
+            out[ch.points] = per_point(np.einsum("tab,trb->arb", ch.disp,
+                                                 u))
         return out
 
     def sigma_grad_density(self, psi: np.ndarray) -> np.ndarray:

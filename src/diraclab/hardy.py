@@ -33,8 +33,8 @@ from .charges import ChargeDistribution, potential_grid
 from .configio import charge_descriptor
 from .errors import ConfigError, IllConditionedBasisError
 from .gaussian import (GridEvaluation, QuadratureGrid, SpinorBasis,
-                       default_spinor_basis, filtered_orthogonalizer,
-                       grid_for_basis, grid_matrix)
+                       check_reduced_grid, default_spinor_basis,
+                       filtered_orthogonalizer, grid_for_basis, grid_matrix)
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,15 @@ def hardy_quotient_min(basis: SpinorBasis, mu: ChargeDistribution,
 
     Raises IllConditionedBasisError when N has no positive eigenvalue or
     the minimum is not positive (a degenerate grid), and ConfigError for
-    zero mu.
+    zero mu or a reduced grid that mu or the basis breaks
+    (check_reduced_grid).
     """
     nu = mu.total_charge
     if nu <= 0.0:
         raise ConfigError("Hardy quotient needs a nonzero charge")
     if grid is None:
         grid = grid_for_basis(basis)
+    check_reduced_grid(grid, basis, mu)
     vpot = potential_grid(mu, grid.points)
     evaluation = GridEvaluation(basis, grid)
 

@@ -48,8 +48,9 @@ from . import _rootfind
 from .charges import ChargeDistribution, potential_grid
 from .errors import ConfigError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
-                       QuadratureGrid, SpinorBasis, filtered_orthogonalizer,
-                       grid_for_basis, grid_matrix, spin_along)
+                       QuadratureGrid, SpinorBasis, check_reduced_grid,
+                       filtered_orthogonalizer, grid_for_basis, grid_matrix,
+                       spin_along)
 from .radial import SchrodingerResult
 
 NEAR_CRITICAL_STRENGTH = 0.9
@@ -105,12 +106,14 @@ class GapProblem:
 
     The pencil is cut to the block its grid needs (grid_matrix); on a
     reduced grid its lowest eigenvector phi gives psi = phi (x) chi_+.
-    A charge with radial layers is refused (ScalarBasis.potential_matrix)
-    before the basis is tabulated.
+    A reduced grid that an atom or a basis site off its centers breaks
+    is refused (check_reduced_grid), and so is a charge with radial layers
+    (ScalarBasis.potential_matrix), before the basis is tabulated.
     """
 
     def __init__(self, basis: SpinorBasis, mu: ChargeDistribution,
                  grid: QuadratureGrid):
+        check_reduced_grid(grid, basis, mu)
         self.basis = basis
         self.mu = mu
         self.grid = grid

@@ -188,13 +188,28 @@ def test_potential_matrix_is_negative_definite_sum():
         sc.potential_matrix(charges.shell(0.5, 1.0))
 
 
+def whole_table(sc, pts):
+    """values_and_gradients' values over its default blocks as one table
+    (points, n), 0 past each site's live rows, and its displacements
+    (points, 3, sites)."""
+    blocks, disp = sc.values_and_gradients(pts)
+    table, start = np.zeros((sc.n, len(pts))), 0
+    for rows in blocks:
+        stop = start + rows[0].shape[1]
+        for i, v in zip(sc.site_columns, rows):
+            table[i.start:i.start + len(v), start:stop] = v
+        start = stop
+    assert start == len(pts)
+    return table.T, disp.T
+
+
 def test_values_and_gradients_match_finite_differences():
     prims = [gaussian.GaussianPrimitive((0.2, -0.1, 0.5), 1.3),
              gaussian.GaussianPrimitive((0.0, 0.4, 0.0), 0.8),
              gaussian.GaussianPrimitive((-0.6, 0.9, 0.3), 2.2)]
     sb = gaussian.ScalarBasis(prims)
     pts = np.array([[0.3, 0.2, 0.1], [-0.5, 1.0, 0.4]])
-    vals, disp, _ = sb.values_and_gradients(pts)
+    vals, disp = whole_table(sb, pts)
     _, grads = oracles.values_and_gradients(sb, pts, gaussian.VALUE_FLOOR)
     eps = 1e-6
     for d in range(3):
@@ -203,8 +218,8 @@ def test_values_and_gradients_match_finite_differences():
                            * vals, rtol=1e-14, atol=0.0)
         shift = np.zeros(3)
         shift[d] = eps
-        vp = sb.values_and_gradients(pts + shift)[0]
-        vm = sb.values_and_gradients(pts - shift)[0]
+        vp = whole_table(sb, pts + shift)[0]
+        vm = whole_table(sb, pts - shift)[0]
         assert np.allclose(grads[d], (vp - vm) / (2 * eps), atol=1e-7)
 
 
@@ -220,53 +235,51 @@ def test_values_and_gradients_match_per_primitive_reference(monkeypatch):
         basis.scalar, grid.points, gaussian.VALUE_FLOOR)
     # with the default blocks the whole table, and the evaluation's
     # stored entries
-    assert np.array_equal(
-        basis.scalar.values_and_gradients(grid.points)[0], ref_vals)
-    assert_table_matches_oracle(ev)
+    vals, disp = whole_table(basis.scalar, grid.points)
+    assert np.array_equal(vals, ref_vals)
+    assert_chunks_match_oracle(ev)
     sites = basis.scalar.sites
-    assert ev.disp.shape == (grid.size, 3, 2)
-    assert np.array_equal(ev.disp,
+    assert disp.shape == (grid.size, 3, 2)
+    assert np.array_equal(disp,
                           grid.points[:, :, None] - sites.T[None, :, :])
 
 
-def own_shell_entries(ev):
-    """True on each site's columns on the points of its own shells, which
-    the table stores as 0: the kernels read the shell values there."""
-    own = np.zeros(ev.vals.shape, dtype=bool)
-    for ch in ev._chunks:
-        if ch.home is not None:
-            own[ch.points, ev.basis.scalar.site_columns[ch.home]] = True
-    return own
-
-
-def own_site_runs(ev):
-    """Per primitive, the run start of its site's own complete shells on
-    the grid, or None where the site has none."""
-    sc, grid = ev.basis.scalar, ev.grid
-    runs = {tuple(x): a for x, a in zip(grid.centers, grid.runs)}
-    return [runs.get(tuple(sc.sites[s])) for s in sc.site_of]
-
-
-def assert_table_matches_oracle(ev):
-    """Every stored entry is the oracle's bit for bit, and 0 on a site's
-    own shells, where each site's shell values are the oracle's at the
-    shell radii (a primitive of the site's exponent at the origin,
-    evaluated at (0, 0, r_k), has r^2 = r_k^2 exactly)."""
+def assert_chunks_match_oracle(ev):
+    """Per chunk each site but home stores the oracle's first live rows
+    on the chunk's points, bit for bit, the oracle's other rows are all 0
+    there and the last stored row is not: the chunk keeps every row that
+    is not 0 and no other.  Home stores its shell values, the oracle's
+    at the shell radii (a primitive of the site's exponent at the origin,
+    evaluated at (0, 0, r_k), has r^2 = r_k^2 exactly), and a site is
+    home on all of its complete own shells."""
     sc, grid = ev.basis.scalar, ev.grid
     ref, _ = oracles.values_and_gradients(sc, grid.points,
                                           gaussian.VALUE_FLOOR)
-    own = own_shell_entries(ev)
-    assert np.all(own.sum(axis=0) == [
-        grid.n_radial * grid.ring if a is not None else 0
-        for a in own_site_runs(ev)])
-    assert np.array_equal(ev.vals, np.where(own, 0.0, ref))
     on_axis = grid.radii[:, None] * np.array([0.0, 0.0, 1.0])
-    for s, i in enumerate(sc.site_columns):
-        at_origin = gaussian.ScalarBasis([gaussian.GaussianPrimitive(
-            (0.0, 0.0, 0.0), g.exponent) for g in sc.primitives[i]])
-        shell, _ = oracles.values_and_gradients(at_origin, on_axis,
-                                                gaussian.VALUE_FLOOR)
-        assert np.array_equal(ev._shell_vals[s], shell.T)
+    shells = [oracles.values_and_gradients(gaussian.ScalarBasis([
+        gaussian.GaussianPrimitive((0.0, 0.0, 0.0), g.exponent)
+        for g in sc.primitives[i]]), on_axis, gaussian.VALUE_FLOOR)[0].T
+        for i in sc.site_columns]
+    home_points = [0] * len(sc.sites)
+    for ch in ev._chunks:
+        block = ref[ch.points].T
+        assert np.array_equal(ch.disp, grid.points[ch.points].T[None]
+                              - sc.sites[:, :, None])
+        for s, (i, v) in enumerate(zip(sc.site_columns, ch.vals)):
+            if s == ch.home:
+                assert np.array_equal(v, shells[s][:, ch.shells])
+                home_points[s] += block.shape[1]
+                continue
+            assert np.array_equal(v, block[i][:len(v)])
+            assert not np.any(block[i][len(v):])
+            assert len(v) == 0 or np.any(v[-1])
+        assert np.array_equal(ch.columns, [
+            k for s, (i, v) in enumerate(zip(sc.site_columns, ch.vals))
+            if s != ch.home for k in range(i.start, i.start + len(v))])
+    runs = {tuple(x): a for x, a in zip(grid.centers, grid.runs)}
+    assert home_points == [
+        0 if runs.get(tuple(x)) is None else grid.n_radial * grid.ring
+        for x in sc.sites]
 
 
 def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
@@ -279,7 +292,7 @@ def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
     arg = -sc.alphas * r2
     assert np.any(arg < -745.0)
     assert np.any((arg < gaussian.EXP_CLAMP) & (arg > -745.0))
-    vals = sc.values_and_gradients(grid.points)[0]
+    vals = whole_table(sc, grid.points)[0]
     ref, _ = oracles.values_and_gradients(sc, grid.points,
                                           gaussian.VALUE_FLOOR)
     assert np.array_equal(vals, ref)
@@ -289,13 +302,39 @@ def test_clamped_tabulation_is_bit_identical_where_exp_underflows():
     assert top * math.exp(gaussian.EXP_CLAMP) < gaussian.VALUE_FLOOR
 
 
+def stored_values(ev):
+    """Every array of values the chunks store (home's shell values are
+    the evaluation's per-shell table)."""
+    return [v for ch in ev._chunks for s, v in enumerate(ch.vals)
+            if s != ch.home]
+
+
 def test_grid_evaluation_holds_no_gradient_table():
     basis = two_center_basis(n_s=4)
     grid = gaussian.grid_for_basis(basis, n_radial=24, angular_order=9)
     ev = gaussian.GridEvaluation(basis, grid)
-    sizes = [a.size for a in vars(ev).values() if isinstance(a, np.ndarray)]
-    assert ev.vals.size in sizes
-    assert 3 * basis.scalar.n * grid.size not in sizes
+    arrays = [a for a in vars(ev).values() if isinstance(a, np.ndarray)]
+    arrays += stored_values(ev) + [ch.disp for ch in ev._chunks]
+    arrays += [a.base for a in arrays if a.base is not None]
+    assert 3 * basis.scalar.n * grid.size not in [a.size for a in arrays]
+
+
+@pytest.mark.parametrize("d, share", [(1.0, 0.45), (8.0, 0.30)])
+def test_grid_evaluation_stores_only_live_values(d, share):
+    # one allocation, filled front to back with each chunk's live rows of
+    # every site but home: its touched part is sum(live x b), a share of
+    # the n x points a whole table would take
+    basis, grid = shipped_triangle(d)
+    ev = gaussian.GridEvaluation(basis, grid)
+    stored = stored_values(ev)
+    store = stored[0].base
+    assert all(v.base is store for v in stored)
+    start = store.__array_interface__["data"][0]
+    used = 0
+    for v in stored:
+        assert v.__array_interface__["data"][0] == start + 8 * used
+        used += v.size
+    assert used < share * basis.scalar.n * grid.size
 
 
 def test_weighted_kernels_need_one_weight_per_grid_point():
@@ -516,10 +555,10 @@ def live_share(ev):
     kept = total = 0
     for ch in ev._chunks:
         if ch.home is not None:
-            for s, (i, n) in enumerate(zip(ev.basis.scalar.site_columns,
-                                           ch.live)):
+            for s, (i, v) in enumerate(zip(ev.basis.scalar.site_columns,
+                                           ch.vals)):
                 if s != ch.home:
-                    kept += n
+                    kept += len(v)
                     total += i.stop - i.start
     return kept / total
 
@@ -557,56 +596,6 @@ def test_weighted_grad_blocks_consistency(monkeypatch, make):
     assert np.allclose(overlap, want, rtol=0.0, atol=1e-13 * np.max(want))
 
 
-@pytest.mark.parametrize("make", [axial_pair, mirror_triangle,
-                                  full_four_sites, ghost_center,
-                                  excluded_node, far_apart_full,
-                                  steep_first_full])
-def test_no_kernel_reads_a_site_on_its_own_shells(monkeypatch, make):
-    # NaN in every entry the table leaves 0 on a site's own shells: a
-    # kernel that read one would turn NaN, so the same bits mean none does
-    monkeypatch.setattr(gaussian, "BLOCK", 400)
-    basis, grid = make()
-    ev = gaussian.GridEvaluation(basis, grid)
-    c = grid.weights / (1.0 + np.sum(grid.points ** 2, axis=1))
-    rng = np.random.default_rng(13)
-    psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    phi = rng.normal(size=basis.scalar.n)
-
-    def kernels():
-        dot, cross = ev.weighted_grad_blocks(c)
-        return [dot, *cross, ev.sigma_grad_density(psi),
-                ev.grad_density(phi), ev.weighted_overlap(c)]
-
-    before = kernels()
-    own = own_shell_entries(ev)
-    assert np.any(own) and not np.any(ev.vals[own])
-    ev.vals[own] = np.nan
-    for a, b in zip(before, kernels()):
-        assert np.array_equal(a, b)
-
-
-def assert_screened_entries_are_zero(ev):
-    """Each site's columns that are not all 0 on a chunk are a leading
-    run, exactly its live ones: the chunk keeps no row the table holds
-    as 0 and drops none it does not.  The chunk's columns are the live
-    ones of every site but home, whose columns the table holds as 0 there
-    and whose shell values are all kept."""
-    cols = ev.basis.scalar.site_columns
-    for ch in ev._chunks:
-        vals = ev.vals[ch.points]
-        assert np.array_equal(ch.columns, np.concatenate(
-            [np.arange(i.start, i.start + n) for s, (i, n)
-             in enumerate(zip(cols, ch.live)) if s != ch.home]))
-        for s, (i, n) in enumerate(zip(cols, ch.live)):
-            nonzero = np.any(vals[:, i], axis=0)
-            if s == ch.home:
-                assert n == i.stop - i.start and not np.any(nonzero)
-                continue
-            assert n == np.count_nonzero(nonzero)
-            assert np.all(nonzero[:n])
-    assert_table_matches_oracle(ev)
-
-
 def shipped_triangle(d):
     """conjecture_m3's geometry at side d, default basis and grid."""
     mu = charges.atoms(experiments._triangle_positions(d), [0.15] * 3)
@@ -621,7 +610,7 @@ def shipped_triangle(d):
                           "excluded_node", "far_apart_full"])
 def test_screened_columns_are_exactly_zero(make):
     basis, grid = make()
-    assert_screened_entries_are_zero(gaussian.GridEvaluation(basis, grid))
+    assert_chunks_match_oracle(gaussian.GridEvaluation(basis, grid))
 
 
 @given(mu=small_molecules())
@@ -629,7 +618,7 @@ def test_screened_columns_are_exactly_zero(make):
 def test_screened_columns_are_exactly_zero_on_small_molecules(mu):
     basis = gaussian.default_spinor_basis(mu, n_s=8)
     grid = gaussian.grid_for_basis(basis, 48, 17)
-    assert_screened_entries_are_zero(gaussian.GridEvaluation(basis, grid))
+    assert_chunks_match_oracle(gaussian.GridEvaluation(basis, grid))
 
 
 def test_value_floor_moves_the_gradient_gram_by_at_most_1e_100(monkeypatch):
@@ -803,7 +792,9 @@ def test_primitive_order_does_not_change_a_bit(name, data):
     c = grid.weights / (1.8 + charges.potential_grid(mu, grid.points))
     psi = np.random.default_rng(7).normal(size=(a.size, 2)) @ [1, 1j]
     ev_a, ev_b = (gaussian.GridEvaluation(x, grid) for x in bases)
-    assert np.array_equal(ev_a.vals, ev_b.vals)
+    for ch_a, ch_b in zip(ev_a._chunks, ev_b._chunks):
+        for u, v in zip(ch_a.vals, ch_b.vals):
+            assert np.array_equal(u, v)
     (dot_a, cross_a), (dot_b, cross_b) = (ev.weighted_grad_blocks(c)
                                           for ev in (ev_a, ev_b))
     assert np.array_equal(dot_a, dot_b)
@@ -813,7 +804,7 @@ def test_primitive_order_does_not_change_a_bit(name, data):
     assert np.array_equal(ev_a.grad_density(psi.real[::2]),
                           ev_b.grad_density(psi.real[::2]))
     assert np.array_equal(ev_a.weighted_overlap(c), ev_b.weighted_overlap(c))
-    assert_table_matches_oracle(ev_a)
+    assert_chunks_match_oracle(ev_a)
     cfg = multicenter.GapSolveConfig(n_radial=24, angular_order=11)
     assert (multicenter.solve_gap(a, mu, grid, cfg).lambda1
             == multicenter.solve_gap(b, mu, grid, cfg).lambda1)

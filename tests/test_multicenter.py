@@ -236,6 +236,31 @@ def test_reduced_solve_equals_the_lab_solve(name):
         a @ psi)
 
 
+def test_reduced_grid_refuses_an_atom_or_site_off_its_centers():
+    # an atom off the axis of the pair's grid breaks its symmetry: solved
+    # on it anyway (n_s = 10, default grid) lambda1 read 0.825366 against
+    # 0.829459 on the full grid of the same centers, and Hardy c_mu
+    # 1.0173 against 1.2108
+    pair = charges.atoms([(0, 0, 0), (0, 0, 1)], [0.2, 0.2])
+    mu = charges.atoms([(0, 0, 0), (0, 0, 1), (0.8, 0, 0.5)], [0.2] * 3)
+    basis = basis_for(pair, n_s=4)
+    axial = gaussian.grid_for_basis(basis, 24, 9)
+    assert axial.kind == "axial"
+    for solve in (multicenter.solve_gap, hardy.hardy_quotient_min):
+        with pytest.raises(ConfigError, match="atom at .* axial grid"):
+            solve(basis, mu, axial)
+        with pytest.raises(ConfigError, match="basis site at .* axial"):
+            solve(basis_for(mu, n_s=4), pair, axial)
+    # with the atom a center of a mirror grid, the symmetry holds
+    sites = [p.position for p in mu.points]
+    kind, frame = gaussian.symmetry_frame(sites)
+    mirror = gaussian.build_grid(sites, 24, 9, *gaussian.radial_window(basis),
+                                 kind=kind, frame=frame)
+    assert mirror.kind == "mirror"
+    assert multicenter.solve_gap(basis, mu, mirror).converged
+    assert hardy.hardy_quotient_min(basis, mu, mirror).c_mu > 0.0
+
+
 def test_solve_trace_is_monotone_and_short():
     mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.3, 0.3])
     res = multicenter.solve_gap(basis_for(mu, n_s=10), mu)
