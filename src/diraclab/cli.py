@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rad.add_argument("--nu", type=float, metavar="NU",
                        help="point charge shortcut instead of --config")
     p_rad.add_argument("--kappa", type=int, default=-1,
-                       help="angular channel (default -1)")
+                       help="angular channel (default -1); kappa > 0 "
+                            "results are unverified")
 
     sub.add_parser("multicenter", parents=[common],
                    help="single 3D gap solve for an atomic charge")

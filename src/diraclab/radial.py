@@ -22,16 +22,18 @@ banded Cholesky factorisation of B - sigma*M succeeds exactly when sigma
 lies below the whole spectrum, so each factorisation that holds is a
 lower bound and each that fails an upper one.  Every slice is seeded:
 the gap equation is mu(lam) = lam, so near the root mu_min(lam) lies
-within |h| of lam, and the first shifts probed sit just below lam.
-Inverse iteration with the factor at the lower bound then narrows the
-bracket from above by its Rayleigh quotients, each an upper bound, while
-further factorisations, at the quotients' extrapolated limit or the
-bracket's midpoint, raise the lower end.  Once the quotient stalls, one
-more successful factorisation just below it certifies that no lower
-eigenvalue exists, and one inverse step with that factor polishes the
-eigenvector.  No random start vector and no dense or banded eigensolver
-is involved.  On the 4000-node default grid a slice seeded near the root
-takes 4-5 factorisations, a Schroedinger slice 4-8.
+within |h| of lam, and the first shift probed sits half the certificate
+margin below lam.  Inverse iteration with the factor at the lower bound
+then narrows the bracket from above by its Rayleigh quotients, each an
+upper bound, while further factorisations, at the quotients' extrapolated
+limit or the bracket's midpoint, raise the lower end.  Once the quotient
+stalls, a successful factorisation within the margin below it certifies
+that no lower eigenvalue exists: the one at the lower end when that is
+close enough, else one more, and one inverse step with that factor
+polishes the eigenvector.  No random start vector and no dense or banded
+eigensolver is involved.  On the 4000-node default grid a slice seeded at
+the root takes 1 factorisation, one seeded at lam = -1, 0 or 1 6-17, a
+Schroedinger slice 1-7.
 
 The root find starts at the merged-charge value sqrt(1 - nu^2), the
 root for a point charge in kappa = -1, and takes Newton steps on the
@@ -96,15 +98,12 @@ spla = _LazyModule("scipy.sparse.linalg")
 
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
 # A returned mu_min is certified by a successful Cholesky factorisation of
-# B - (mu - delta) M with delta = _CERT_REL * max(1, |mu|): no eigenvalue of
-# the pencil lies below mu - delta.
+# B - sigma M at some sigma >= mu - delta, delta = _CERT_REL * max(1, |mu|):
+# no eigenvalue of the pencil lies below mu - delta.
 _CERT_REL = 1e-9
 # Inverse iteration stops once the Rayleigh quotient falls by less than
 # this, relative (below the spectrum it never rises but by roundoff).
 _RQ_STALL = 1e-14
-# A slice first probes this far below its seed, relative, and then 16
-# times farther per failed probe.
-_PROBE_REL = 1e-6
 # Inverse steps of one slice before its quotient must be certified.
 _MAX_STEPS = 40
 
@@ -183,21 +182,27 @@ class _BandOperator:
         return sum(self.table[i] * padded[i:i + n] for i in range(7))
 
 
-def _pencil(op: _BandOperator, c: np.ndarray, bdiag: np.ndarray,
-            mdiag: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], float]]:
-    """B = A^T diag(c) A + diag(bdiag) in (5, n - 1) upper band storage,
-    the diagonal of M, and v -> v^T B v as the sum of squares
-    (A v).(c A v) + bdiag.v^2, in which the large terms of B, which
-    cancel in v^T B v read from the band, never meet."""
-    band = op.gram(c)
-    band[4] += bdiag
+def _energy(op: _BandOperator, c: np.ndarray,
+            bdiag: np.ndarray) -> Callable[[np.ndarray], float]:
+    """v -> v^T B v for B = A^T diag(c) A + diag(bdiag), as the sum of
+    squares (A v).(c A v) + bdiag.v^2, in which the large terms of B,
+    which cancel in v^T B v read from the band, never meet."""
 
     def energy(v: np.ndarray) -> float:
         av = op.apply(v)
         return float(av @ (c * av) + bdiag @ (v * v))
 
-    return band, mdiag, energy
+    return energy
+
+
+def _pencil(op: _BandOperator, c: np.ndarray, bdiag: np.ndarray,
+            mdiag: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], float]]:
+    """B = A^T diag(c) A + diag(bdiag) in (5, n - 1) upper band storage,
+    the diagonal of M, and B's _energy."""
+    band = op.gram(c)
+    band[4] += bdiag
+    return band, mdiag, _energy(op, c, bdiag)
 
 
 def _lowest(ab: np.ndarray, mdiag: np.ndarray,
@@ -208,10 +213,14 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
 
     B comes in upper band storage, its diagonal in the last row, with
     `energy(v)`, v^T B v, as _pencil returns them.  `guess`, a value
-    expected near (best just below) the eigenvalue, seeds the first
-    shifts.  Raises UncertifiedEigenvalueError when the inertia test does
-    not confirm the result as the lowest eigenvalue.
+    expected near the eigenvalue, seeds the first shifts; one within half
+    the certificate margin of it is certified by the first factorisation.
+    Raises UncertifiedEigenvalueError when the inertia test does not
+    confirm the result as the lowest eigenvalue.
     """
+    def margin(x: float) -> float:
+        return _CERT_REL * max(1.0, abs(x))
+
     def factor(sigma: float):
         shifted = ab.copy()
         shifted[-1] -= sigma * mdiag
@@ -226,22 +235,30 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
         return y, energy(y) / float(y @ (mdiag * y))
 
     # e_k's Rayleigh quotient bounds the lowest eigenvalue from above;
-    # probe below the seed in growing steps until a factorisation holds:
-    # that shift is the lower end
+    # probe below the seed until a factorisation holds: that shift is the
+    # lower end.  The first probe sits half a margin below the seed, so a
+    # seed at the eigenvalue is certified by the factor that starts its
+    # slice; a seed above it falls back to steps of 1e-6 relative, 16 times
+    # longer per failed probe
     hi = float(np.min(ab[-1] / mdiag))
-    step = _PROBE_REL * max(1.0, abs(guess))
-    for _ in range(64):
-        lo = guess - step
+    lo = guess - 0.5 * abs(margin(guess))
+    step = 1e-6 * max(1.0, abs(guess))
+    for probe in range(64):
         chol = factor(lo)
         if chol is not None:
             break
-        hi, step = min(hi, lo), 16.0 * step
+        hi = min(hi, lo)
+        lo, step = guess - step, 16.0 * step
     else:
         raise UncertifiedEigenvalueError(
             f"no positive definite shift of the pencil below {hi}")
     # each M-normalised Rayleigh quotient is an upper bound; until they
     # stall, one more factorisation per step raises lo (or lowers hi) at
-    # the quotients' extrapolated limit, or at the midpoint
+    # the quotients' extrapolated limit, or at the midpoint.  When the first
+    # probe held, lo sits next to the seed, and the first quotient, which
+    # still reflects the start vector, is followed by a second inverse step
+    # before any factorisation
+    near_seed = probe == 0
     v = np.ones(len(mdiag))
     quotients: list[float] = []
     for _ in range(_MAX_STEPS):
@@ -253,15 +270,15 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
         if len(quotients) > 1 and (quotients[-2] - mu
                                    <= _RQ_STALL * max(1.0, abs(mu))):
             break
-        if hi - lo <= _CERT_REL * max(1.0, abs(hi)):
-            continue  # lo is as close as the certificate needs
+        if hi - lo <= margin(hi) or (near_seed and len(quotients) == 1):
+            continue  # lo is as close as the certificate needs, or not yet
         shift = 0.5 * (lo + hi)
         if len(quotients) > 2:
             q1, q2, q3 = quotients[-3:]
             ratio = (q3 - q2) / (q2 - q1)  # > 0: both steps fell
             if ratio < 1.0:
                 err = (q2 - q3) * ratio / (1.0 - ratio)
-                limit = hi - 2.0 * err - _CERT_REL * max(1.0, abs(hi))
+                limit = hi - 2.0 * err - margin(hi)
                 if shift < limit < hi:
                     shift = limit
         trial = factor(shift)
@@ -269,13 +286,16 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
             hi = shift
         else:
             lo, chol = shift, trial
-    cert = factor(mu - _CERT_REL * max(1.0, abs(mu)))
-    if cert is None:
-        raise UncertifiedEigenvalueError(
-            f"inertia test finds an eigenvalue of the pencil below {mu}")
+    # the factor at lo certifies mu once lo is within its margin; only
+    # otherwise is one more factorisation made, at mu - delta
+    if lo < mu - margin(mu):
+        chol = factor(mu - margin(mu))
+        if chol is None:
+            raise UncertifiedEigenvalueError(
+                f"inertia test finds an eigenvalue of the pencil below {mu}")
     # a last inverse step with the certifying factor polishes the vector;
     # the quotient only falls, unless by roundoff, which is refused
-    polished, mu_polished = inverse_step(cert, v)
+    polished, mu_polished = inverse_step(chol, v)
     if mu_polished <= mu:
         return mu_polished, polished
     return mu, v
@@ -326,16 +346,20 @@ class _ChannelProblem:
         b_stub = kin + m_stub - float(np.sum(wq * sq * vq))
         return m_stub, b_stub, float(dkin)
 
-    def pencil(self, lam: float):
-        """_pencil of B(lam) = A^T diag(c) A + diag(bdiag) against M."""
+    def terms(self, lam: float):
+        """(c, bdiag, mdiag): B(lam) = A^T diag(c) A + diag(bdiag) and
+        M = diag(mdiag)."""
         g = self.grid
         m_stub, b_stub, _ = self.stub_terms(lam)
         bdiag = self.mass[:-1] * (1.0 - self.vpot[:-1])
         bdiag[0] += b_stub
         mdiag = self.mass[:-1].copy()
         mdiag[0] += m_stub
-        return _pencil(self.A, g.w / (g.r * (1.0 + lam + self.vpot)),
-                       bdiag, mdiag)
+        return g.w / (g.r * (1.0 + lam + self.vpot)), bdiag, mdiag
+
+    def pencil(self, lam: float):
+        """_pencil of B(lam) against M."""
+        return _pencil(self.A, *self.terms(lam))
 
     def mu_min(self, lam: float) -> tuple[float, np.ndarray]:
         """Lowest eigenvalue of the pencil (B(lam), M), certified, and its
@@ -366,8 +390,10 @@ def q_form_radial(lam: float, g, kappa: int, mu: ChargeDistribution,
         raise ValueError(f"trial must have {grid.n - 1} nodal values")
     if not np.any(g):
         raise ValueError("trial is identically zero")
-    _, mdiag, energy = _ChannelProblem(mu, kappa, grid).pencil(lam)
-    return energy(g) - lam * float(g @ (mdiag * g))
+    # the band of B is never assembled: the form reads only its energy
+    prob = _ChannelProblem(mu, kappa, grid)
+    c, bdiag, mdiag = prob.terms(lam)
+    return _energy(prob.A, c, bdiag)(g) - lam * float(g @ (mdiag * g))
 
 
 # Root-find bracket of every radial solve.

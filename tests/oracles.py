@@ -159,6 +159,14 @@ def point_dirac_lambda(nu: float) -> float:
     return float(np.sqrt(1.0 - nu * nu))
 
 
+def point_dirac_level(nu: float, kappa: int) -> float:
+    """Closed-form lowest gap eigenvalue of channel kappa for a point charge
+    nu (Sommerfeld): radial quantum number 0 for kappa < 0, 1 for kappa > 0."""
+    gamma = np.sqrt(kappa * kappa - nu * nu)
+    n_r = 0 if kappa < 0 else 1
+    return float(1.0 / np.sqrt(1.0 + (nu / (n_r + gamma)) ** 2))
+
+
 def hydrogenic_energy(nu: float) -> float:
     """Closed-form nonrelativistic ground energy for a point charge nu."""
     return -0.5 * nu * nu
