@@ -19,7 +19,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -194,6 +193,8 @@ def _utcnow() -> str:
 def _run_ordered(fn, items, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here, as only a pool needs it (with logging, ~5 ms)
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, item) for item in items]
         return [f.result() for f in futures]

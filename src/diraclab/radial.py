@@ -35,6 +35,15 @@ eigensolver is involved.  On the 4000-node default grid a slice seeded at
 the root takes 1 factorisation, one seeded at lam = -1, 0 or 1 6-17, a
 Schroedinger slice 1-7.
 
+The factorisation and the solve are LAPACK's dpbtrf and dpbtrs, the two
+routines behind scipy.linalg.cholesky_banded and cho_solve_banded, taken
+from scipy's compiled wrapper module, which _lapack loads by file: a
+radial solve never runs scipy.linalg's package init, which costs a radial
+process more start-up time than all its solves.  LAPACK reports success
+on a band that holds a nan, so the pencil and each shifted diagonal are
+checked finite, as cholesky_banded's check_finite did, and a non-finite
+one raises ValueError instead of yielding a certified nan.
+
 The root find starts at the merged-charge value sqrt(1 - nu^2), the
 root for a point charge in kappa = -1, and takes Newton steps on the
 exact slope of the discrete mu_min (Hellmann-Feynman): mu'(lam) =
@@ -67,7 +76,12 @@ since v <= nu/r for every radial charge of total nu.
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -79,11 +93,7 @@ from .errors import ConfigError, UncertifiedEigenvalueError
 
 
 class _LazyModule:
-    """A module that is imported at its first attribute access.
-
-    scipy loads only once a radial solve needs it, so importing diraclab
-    and the 3D paths, which never call this module's solvers, load numpy
-    alone."""
+    """A module that is imported at its first attribute access."""
 
     def __init__(self, name: str):
         self._name = name
@@ -92,9 +102,48 @@ class _LazyModule:
         return getattr(importlib.import_module(self._name), attr)
 
 
+# unused here: both are kept only as lazy attributes that perfbench/spans.py
+# reads, and importing scipy.linalg costs about 0.16 s beyond numpy
 sla = _LazyModule("scipy.linalg")
-# unused here: kept only as a lazy attribute that perfbench/spans.py reads
 spla = _LazyModule("scipy.sparse.linalg")
+
+_LAPACK_LOCK = threading.Lock()
+
+
+def _flapack_by_file(name: str):
+    """The extension module `name`, scipy/linalg/_flapack, loaded from its
+    file, which find_spec("scipy") locates without executing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("scipy is not an importable package")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.FileFinder(folder, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrapper, whose dpbtrf and dpbtrs factor and
+    solve the banded pencils (scipy.linalg.cholesky_banded and
+    cho_solve_banded call the same two).  The first call loads it by file
+    and registers it under its module name, so that scipy.linalg's package
+    init, nearly all of scipy.linalg's import time, never runs here and a
+    later import of scipy.linalg reuses it; should the file not load, the
+    functions come from scipy.linalg.lapack."""
+    name = "scipy.linalg._flapack"
+    with _LAPACK_LOCK:
+        if name not in sys.modules:
+            try:
+                sys.modules[name] = _flapack_by_file(name)
+            except ImportError:
+                return importlib.import_module("scipy.linalg.lapack")
+        return sys.modules[name]
+
 
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
 # A returned mu_min is certified by a successful Cholesky factorisation of
@@ -221,16 +270,28 @@ def _lowest(ab: np.ndarray, mdiag: np.ndarray,
     def margin(x: float) -> float:
         return _CERT_REL * max(1.0, abs(x))
 
+    # LAPACK factors a band that holds a nan or inf without an error, so
+    # the pencil and each shift are checked finite before a factor holds
+    if not (np.isfinite(ab).all() and np.isfinite(mdiag).all()):
+        raise ValueError("the pencil has a non-finite entry")
+    lapack = _lapack()
+
     def factor(sigma: float):
-        shifted = ab.copy()
+        """The upper banded Cholesky factor of B - sigma M, or None when
+        that is not positive definite."""
+        shifted = ab.copy(order="F")
         shifted[-1] -= sigma * mdiag
-        try:
-            return sla.cholesky_banded(shifted)
-        except sla.LinAlgError:
-            return None
+        if not np.isfinite(shifted[-1]).all():
+            raise ValueError(f"B - sigma M is not finite at sigma = {sigma}")
+        chol, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dpbtrf refused its argument {-info}")
+        return chol if info == 0 else None
 
     def inverse_step(chol, v):
-        y = sla.cho_solve_banded((chol, False), mdiag * v)
+        y, info = lapack.dpbtrs(chol, mdiag * v, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs failed with info = {info}")
         y /= math.sqrt(y @ (mdiag * y))
         return y, energy(y) / float(y @ (mdiag * y))
 

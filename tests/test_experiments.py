@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +112,14 @@ def test_workers_precedence(monkeypatch):
     assert experiments.resolve_workers(2, 3) == 2
     with pytest.raises(ConfigError):
         experiments.resolve_workers(0, None)
+
+
+def test_import_leaves_the_thread_pool_out():
+    # only a run with workers > 1 imports concurrent.futures
+    code = ("import sys; before = set(sys.modules); import diraclab; "
+            "assert 'concurrent.futures' not in set(sys.modules) - before")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_conjecture_sweep_margins_and_summary():

@@ -1,5 +1,6 @@
 """Radial gap solver and nonrelativistic comparison integrator."""
 import functools
+import importlib.util
 import itertools
 import math
 import os
@@ -152,31 +153,34 @@ def test_seed_changes_speed_only(name, kappa):
             assert v @ (mdiag * v) == pytest.approx(1.0, rel=1e-12)
 
 
-class _CountingLinalg:
-    """scipy.linalg as radial sees it, counting banded factorisations and,
-    for the pencil (ab, mdiag) when given, recording each one's shift sigma,
-    recovered from B - sigma M by least squares, and whether it held."""
+class _CountingLapack:
+    """radial's LAPACK binding as _lowest sees it, counting banded
+    factorisations and, for the pencil (ab, mdiag) when given, recording
+    each one's shift sigma, recovered from B - sigma M by least squares
+    before dpbtrf overwrites it, and whether it held."""
 
     def __init__(self, ab=None, mdiag=None):
         self.factorisations = 0
         self.shifts: list[tuple[float, bool]] = []
         self.ab, self.mdiag = ab, mdiag
+        self.lapack = radial._lapack()
 
-    def cholesky_banded(self, shifted, *args, **kwargs):
+    def dpbtrf(self, shifted, *args, **kwargs):
         self.factorisations += 1
-        held = False
-        try:
-            chol = sla.cholesky_banded(shifted, *args, **kwargs)
-            held = True
-            return chol
-        finally:
-            if self.ab is not None:
-                m = self.mdiag
-                sigma = float((self.ab[-1] - shifted[-1]) @ m / (m @ m))
-                self.shifts.append((sigma, held))
+        if self.ab is not None:
+            m = self.mdiag
+            sigma = float((self.ab[-1] - shifted[-1]) @ m / (m @ m))
+        chol, info = self.lapack.dpbtrf(shifted, *args, **kwargs)
+        if self.ab is not None:
+            self.shifts.append((sigma, info == 0))
+        return chol, info
 
     def __getattr__(self, name):
-        return getattr(sla, name)
+        return getattr(self.lapack, name)
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(radial, "_lapack", lambda: self)
+        return self
 
 
 def margin(mu):
@@ -210,8 +214,7 @@ def test_seeded_slices_are_dense_and_certified(monkeypatch, name, channel):
         for seed in (dense, dense - 0.5 * delta, dense + 0.5 * delta,
                      dense - 2.0 * delta, dense + 2.0 * delta, dense - 1e-6,
                      dense + 1e-3, dense - 10.0, dense + 10.0):
-            counter = _CountingLinalg(*pencil[:2])
-            monkeypatch.setattr(radial, "sla", counter)
+            counter = _CountingLapack(*pencil[:2]).install(monkeypatch)
             mu, _ = radial._lowest(*pencil, seed)
             assert mu == pytest.approx(dense, rel=1e-11, abs=1e-11)
             held = [sigma for sigma, ok in counter.shifts if ok]
@@ -241,8 +244,7 @@ def test_factorisation_budget(monkeypatch, name):
     mu = WORKLOAD_CHARGES[name]
     root = radial.lowest_gap_eigenvalue_radial(mu, grid=WORKLOAD_GRID)
     prob = radial._ChannelProblem(mu, -1, WORKLOAD_GRID)
-    counter = _CountingLinalg()
-    monkeypatch.setattr(radial, "sla", counter)
+    counter = _CountingLapack().install(monkeypatch)
 
     def factorisations(solve):
         counter.factorisations = 0
@@ -261,11 +263,85 @@ def test_workload_solves_factorisation_total(monkeypatch):
     # measured: the seven solves of the radial benchmark take 31
     # factorisations together (54 while a slice's first probe sat 1e-6
     # below its seed and a last factorisation certified it)
-    counter = _CountingLinalg()
-    monkeypatch.setattr(radial, "sla", counter)
+    counter = _CountingLapack().install(monkeypatch)
     for mu in WORKLOAD_CHARGES.values():
         radial.lowest_gap_eigenvalue_radial(mu, grid=WORKLOAD_GRID)
     assert 7 <= counter.factorisations <= 36
+
+
+class _RecordingLapack(_CountingLapack):
+    """The binding, keeping each dpbtrf input (copied before it is
+    overwritten) with its factor and info, and each dpbtrs call."""
+
+    def __init__(self):
+        super().__init__()
+        self.factors, self.solves = [], []
+
+    def dpbtrf(self, shifted, *args, **kwargs):
+        before = np.array(shifted)
+        chol, info = self.lapack.dpbtrf(shifted, *args, **kwargs)
+        self.factors.append((before, np.array(chol), info))
+        return chol, info
+
+    def dpbtrs(self, chol, b, *args, **kwargs):
+        rhs = np.array(b)
+        x, info = self.lapack.dpbtrs(chol, b, *args, **kwargs)
+        self.solves.append((np.array(chol), rhs, np.array(x)))
+        return x, info
+
+
+@pytest.mark.parametrize("name", ["nu=0.5", "radial_shell"])
+def test_binding_matches_scipy_banded_cholesky(monkeypatch, name):
+    # every factor and solve of two workload slices, seeded at lam = 0
+    # and 1 so that factorisations both hold and fail, is bit for bit
+    # what scipy.linalg's cholesky_banded and cho_solve_banded give
+    prob = radial._ChannelProblem(WORKLOAD_CHARGES[name], -1, WORKLOAD_GRID)
+    recorder = _RecordingLapack().install(monkeypatch)
+    prob.mu_min(0.0)
+    prob.mu_min(1.0)
+    infos = [info for _, _, info in recorder.factors]
+    assert 0 in infos and max(infos) > 0
+    for shifted, chol, info in recorder.factors:
+        if info == 0:
+            assert np.array_equal(chol, sla.cholesky_banded(shifted))
+        else:
+            assert info > 0
+            with pytest.raises(sla.LinAlgError):
+                sla.cholesky_banded(shifted)
+    assert recorder.solves
+    for chol, rhs, x in recorder.solves:
+        assert np.array_equal(x, sla.cho_solve_banded((chol, False), rhs))
+
+
+def test_fallback_loader_gives_the_same_bits(monkeypatch):
+    # with the file lookup failing, the functions come from
+    # scipy.linalg.lapack, and the solves give the same lambda1 bits
+    solve = functools.partial(radial.lowest_gap_eigenvalue_radial,
+                              grid=WORKLOAD_GRID)
+    want = [solve(WORKLOAD_CHARGES[name]).lambda1
+            for name in ("nu=0.5", "radial_shell")]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda *args: None)
+    assert radial._lapack() is sla.lapack
+    assert [solve(WORKLOAD_CHARGES[name]).lambda1
+            for name in ("nu=0.5", "radial_shell")] == want
+
+
+@pytest.mark.parametrize("where", ["band", "mass", "seed"])
+def test_non_finite_pencil_is_refused(where):
+    # LAPACK's dpbtrf reports success on a band holding a nan and returns
+    # a nan factor; the slice raises instead of certifying a nan
+    prob = radial._ChannelProblem(point(0.5), -1, SMALL)
+    ab, mdiag, energy = prob.pencil(0.9)
+    ab, mdiag, seed = ab.copy(), mdiag.copy(), 0.9
+    if where == "band":
+        ab[3, 7] = math.nan  # off the diagonal, which the shift never meets
+    elif where == "mass":
+        mdiag[7] = math.inf
+    else:
+        seed = math.nan
+    with pytest.raises(ValueError):
+        radial._lowest(ab, mdiag, energy, seed)
 
 
 # the charges of acceptance criterion 03: five bases and their mixtures
@@ -282,8 +358,7 @@ def test_schrodinger_slice_budget(monkeypatch, index):
     # these charges (1 on the point charges, whose seed is their
     # eigenvalue; 4-8 with a first probe 1e-6 below the seed), 9-11 when
     # it started cold
-    counter = _CountingLinalg()
-    monkeypatch.setattr(radial, "sla", counter)
+    counter = _CountingLapack().install(monkeypatch)
     radial.schrodinger_ground_radial(CONCAVITY_CHARGES[index], WORKLOAD_GRID)
     assert 1 <= counter.factorisations <= 8
 
@@ -356,8 +431,7 @@ def test_mu_min_refuses_an_uncertified_value(monkeypatch, channel):
         pencil, seed = radial._schrodinger_pencil(prob), -0.125
         solve = lambda: radial.schrodinger_ground_radial(  # noqa: E731
             point(0.5), SMALL)
-    counter = _CountingLinalg(*pencil[:2])
-    monkeypatch.setattr(radial, "sla", counter)
+    counter = _CountingLapack(*pencil[:2]).install(monkeypatch)
     monkeypatch.setattr(radial, "_CERT_REL", -1e-6)
     with pytest.raises(UncertifiedEigenvalueError):
         solve()
@@ -568,11 +642,77 @@ def test_import_leaves_scipy_optimize_out():
                "assert 'scipy.optimize' not in sys.modules")
 
 
+def test_radial_solves_leave_scipy_linalg_unloaded():
+    # radial loads scipy's compiled LAPACK wrapper by file: neither
+    # scipy.linalg's package init nor scipy.sparse runs
+    _run_fresh("""
+import sys
+from diraclab import charges, cli, radial
+atom = charges.atom((0.0, 0.0, 0.0), 0.5)
+assert radial.lowest_gap_eigenvalue_radial(atom).converged
+assert radial.schrodinger_ground_radial(atom).bound
+assert cli.main(["radial", "--nu", "0.5"]) == 0
+assert "scipy.linalg._flapack" in sys.modules
+loaded = {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+assert not loaded, loaded
+""")
+
+
+def test_first_load_under_threads_loads_the_file_once():
+    # threads that all make the first call load the file once and get
+    # the one registered module
+    _run_fresh("""
+import sys, threading
+from diraclab import radial
+loads = []
+by_file = radial._flapack_by_file
+radial._flapack_by_file = lambda name: loads.append(name) or by_file(name)
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4)
+got = []
+def load():
+    barrier.wait(timeout=30)
+    got.append(radial._lapack())
+threads = [threading.Thread(target=load) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+assert not any(t.is_alive() for t in threads)
+assert len(loads) == 1, loads
+assert len(got) == 4 and all(m is sys.modules["scipy.linalg._flapack"]
+                             for m in got), got
+""")
+
+
+def test_later_scipy_linalg_import_reuses_the_binding():
+    # an import of scipy.linalg after a radial solve reuses the module
+    # radial loaded, and its banded Cholesky gives radial's factor
+    _run_fresh("""
+import sys
+import numpy as np
+from diraclab import charges, radial
+prob = radial._ChannelProblem(charges.atom((0.0, 0.0, 0.0), 0.5), -1,
+                              radial.RadialGrid())
+mu, _ = prob.mu_min(0.5)
+ab, mdiag, _ = prob.pencil(0.5)
+shifted = ab.copy(order="F")
+shifted[-1] -= (mu - 1e-3) * mdiag
+assert "scipy.linalg" not in sys.modules
+chol, info = radial._lapack().dpbtrf(shifted)
+assert info == 0
+import scipy.linalg
+assert scipy.linalg.lapack.dpbtrf is radial._lapack().dpbtrf
+assert np.array_equal(scipy.linalg.cholesky_banded(shifted), chol)
+""")
+
+
 def test_3d_commands_leave_scipy_unloaded(tmp_path):
     # a 3D command loads numpy alone, no scipy module at all (F_0 takes
     # math.erf, not scipy.special); the first radial solve after it
-    # loads scipy.linalg and still meets the closed form, and neither
-    # the gap solve nor the Schroedinger solve loads scipy.sparse
+    # loads only scipy's compiled LAPACK wrapper and still meets the
+    # closed form, and neither the gap solve nor the Schroedinger solve
+    # loads scipy.sparse
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text((CONFIG_DIR / "conjecture_m2.cfg").read_text()
                      .replace("separations = 0.25 0.5 1 2 4 8",
