@@ -28,7 +28,8 @@ residual_tol.
 
 Both gap solvers (radial and 3D) share this contract: the tolerances
 (SolveConfig, checked once here), the eigenvector of each sample and the
-result (GapSolution), which each solver extends by its own fields.
+result (GapSolution, with its row's flags and diagnostics), which each
+solver extends by its own fields.
 """
 from __future__ import annotations
 
@@ -76,6 +77,20 @@ class GapSolution:
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """below-gap, or unconverged for a solve short of its tolerances."""
+        if self.below_gap:
+            return ("below-gap",)
+        return () if self.converged else ("unconverged",)
+
+    @property
+    def diagnostics(self) -> dict:
+        """First sample, sample count, residual, final bracket width."""
+        return {"start": self.trace[0][0], "iterations": self.iterations,
+                "residual": self.residual,
+                "bracket_width": self.bracket[1] - self.bracket[0]}
 
     def to_json(self) -> dict:
         keys = ("lambda1", "residual", "iterations", "below_gap", "converged")

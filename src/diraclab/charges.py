@@ -20,7 +20,7 @@ SINGULAR_EPS = 1e-14
 # Pushforward images closer than this merge into a single atom.
 MERGE_TOL = 1e-12
 
-LAYER_KINDS = ("point", "sphere-shell", "uniform-ball")
+LAYER_KINDS = ("sphere-shell", "uniform-ball")
 ORIGIN = (0.0, 0.0, 0.0)
 
 
@@ -50,7 +50,7 @@ class PointCharge:
 
 @dataclass(frozen=True)
 class RadialLayer:
-    """Origin-centered layer: a point, a sphere shell, or a uniform ball."""
+    """Origin-centered layer: a sphere shell or a uniform ball."""
 
     kind: str
     radius: float
@@ -63,12 +63,7 @@ class RadialLayer:
         s = float(self.strength)
         if s <= 0.0 or not math.isfinite(s):
             raise ChargeModelError(f"layer strength must be positive, got {s}")
-        if self.kind == "point":
-            if rho != 0.0:
-                raise ChargeModelError("point layer must have radius 0")
-            if s > 1.0:
-                raise ChargeModelError("point layer strength must not exceed 1")
-        elif rho <= 0.0 or not math.isfinite(rho):
+        if rho <= 0.0 or not math.isfinite(rho):
             raise ChargeModelError(f"{self.kind} layer needs radius > 0, got {rho}")
         object.__setattr__(self, "radius", rho)
         object.__setattr__(self, "strength", s)
@@ -124,10 +119,8 @@ class ChargeDistribution:
 
     @property
     def site_strengths(self) -> dict[tuple[float, float, float], float]:
-        """Summed strength of the point mass at each position that has
-        any: the atoms there, and at the origin also the point layers."""
+        """Summed strength of the atoms at each position that has any."""
         mass = [(p.position, p.strength) for p in self.points]
-        mass += [(ORIGIN, l.strength) for l in self.layers if l.kind == "point"]
         return {x: math.fsum(s for y, s in mass if y == x) for x, _ in mass}
 
 
@@ -150,18 +143,13 @@ def ball(strength, radius) -> ChargeDistribution:
 
 def _layer_profile(layer: RadialLayer, r: np.ndarray) -> np.ndarray:
     """Convolution of the layer with 1/|x| as a function of radius r."""
-    if layer.kind == "point":
-        return layer.strength / r
     if layer.kind == "sphere-shell":
         return layer.strength / np.maximum(r, layer.radius)
     # uniform ball: harmonic outside, parabolic inside
     rho = layer.radius
-    out = layer.strength / np.maximum(r, rho)
-    inside = r < rho
-    out = np.where(inside,
-                   layer.strength * (3.0 - (r / rho) ** 2) / (2.0 * rho),
-                   out)
-    return out
+    return np.where(r < rho,
+                    layer.strength * (3.0 - (r / rho) ** 2) / (2.0 * rho),
+                    layer.strength / np.maximum(r, rho))
 
 
 def radial_profile(mu: ChargeDistribution, r) -> np.ndarray:
@@ -199,7 +187,7 @@ def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     """Coulomb potential mu * 1/|x| at an (m, 3) array of locations.
 
     Raises SingularLocationError when any location sits within
-    SINGULAR_EPS of an atom (or of the origin when a point layer exists).
+    SINGULAR_EPS of an atom.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.zeros(len(pts))
@@ -211,10 +199,7 @@ def potential_grid(mu: ChargeDistribution, pts: np.ndarray) -> np.ndarray:
     if mu.layers:
         r = distances(pts, [ORIGIN])[0]
         for layer in mu.layers:
-            if layer.kind == "point" and np.any(r < SINGULAR_EPS):
-                raise SingularLocationError(
-                    "potential evaluated at the origin point layer")
-            out += _layer_profile(layer, np.maximum(r, SINGULAR_EPS))
+            out += _layer_profile(layer, r)
     return out
 
 

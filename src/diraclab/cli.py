@@ -3,7 +3,8 @@
 One executable with single-solve subcommands (radial, multicenter) that
 emit JSON, and experiment subcommands that emit deterministic CSV plus a
 JSON manifest.  Exit codes: 0 success, 1 usage or config error, 2 solver
-failure, 3 a converged margin beyond its budget.
+failure, 3 a converged margin beyond its budget.  A solve prints the
+flags and diagnostics its result holds, and decides none of its own.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import (ChargeModelError, ConfigError, IllConditionedBasisError,
                      NoGapEigenvalueError, UncertifiedEigenvalueError)
 from .experiments import (EXIT_SOLVER, EXIT_USAGE, KINDS, config_from_doc,
                           run_experiment)
-from .gaussian import default_spinor_basis, grid_for_basis
+from .gaussian import default_spinor_basis
 from .multicenter import GapSolveConfig, solve_gap
 from .radial import (RadialGrid, RadialSolveConfig,
                      lowest_gap_eigenvalue_radial)
@@ -61,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rad.add_argument("--nu", type=float, metavar="NU",
                        help="point charge shortcut instead of --config")
     p_rad.add_argument("--kappa", type=int, default=-1,
-                       help="angular channel (default -1); kappa > 0 "
-                            "results are unverified")
+                       help="angular channel (default -1); kappa > 0 is "
+                            "refused: the solver reads a spurious level")
 
     sub.add_parser("multicenter", parents=[common],
                    help="single 3D gap solve for an atomic charge")
@@ -94,7 +95,24 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _print_solve(args, res, **head) -> int:
+    """Write a solve's JSON and, with --verbose, one stderr line of `head`,
+    lambda1, the result's diagnostics and its flags (`-` for none): reals
+    at 3 significant digits, lambda1 and start at 12."""
+    if args.verbose:
+        cells = {**head, "lambda1": res.lambda1, **res.diagnostics,
+                 "flags": ",".join(res.flags) or "-"}
+        print(" ".join(f"{k}={v:.{12 if k in ('lambda1', 'start') else 3}g}"
+                       if isinstance(v, float) else f"{k}={v}"
+                       for k, v in cells.items()), file=sys.stderr)
+    _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
+    return 0
+
+
 def _cmd_radial(args, doc: ConfigDoc) -> int:
+    if args.kappa > 0:
+        raise ConfigError(f"--kappa {args.kappa}: kappa > 0 is refused, as "
+                          "the solver reads the kappa = -|kappa| level there")
     mu = doc.charge()
     if not mu.radially_symmetric:
         raise ConfigError("charge is not radially symmetric; "
@@ -102,27 +120,14 @@ def _cmd_radial(args, doc: ConfigDoc) -> int:
     res = lowest_gap_eigenvalue_radial(mu, args.kappa,
                                        doc.build(RadialGrid, "grid"),
                                        doc.build(RadialSolveConfig, "solver"))
-    if args.verbose:
-        print(f"kappa={args.kappa} lambda1={res.lambda1:.12g} "
-              f"iterations={res.iterations} residual={res.residual:.3g} "
-              f"bracket_width={res.bracket[1] - res.bracket[0]:.3g}",
-              file=sys.stderr)
-    _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
-    return 0
+    return _print_solve(args, res, kappa=res.kappa)
 
 
 def _cmd_multicenter(args, doc: ConfigDoc) -> int:
     mu = doc.charge()
     basis = default_spinor_basis(mu, **doc.sections.get("basis", {}))
-    gcfg = doc.build(GapSolveConfig, "solver", "grid")
-    grid = grid_for_basis(basis, gcfg.n_radial, gcfg.angular_order)
-    res = solve_gap(basis, mu, grid, gcfg)
-    if args.verbose:
-        print(f"lambda1={res.lambda1:.12g} start={res.trace[0][0]:.12g} "
-              f"iterations={res.iterations} grid_points={grid.size} "
-              f"grid_kind={grid.kind} flags={','.join(res.flags) or '-'}", file=sys.stderr)
-    _write_text(json.dumps(res.to_json(), indent=2, sort_keys=True), args.out)
-    return 0
+    return _print_solve(args, solve_gap(
+        basis, mu, config=doc.build(GapSolveConfig, "solver", "grid")))
 
 
 def _cmd_experiment(args, doc: ConfigDoc) -> int:

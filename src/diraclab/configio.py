@@ -104,9 +104,12 @@ class ConfigDoc:
             points.append(PointCharge(blk["position"], blk["theta"]))
         layers = []
         for blk in self.layer_blocks:
-            if not {"kind", "theta"} <= blk.keys():
-                raise ConfigError("[charge.layer] needs kind and theta")
-            layers.append(RadialLayer(blk["kind"], blk.get("radius", 0.0),
+            if blk.get("kind") == "point":
+                raise ConfigError("[charge.layer] has no kind point; put an "
+                                  "atom at [charge.point] position = 0 0 0")
+            if not {"kind", "radius", "theta"} <= blk.keys():
+                raise ConfigError("[charge.layer] needs kind, radius and theta")
+            layers.append(RadialLayer(blk["kind"], blk["radius"],
                                       blk["theta"]))
         return ChargeDistribution(points=tuple(points), layers=tuple(layers))
 

@@ -9,7 +9,9 @@ words.  Wall-clock timestamps live only in the JSON manifest.
 
 Evidence semantics: reports carry margins against the relevant closed
 forms with explicit budgets; a converged row violating its budget drives
-the process exit code, it is never suppressed.
+the process exit code, it is never suppressed.  A gap row prints the flag
+words and diagnostics its solve returns; a driver adds only ok,
+solver-error and conditional-on-nu1 (a word about the bound).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from . import charges
 from .charges import ChargeDistribution
 from .configio import ConfigDoc, charge_descriptor, emit_config, format_float
 from .errors import ConfigError, IllConditionedBasisError, NoGapEigenvalueError
-from .gaussian import default_spinor_basis, grid_for_basis
+from .gaussian import default_spinor_basis, grid_diagnostics, grid_for_basis
 from .hardy import HardyScanRow, scan_row
 from .multicenter import (GapSolveConfig, schrodinger_ground_gaussian,
                           solve_gap)
@@ -229,63 +231,32 @@ def _scan_family(cfg: ExperimentConfig) -> list[tuple[float, ChargeDistribution]
 
 
 def _solve_point(mu: ChargeDistribution, cfg: ExperimentConfig) -> dict:
-    """One gap solve; solver failures are recorded, not raised.
-
-    `diagnostics` goes to the manifest: the root find's first sample
-    (start), iterations, residual and final bracket width and the keys of
-    _grid_diagnostics; or the solver's error message.
-    """
+    """One gap solve as the cells of its row, `diagnostics` for the
+    manifest; a solver failure is recorded, not raised."""
     try:
-        basis = default_spinor_basis(mu, **cfg.basis)
-        grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
-        res = solve_gap(basis, mu, grid, cfg.gap)
+        res = solve_gap(default_spinor_basis(mu, **cfg.basis), mu,
+                        config=cfg.gap)
     except (NoGapEigenvalueError, IllConditionedBasisError) as exc:
         return {"lambda1": float("nan"), "converged": False,
                 "flags": "solver-error", "diagnostics": {"error": str(exc)}}
-    words = []
-    if res.below_gap:
-        words.append("below-gap")
-    if not res.converged and not res.below_gap:
-        words.append("unconverged")
-    words.extend(res.flags)
-    if basis.orthogonalizer.shape[1] < basis.scalar.n:
-        words.append("rank-reduced")
-    if not words:
-        words.append("ok")
     return {"lambda1": res.lambda1, "converged": res.converged,
-            "flags": " ".join(words),
-            "diagnostics": {
-                "start": res.trace[0][0], "iterations": res.iterations,
-                "residual": res.residual,
-                "bracket_width": res.bracket[1] - res.bracket[0],
-                **_grid_diagnostics(basis, grid)}}
-
-
-def _grid_diagnostics(basis, grid) -> dict:
-    """The retained rank of the basis against its scalar size, the grid
-    size and kind, and the grid's partition-of-unity residual."""
-    return {"retained_rank": basis.orthogonalizer.shape[1],
-            "basis_size": basis.scalar.n, "grid_points": grid.size,
-            "grid_kind": grid.kind,
-            "partition_residual": grid.partition_residual}
+            "flags": " ".join(res.flags) or "ok",
+            "diagnostics": res.diagnostics}
 
 
 def _gap_rows(cfg: ExperimentConfig, family, key: str,
-              merged: ChargeDistribution | None = None):
+              merged: ChargeDistribution):
     """One gap solve per (value, charge) of `family`, as rows of
     scan_index, `key` (the value), geometry and the solve's cells, with
-    bound and margin against `merged` when it is given (_against_merged);
-    and a summary of unconverged_rows, exit_code and _against_merged's
-    keys."""
+    _against_merged's bound and margin; and the rows' summary."""
     solved = _run_ordered(lambda item: _solve_point(item[1], cfg),
                           family, cfg.workers)
     rows = [{"scan_index": idx, key: value,
              "geometry": charge_descriptor(mu), **sol}
             for idx, ((value, mu), sol) in enumerate(zip(family, solved))]
-    summary = {} if merged is None else _against_merged(merged, rows)
+    summary = _against_merged(merged, rows)
     summary["unconverged_rows"] = sum(not r["converged"] for r in rows)
-    summary["exit_code"] = _aggregate_exit(
-        rows, None if merged is None else "margin", cfg.margin_budget)
+    summary["exit_code"] = _aggregate_exit(rows, cfg.margin_budget)
     return rows, summary
 
 
@@ -306,15 +277,12 @@ def _against_merged(mu: ChargeDistribution, rows: list[dict]) -> dict:
     return {"bound": bound, "conditional_on_nu1": conditional}
 
 
-def _aggregate_exit(rows, margin_key: str | None, budget: float) -> int:
+def _aggregate_exit(rows, budget: float) -> int:
     if any(r["flags"].startswith("solver-error") for r in rows):
         return EXIT_SOLVER
-    if margin_key is not None:
-        for r in rows:
-            margin = r.get(margin_key)
-            if r.get("converged") and margin is not None \
-                    and not math.isnan(margin) and margin < -budget:
-                return EXIT_MARGIN
+    # a nan margin (no merged bound) compares false
+    if any(r["converged"] and r["margin"] < -budget for r in rows):
+        return EXIT_MARGIN
     return EXIT_OK
 
 
@@ -437,7 +405,7 @@ def _schrodinger_compare(cfg: ExperimentConfig):
         "margin_min": min(margins) if margins else None,
         "concavity_min_slack": concavity,
         "margin_budget": cfg.margin_budget,
-        "exit_code": _aggregate_exit(rows, "margin", cfg.margin_budget),
+        "exit_code": _aggregate_exit(rows, cfg.margin_budget),
     }
     columns = ("scan_index", "separation", "geometry", "nu_total",
                "energy", "bound", "margin", "flags")
@@ -446,14 +414,14 @@ def _schrodinger_compare(cfg: ExperimentConfig):
 
 def _hardy_sweep(cfg: ExperimentConfig):
     """Per-charge quotient constants c(mu) with the published floor; each
-    row's `diagnostics` (_grid_diagnostics) goes to the manifest."""
+    row's grid_diagnostics go to the manifest."""
     def solve_one(indexed):
         index, (_, mu) = indexed
         basis = default_spinor_basis(mu, **cfg.basis)
         grid = grid_for_basis(basis, cfg.gap.n_radial, cfg.gap.angular_order)
         return {**asdict(scan_row(index, mu, basis, grid)),
                 "converged": True, "flags": "ok",
-                "diagnostics": _grid_diagnostics(basis, grid)}
+                "diagnostics": grid_diagnostics(basis, grid)}
     rows = _run_ordered(solve_one, list(enumerate(_scan_family(cfg))),
                         cfg.workers)
     c_min = min(r["c_mu"] for r in rows)

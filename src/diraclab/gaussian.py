@@ -719,6 +719,15 @@ def grid_for_basis(basis: SpinorBasis, n_radial: int = N_RADIAL,
                       kind=kind, frame=frame)
 
 
+def grid_diagnostics(basis: SpinorBasis, grid: QuadratureGrid) -> dict:
+    """The basis's retained rank and size, the grid's size, kind and
+    partition-of-unity residual: the discretisation facts of a row."""
+    return {"retained_rank": basis.orthogonalizer.shape[1],
+            "basis_size": basis.scalar.n, "grid_points": grid.size,
+            "grid_kind": grid.kind,
+            "partition_residual": grid.partition_residual}
+
+
 def check_reduced_grid(grid: QuadratureGrid, basis: SpinorBasis,
                        mu: ChargeDistribution) -> None:
     """Refuse a reduced grid unless every atom of mu and every basis site

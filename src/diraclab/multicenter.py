@@ -36,11 +36,12 @@ and psi is its eigenvector times a fixed spinor (gaussian.grid_matrix).
 
 This path cannot produce spurious eigenvalues from below; a kinetically
 balanced 4-spinor discretization of the same operator is available as a
-diagnostic cross-check.
+diagnostic cross-check.  solve_gap returns the flags and diagnostics its
+row prints (GapResult).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +50,8 @@ from .charges import ChargeDistribution, potential_grid
 from .errors import ConfigError
 from .gaussian import (ANGULAR_ORDER, N_RADIAL, GridEvaluation,
                        QuadratureGrid, SpinorBasis, check_reduced_grid,
-                       filtered_orthogonalizer, grid_for_basis, grid_matrix,
-                       spin_along)
+                       filtered_orthogonalizer, grid_diagnostics,
+                       grid_for_basis, grid_matrix, spin_along)
 from .radial import SchrodingerResult
 
 NEAR_CRITICAL_STRENGTH = 0.9
@@ -58,6 +59,7 @@ NEAR_CRITICAL_STRENGTH = 0.9
 _BRACKET = (-1.0 + 1e-6, 1.0 - 1e-12)
 ACCURACY_FLAG = "accuracy-unverified"
 POLLUTION_FLAG = "pollution-warning"
+RANK_FLAG = "rank-reduced"
 # A four-spinor cross-check farther than this from lambda1 raises the
 # pollution flag.
 POLLUTION_GAP = 1e-2
@@ -83,11 +85,21 @@ class GapSolveConfig(_rootfind.SolveConfig):
 @dataclass
 class GapResult(_rootfind.GapSolution):
     """A 3D gap solve: `vector` is the S-normalised lowest eigenvector in
-    the primitive spinor basis, with the cross-check and flags."""
+    the primitive spinor basis.  `warnings` follow the root find's flags,
+    in CSV order, and `discretisation` its diagnostics."""
 
     crosscheck_lambda1: float | None = None
     crosscheck_gap: float | None = None
-    flags: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
+    discretisation: dict = field(default_factory=dict)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return super().flags + self.warnings
+
+    @property
+    def diagnostics(self) -> dict:
+        return {**super().diagnostics, **self.discretisation}
 
     def to_json(self) -> dict:
         return {**super().to_json(),
@@ -187,9 +199,10 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     """Find the lowest gap eigenvalue of one GapProblem; see the module
     docstring.  The cross-check, when asked for, reads the same problem.
 
-    Sites whose atoms sum to a strength above 0.9 are allowed but the
-    result carries an accuracy-unverified flag (basis saturation is not
-    guaranteed there).
+    Without a grid it solves on grid_for_basis at the config's orders.
+    Sites whose atoms sum to a strength above 0.9 are allowed but flagged
+    accuracy-unverified (basis saturation is not guaranteed there), and a
+    basis whose overlap lost a direction rank-reduced.
     The root find raises NoGapEigenvalueError when no eigenvalue has
     entered the gap and returns a below-gap result when the root has left
     it downward.  With the cross-check on, a total charge above
@@ -206,21 +219,22 @@ def solve_gap(basis: SpinorBasis, mu: ChargeDistribution,
     root = _rootfind.solve_monotone_gap(
         problem.mu_min, *_BRACKET, config=config, start=problem.start(),
         slope=problem.slope)
-    result = GapResult(**vars(root))
-    flags = []
+    result = GapResult(**vars(root),
+                       discretisation=grid_diagnostics(basis, grid))
+    words = []
     if any(s > NEAR_CRITICAL_STRENGTH for s in mu.site_strengths.values()):
-        flags.append(ACCURACY_FLAG)
+        words.append(ACCURACY_FLAG)
     if config.crosscheck and not result.below_gap:
         gap_evs = rkb_cross_check(problem)
         if len(gap_evs):
             result.crosscheck_lambda1 = float(gap_evs[0])
             result.crosscheck_gap = abs(result.crosscheck_lambda1
                                         - result.lambda1)
-            if result.crosscheck_gap > POLLUTION_GAP:
-                flags.append(POLLUTION_FLAG)
-        else:
-            flags.append(POLLUTION_FLAG)
-    result.flags = tuple(flags)
+        if not len(gap_evs) or result.crosscheck_gap > POLLUTION_GAP:
+            words.append(POLLUTION_FLAG)
+    if basis.orthogonalizer.shape[1] < basis.scalar.n:
+        words.append(RANK_FLAG)
+    result.warnings = tuple(words)
     return result
 
 

@@ -382,8 +382,7 @@ class _ChannelProblem:
         self.eps = grid.r_min
         self.nu_pt = nu_pt
         self.gamma = math.sqrt(kappa * kappa - nu_pt * nu_pt)
-        smooth = ChargeDistribution(
-            layers=tuple(l for l in mu.layers if l.kind != "point"))
+        smooth = ChargeDistribution(layers=mu.layers)
         self._rq = 0.5 * self.eps * (_LEG_X + 1.0)  # Gauss nodes on (0, eps)
         self._wq = 0.5 * self.eps * _LEG_W
         self._vq = radial_profile(smooth, self._rq)

@@ -1,15 +1,16 @@
 """Independent reference values for the analytic code paths.
 
 Everything here deliberately avoids the package's own formulas and grids:
-scipy.integrate.quad, scipy.special.erf, or plain Gauss-Legendre rules on
-textbook parametrizations.  The weighted gradient Grams take tabulated
-gradients and sum them in one unblocked pass per component.  Accuracy is
-well past the tolerances asserted in the tests that consume these.
+scipy.integrate.quad, scipy.integrate.solve_ivp, scipy.special.erf, or
+plain Gauss-Legendre rules on textbook parametrizations.  The weighted
+gradient Grams take tabulated gradients and sum them in one unblocked
+pass per component.  Accuracy is well past the tolerances asserted in
+the tests that consume these.
 """
 import warnings
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 
 def boys_reference(m: int, t: float) -> float:
@@ -170,3 +171,63 @@ def point_dirac_level(nu: float, kappa: int) -> float:
 def hydrogenic_energy(nu: float) -> float:
     """Closed-form nonrelativistic ground energy for a point charge nu."""
     return -0.5 * nu * nu
+
+
+def layer_potential(kind: str, strength: float, radius: float):
+    """The textbook potential v(r) of an origin-centered sphere shell or
+    uniform ball of total `strength`."""
+    if kind == "sphere-shell":
+        return lambda r: strength / max(r, radius)
+    if kind == "uniform-ball":
+        return lambda r: (strength * (3.0 - (r / radius) ** 2)
+                          / (2.0 * radius) if r < radius else strength / r)
+    raise ValueError(f"no potential for layer kind {kind!r}")
+
+
+def shooting_level(kind: str, strength: float, radius: float,
+                   r_max: float = 80.0) -> float:
+    """Lowest kappa = -1 gap eigenvalue of one shell or ball (no point
+    part) by matched shooting on the radial Dirac system
+
+        P' = P/r + (1 + lam + v) Q,    Q' = -Q/r - (lam - 1 + v) P.
+
+    Outward from the regular series P = r, Q = -(lam - 1 + v(0)) r^2/3
+    at r = 1e-5, inward from r_max with the decaying Q/P =
+    -sqrt((1 - lam)/(1 + lam)), both by DOP853 at rtol 1e-13 and both up
+    to the layer radius, where v has its kink; lambda1 is the first root
+    above sqrt(1 - nu^2) of the normalised Wronskian there.
+    """
+    v = layer_potential(kind, strength, radius)
+    r0 = 1e-5
+
+    def rhs(lam):
+        def f(r, y):
+            a = v(r)
+            return [y[0] / r + (1.0 + lam + a) * y[1],
+                    -y[1] / r - (lam - 1.0 + a) * y[0]]
+        return f
+
+    def end(lam, start, stop, y0):
+        sol = integrate.solve_ivp(rhs(lam), (start, stop), y0,
+                                  method="DOP853", rtol=1e-13, atol=1e-300)
+        y = sol.y[:, -1]
+        return y / np.hypot(*y)
+
+    def wronskian(lam):
+        out = end(lam, r0, radius, [r0, -(lam - 1.0 + v(0.0)) * r0 * r0 / 3.0])
+        inn = end(lam, r_max, radius,
+                  [1.0, -np.sqrt((1.0 - lam) / (1.0 + lam))])
+        return out[0] * inn[1] - out[1] * inn[0]
+
+    lo = float(np.sqrt(1.0 - strength * strength))
+    w_lo = wronskian(lo)
+    step = 1e-2
+    while True:
+        hi = min(lo + step, 1.0 - 1e-9)
+        w_hi = wronskian(hi)
+        if np.sign(w_hi) != np.sign(w_lo):
+            return optimize.brentq(wronskian, lo, hi, xtol=1e-16,
+                                   rtol=4.0 * np.finfo(float).eps)
+        if hi >= 1.0 - 1e-9:
+            raise ValueError("no gap eigenvalue found")
+        lo, w_lo = hi, w_hi

@@ -28,9 +28,10 @@ def test_layer_validation():
         charges.shell(0.5, -1.0)
     with pytest.raises(ChargeModelError):
         charges.shell(-0.5, 1.0)
+    # a point charge at the origin is an atom, not a layer
     with pytest.raises(ChargeModelError):
         charges.ChargeDistribution(
-            layers=(charges.RadialLayer("point", 1.0, 0.5),))
+            layers=(charges.RadialLayer("point", 0.0, 0.5),))
     with pytest.raises(ChargeModelError):
         charges.ChargeDistribution(
             layers=(charges.RadialLayer("wedge", 1.0, 0.5),))
@@ -171,10 +172,6 @@ def test_near_coincident_atoms_are_refused():
 def test_point_mass_at_one_position_may_not_sum_above_one():
     with pytest.raises(MergedAtomTooHeavyError):
         charges.atoms([(0, 0, 0)] * 2, [0.6, 0.6])
-    # point layers count at the origin, with the atoms there
-    with pytest.raises(MergedAtomTooHeavyError):
-        charges.combine(charges.atom((0, 0, 0), 0.6), charges.ChargeDistribution(
-            layers=(charges.RadialLayer("point", 0.0, 0.6),)))
     kept = charges.atoms([(0, 0, 0)] * 2 + [(1, 0, 0)], [0.5, 0.5, 0.6])
     assert kept.site_strengths == {(0.0, 0.0, 0.0): 1.0, (1.0, 0.0, 0.0): 0.6}
 

@@ -105,6 +105,65 @@ def test_multicenter_verbose_reports_the_start(tmp_path, capsys):
         assert "start" not in json.loads(captured.out)
 
 
+# exponents 1.3 apart: the overlap of this pair keeps 15 of its 16
+# directions
+RANK_REDUCED_BASIS = "[basis]\nn_s = 8\nbeta = 1.3\n"
+RANK_REDUCED_PAIR = (MULTI.replace("[basis]\nn_s = 8\n", RANK_REDUCED_BASIS)
+                     .replace("theta = 0.5", "theta = 0.2")
+                     + "\n[charge.point]\nposition = 1 0 0\ntheta = 0.2\n")
+
+
+def test_rank_reduced_pair_prints_one_set_of_words(tmp_path, capsys):
+    # the JSON, the --verbose line and the sweep row of one solve agree
+    cfg = write(tmp_path, "pair.cfg", RANK_REDUCED_PAIR)
+    assert cli.main(["multicenter", "--config", cfg, "--verbose"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(item.split("=") for item in captured.err.split())
+    assert json.loads(captured.out)["flags"] == ["rank-reduced"]
+    assert fields["flags"] == "rank-reduced"
+    assert int(fields["retained_rank"]) < int(fields["basis_size"])
+    sweep = write(tmp_path, "sweep.cfg", FAST_SWEEP.replace(
+        "separations = 1 4", "separations = 1").replace(
+        "[basis]\nn_s = 8\n", RANK_REDUCED_BASIS))
+    assert cli.main(["conjecture-sweep", "--config", sweep]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["flags"] for r in rows] == ["rank-reduced"]
+    assert float(rows[0]["lambda1"]) == json.loads(captured.out)["lambda1"]
+
+
+def test_multicenter_verbose_reports_residual_and_bracket(tmp_path, capsys):
+    cfg = write(tmp_path, "multi.cfg", MULTI)
+    assert cli.main(["multicenter", "--config", cfg, "--verbose"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(item.split("=") for item in captured.err.split())
+    solver = multicenter.GapSolveConfig()
+    assert 0.0 <= float(fields["residual"]) <= solver.residual_tol
+    assert 0.0 <= float(fields["bracket_width"]) <= solver.lam_tol
+    assert fields["flags"] == "-"
+    # the JSON key set stays as it was
+    assert set(json.loads(captured.out)) == {
+        "lambda1", "residual", "iterations", "below_gap", "converged",
+        "crosscheck_lambda1", "flags"}
+
+
+@pytest.mark.parametrize("kappa", ["1", "2"])
+def test_radial_refuses_positive_kappa(capsys, kappa):
+    # the stencil reads the kappa = -1 level 0.8000037 for --kappa 1,
+    # where the closed form is 0.9486833
+    assert cli.main(["radial", "--nu", "0.6", "--kappa", kappa]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "kappa > 0" in captured.err
+
+
+def test_point_layer_points_to_an_origin_atom(tmp_path, capsys):
+    cfg = write(tmp_path, "point.cfg",
+                "[charge.layer]\nkind = point\nradius = 0\ntheta = 0.5\n")
+    assert cli.main(["radial", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[charge.point]" in err
+
+
 HARDY_SWEEP = """
 [experiment]
 kind = hardy-sweep
@@ -286,13 +345,14 @@ def test_multicenter_defaults_come_from_gap_config(tmp_path, monkeypatch,
                                                   capsys):
     seen = []
 
-    def fake_solve(basis, mu, grid, config):
+    def fake_solve(basis, mu, grid=None, config=None):
+        # the solver, not the command, builds the grid
+        assert grid is None
         seen.append(config)
         return multicenter.GapResult(False, 0.5, 0.0, ((0.5, 0.0),),
                                      (0.5, 0.5), True, (), None)
 
     monkeypatch.setattr(cli, "solve_gap", fake_solve)
-    monkeypatch.setattr(cli, "grid_for_basis", lambda *args: None)
     no_grid = MULTI.replace("[grid]\nn_radial = 64\nangular_order = 17\n",
                             "")
     assert "[grid]" not in no_grid and "[solver]" not in no_grid

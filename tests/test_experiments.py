@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from diraclab import charges, configio, experiments, multicenter, radial
+from diraclab import (charges, configio, experiments, gaussian, multicenter,
+                      radial)
 from diraclab.errors import ConfigError
 
 FAST = """
@@ -154,6 +155,19 @@ def test_rank_reduced_flag_on_a_nearly_dependent_basis():
     for row in experiments.run_experiment(fast_config()).rows:
         assert row["diagnostics"]["retained_rank"] == \
             row["diagnostics"]["basis_size"]
+
+
+def test_solve_gap_diagnostics_are_the_manifest_entry(tmp_path):
+    # the row prints the record its solve returns, key for key
+    cfg = fast_config(separations=(1.0,))
+    report = experiments.run_experiment(cfg)
+    report.write(tmp_path / "s.csv")
+    man = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    mu = charges.atoms([(0, 0, 0), (1, 0, 0)], [0.2, 0.2])
+    res = multicenter.solve_gap(
+        gaussian.default_spinor_basis(mu, **cfg.basis), mu, config=cfg.gap)
+    assert man["row_diagnostics"] == [res.diagnostics]
+    assert report.rows[0]["lambda1"] == res.lambda1
 
 
 def test_csv_body_is_deterministic_and_parseable():

@@ -490,6 +490,35 @@ def test_ball_between_shell_and_point():
     assert lam_point < lam_ball < lam_shell
 
 
+@functools.lru_cache(maxsize=None)
+def shooting_level(kind, r_max=80.0):
+    return oracles.shooting_level(kind, 0.5, 1.0, r_max)
+
+
+STENCIL_GRID = radial.RadialGrid(1e-6, 100.0, 4000)
+
+
+def test_shell_reads_above_its_shooting_level():
+    # the radial_shell charge: the stencil sits 1.5e-8 above the exact
+    # level, on the upper side the min-max bound allows
+    lam = radial.lowest_gap_eigenvalue_radial(
+        charges.shell(0.5, 1.0), grid=STENCIL_GRID).lambda1
+    assert 0.0 < lam - shooting_level("sphere-shell") < 2e-8
+
+
+def test_ball_reads_within_5e_10_of_its_shooting_level():
+    # no sign asserted: the stencil reads 1.8e-10 below the exact level
+    lam = radial.lowest_gap_eigenvalue_radial(
+        charges.ball(0.5, 1.0), grid=STENCIL_GRID).lambda1
+    assert abs(lam - shooting_level("uniform-ball")) < 5e-10
+
+
+def test_shooting_level_does_not_move_with_r_max():
+    levels = [shooting_level("sphere-shell", r_max)
+              for r_max in (60.0, 80.0, 120.0)]
+    assert max(levels) - min(levels) <= 1e-14
+
+
 def test_channel_sweep_ground_channel_wins():
     results = [radial.lowest_gap_eigenvalue_radial(point(0.6), kappa)
                for kappa in (-2, -1, 1, 2)]
